@@ -3,7 +3,7 @@ quantum probes coupled through a mediator mode.
 
 Two backends cover the same dynamics: an exact Gaussian phase-space
 backend (symplectic propagation of means and covariances) and a 3-D
-grid backend (split-operator FFT evolution of the full amplitude),
+grid backend (exact three-shear FFT evolution of the full amplitude),
 plus the configuration-ensemble machinery of functional derivatives
 and hybrid Poisson brackets used for locality diagnostics.
 """

@@ -7,10 +7,8 @@ functionals of (P, S), and the bracket
     {A, B} = integral of [dA/dP dB/dS - dA/dS dB/dP]
 
 reproduces the classical Poisson bracket on C_f's and the commutator
-bracket on expectations.  The bracket display can also be evaluated
-with an extra P factor inside the integrand (``verbatim=True``); only
-the P-free default satisfies the sector isomorphism identities, which
-is why it is the default.
+bracket on expectations.  The integrand carries no extra factor of P:
+only the P-free form satisfies the sector isomorphism identities.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ class FunctionalGradient:
 
     d_dP: np.ndarray
     d_dS: np.ndarray
-    support_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def classical_functional(ens: EnsembleRepresentation, f: ObservableSpec) -> floa
     """C_f = integral of P f(x, dS/dx) over the support mask."""
     _require_kind(f, ObservableKind.CLASSICAL)
     x = ens.spec.coordinate_field(2)
-    u = ens.phase_gradients[2]
+    u = ens.phase_gradient(2)
     vals = classical_value(f, np.broadcast_to(x, ens.density.shape), u)
     return float(np.sum(ens.density[ens.support_mask] * vals[ens.support_mask])
                  * ens.spec.cell_volume)
@@ -80,19 +77,18 @@ def quantum_functional(state: GridState, m: ObservableSpec,
     return float(val.real)
 
 
-def functional_gradients(state: GridState, obs: ObservableSpec,
-                         epsilon: float | None = None) -> FunctionalGradient:
+def functional_gradients(ens: EnsembleRepresentation,
+                         obs: ObservableSpec) -> FunctionalGradient:
     """Variational derivatives of C_f or Q_M with respect to (P, S).
 
     Classical: dA/dP = f(x, u), dA/dS = -d/dx (P df/du).
     Quantum:   dA/dP = Re[(M psi)* psi]/P, dA/dS = -(2/hbar) Im[(M psi)* psi].
+    Both vanish off the ensemble's support mask.
     """
-    ens = to_ensemble(state, epsilon)
-    spec = state.spec
-    mask = ens.support_mask
+    state, spec, mask = ens.state, ens.spec, ens.support_mask
     if obs.kind is ObservableKind.CLASSICAL:
         x = np.broadcast_to(spec.coordinate_field(2), ens.density.shape)
-        u = ens.phase_gradients[2]
+        u = ens.phase_gradient(2)
         d_dp = classical_value(obs, x, u)
         flux = ens.density * classical_value(classical_partial(obs, "u"), x, u)
         d_ds = -np.real(_spectral_derivative(flux.astype(complex), spec, 2))
@@ -102,9 +98,8 @@ def functional_gradients(state: GridState, obs: ObservableSpec,
         d_dp = np.zeros_like(ens.density)
         np.divide(np.real(overlap), ens.density, out=d_dp, where=mask)
         d_ds = -(2.0 / spec.hbar) * np.imag(overlap)
-    d_dp = np.where(mask, d_dp, 0.0)
-    d_ds = np.where(mask, d_ds, 0.0)
-    return FunctionalGradient(d_dp, d_ds, mask)
+    return FunctionalGradient(np.where(mask, d_dp, 0.0),
+                              np.where(mask, d_ds, 0.0))
 
 
 def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
@@ -117,21 +112,14 @@ def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
 
 
 def hybrid_bracket(state: GridState, a: ObservableSpec, b: ObservableSpec,
-                   epsilon: float | None = None,
-                   verbatim: bool = False) -> BracketResult:
-    """{A, B} over the support mask.
-
-    With ``verbatim=True`` the integrand carries an extra factor of P,
-    matching the display form of the bracket; the default omits it so
-    the sector isomorphism identities hold.
-    """
-    ga = functional_gradients(state, a, epsilon)
-    gb = functional_gradients(state, b, epsilon)
+                   epsilon: float | None = None) -> BracketResult:
+    """{A, B} over the support mask of one ensemble of the state."""
+    ens = to_ensemble(state, epsilon)
+    ga = functional_gradients(ens, a)
+    gb = functional_gradients(ens, b)
     integrand = ga.d_dP * gb.d_dS - ga.d_dS * gb.d_dP
-    if verbatim:
-        integrand = integrand * np.abs(state.amplitudes) ** 2
-    mask = ga.support_mask & gb.support_mask
-    value, err = _masked_quadrature(integrand, mask, state.spec.cell_volume)
+    value, err = _masked_quadrature(integrand, ens.support_mask,
+                                    state.spec.cell_volume)
     return BracketResult(value, err)
 
 
@@ -158,8 +146,8 @@ def ensemble_hamiltonian_value(ens: EnsembleRepresentation,
     x = ens.spec.coordinate_field(2)
     qp = ens.spec.coordinate_field(1)
     mask = ens.support_mask
-    term1 = ens.density * ens.phase_gradients[0] * x
-    term2 = ens.density * ens.phase_gradients[2] * qp
+    term1 = ens.density * ens.phase_gradient(0) * x
+    term2 = ens.density * ens.phase_gradient(2) * qp
     dv = ens.spec.cell_volume
     return float((g1 * np.sum(term1[mask]) + g2 * np.sum(term2[mask])) * dv)
 

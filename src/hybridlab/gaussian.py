@@ -61,6 +61,9 @@ class PhaseSpaceState:
             raise ValueError("expected a 6-vector of means and a 6x6 covariance")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        if not (np.isfinite(self.means).all()
+                and np.isfinite(self.covariance).all()):
+            raise ValueError("means and covariance must be finite")
         if np.abs(self.covariance - self.covariance.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric to 1e-12")
 
@@ -292,16 +295,15 @@ def chsh_displaced_parity(state: PhaseSpaceState,
 
 def optimize_chsh(state: PhaseSpaceState,
                   modes: tuple[str, str] = ("Q", "Qprime"),
-                  start_scale: float = 0.6,
                   ) -> tuple[float, tuple[complex, complex, complex, complex]]:
     """Multi-start coordinate descent over the four displacement settings.
 
     Starts: alpha1 = beta1 = 0 with (alpha2, beta2) on a 5x5 grid of
-    imaginary displacements in [-start_scale, start_scale]; each start
-    is refined by cyclic coordinate descent over the 8 real parameters
-    with step halving down to 1e-6.  Deterministic.
+    imaginary displacements in [-0.6, 0.6]; each start is refined by
+    cyclic coordinate descent over the 8 real parameters with step
+    halving down to 1e-6.  Deterministic.
     """
-    grid = np.linspace(-start_scale, start_scale, 5)
+    grid = np.linspace(-0.6, 0.6, 5)
     state.require_physical()
     means, cov = state.reduced(list(modes))
     corr = _ParityCorrelator(means, cov, state.hbar)
@@ -370,9 +372,9 @@ class MediatorEstimate:
 
     def __post_init__(self):
         if not (self.var_x >= -1e-9 and self.var_k >= -1e-9):
-            raise ValueError("fitted variances are negative beyond fit noise")
+            raise PhysicalityError("fitted variances are negative beyond fit noise")
         if self.var_x * self.var_k - self.cov_xk ** 2 < -1e-9:
-            raise ValueError("fitted second moments are inconsistent")
+            raise PhysicalityError("fitted second moments are inconsistent")
 
 
 @dataclass

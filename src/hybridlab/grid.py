@@ -1,17 +1,18 @@
-"""Grid backend: split-operator FFT evolution of psi(q, q', x).
+"""Grid backend: exact three-shear FFT evolution of psi(q, q', x).
 
-The interaction g1*p*x + g2*q'*k contains no kinetic term, so both
-split factors are exact shears: the g1 term is diagonal after an FFT
-along the q axis, the g2 term after an FFT along the x axis.  Their
-commutator [g1 p x, g2 q' k] = i hbar g1 g2 p q' commutes with both, so
-Strang (A-B-A) splitting is exact for this Hamiltonian at any dt, not
-merely second order.
+The interaction g1*p*x + g2*q'*k contains no kinetic term, so each of
+its two terms generates an exact shear: the g1 term is diagonal after
+an FFT along the q axis, the g2 term after an FFT along the x axis.
+Their commutator [g1 p x, g2 q' k] = i hbar g1 g2 p q' commutes with
+both, so the propagator factors exactly into the two shears and one
+central phase, diagonal after the same FFT along q.  Four FFTs reach
+any time.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +38,13 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "points_per_axis", tuple(int(n) for n in self.points_per_axis))
         object.__setattr__(self, "half_widths", tuple(float(l) for l in self.half_widths))
+        if len(self.points_per_axis) != 3 or len(self.half_widths) != 3:
+            raise ValueError("points_per_axis and half_widths need 3 values")
         for n in self.points_per_axis:
             if n < 32 or (n & (n - 1)) != 0:
                 raise ValueError("points_per_axis must be powers of two >= 32")
-        if any(l <= 0 for l in self.half_widths):
-            raise ValueError("half_widths must be positive")
+        if not all(0 < l < np.inf for l in self.half_widths):
+            raise ValueError("half_widths must be positive and finite")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 
@@ -92,12 +95,18 @@ class GridState:
 
 @dataclass(frozen=True)
 class EnsembleRepresentation:
-    """Hybrid ensemble fields: density P and the three phase gradients."""
+    """Hybrid ensemble of a grid state: density P, its support mask, and
+    the phase gradients dS/d(axis), each computed on first request."""
 
-    spec: GridSpec
+    state: GridState
     density: np.ndarray
-    phase_gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
     support_mask: np.ndarray
+    _gradients: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.state.spec
 
     def total_probability(self) -> float:
         return float(np.sum(self.density) * self.spec.cell_volume)
@@ -105,6 +114,20 @@ class EnsembleRepresentation:
     @property
     def mask_fraction(self) -> float:
         return float(1.0 - self.support_mask.mean())
+
+    def phase_gradient(self, axis: int) -> np.ndarray:
+        """Gauge-safe hbar*Im(psi* dpsi/daxis)/P, set to 0 off the mask.
+
+        No phase unwrapping is performed.
+        """
+        if axis not in self._gradients:
+            psi = self.state.amplitudes
+            num = self.spec.hbar * np.imag(
+                np.conj(psi) * _spectral_derivative(psi, self.spec, axis))
+            grad = np.zeros_like(self.density)
+            np.divide(num, self.density, out=grad, where=self.support_mask)
+            self._gradients[axis] = grad
+        return self._gradients[axis]
 
 
 def init_product_gaussian(spec: GridSpec,
@@ -141,13 +164,13 @@ def init_product_gaussian(spec: GridSpec,
 
 def split_step_evolve(state: GridState, g1: float, g2: float,
                       dt: float, steps: int) -> GridState:
-    """Strang A-B-A evolution under exp(-i t (g1 p x + g2 q' k)/hbar).
+    """Exact evolution to t = dt*steps under exp(-it(g1 p x + g2 q' k)/hbar).
 
-    A = g1 p x is applied diagonally after an FFT along q; B = g2 q' k
-    after an FFT along x.  Each factor is an exact unitary shear, so
-    the norm is conserved to roundoff.  [A, B] is central, so the
-    splitting carries no dt error: the result depends on dt only at
-    roundoff level, and what remains is the grid's own band limit.
+    [A, B] = i hbar g1 g2 p q' for A = g1 p x, B = g2 q' k is central, so
+    U(t) = exp(-itA/hbar) exp(i g1 g2 t^2 p q'/(2 hbar)) exp(-itB/hbar)
+    exactly: B is diagonal after an FFT along x, A and the central
+    factor after one FFT along q.  dt and steps enter only through t
+    and the per-step shear guard; what remains is the grid's band limit.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -159,21 +182,19 @@ def split_step_evolve(state: GridState, g1: float, g2: float,
        abs(dt * g2) * spec.half_widths[1] > spec.half_widths[2]:
         raise ConfigurationError("per-step shear exceeds the domain size; "
                                  "reduce dt or enlarge the box")
+    t = dt * steps
     kq = spec.wavenumbers(0)[:, None, None]
     kx = spec.wavenumbers(2)[None, None, :]
     x = spec.coordinate_field(2)
     qp = spec.coordinate_field(1)
-    half_a = np.exp(-0.5j * g1 * dt * kq * x)
-    full_b = np.exp(-1j * g2 * dt * qp * kx)
-    # A(dt/2) [B(dt) A(dt)]^(n-1) B(dt) A(dt/2), fusing interior half-steps
-    psi = state.amplitudes
-    psi = np.fft.ifft(half_a * np.fft.fft(psi, axis=0), axis=0)
-    full_a = half_a * half_a
-    for step in range(steps):
-        psi = np.fft.ifft(full_b * np.fft.fft(psi, axis=2), axis=2)
-        phase = half_a if step == steps - 1 else full_a
-        psi = np.fft.ifft(phase * np.fft.fft(psi, axis=0), axis=0)
-    return GridState(spec, psi)
+    # each phase factor spans two axes; multiplying in place builds no
+    # full-size phase array
+    psi = np.fft.fft(state.amplitudes, axis=2)
+    psi *= np.exp(-1j * g2 * t * qp * kx)
+    psi = np.fft.fft(np.fft.ifft(psi, axis=2), axis=0)
+    psi *= np.exp(-1j * g1 * t * kq * x)
+    psi *= np.exp(0.5j * g1 * g2 * t * t * kq * qp)
+    return GridState(spec, np.fft.ifft(psi, axis=0))
 
 
 def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
@@ -197,26 +218,17 @@ def apply_operator(psi: np.ndarray, spec: GridSpec, symbol: str) -> np.ndarray:
 
 def to_ensemble(state: GridState, epsilon: float | None = None,
                 ) -> EnsembleRepresentation:
-    """Density P = |psi|^2 and gauge-safe gradients hbar*Im(psi* grad psi)/P.
+    """Density P = |psi|^2 and its support mask P > epsilon.
 
-    No phase unwrapping is performed; gradients are masked (set to 0)
-    where P <= epsilon.  Default epsilon is 1e-12 * max(P).
+    Default epsilon is 1e-12 * max(P).  Phase gradients are computed
+    per axis on request, by `EnsembleRepresentation.phase_gradient`.
     """
-    spec = state.spec
-    psi = state.amplitudes
-    density = np.abs(psi) ** 2
+    density = np.abs(state.amplitudes) ** 2
     if epsilon is None:
         epsilon = 1e-12 * density.max()
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    mask = density > epsilon
-    grads = []
-    for axis in range(3):
-        num = spec.hbar * np.imag(np.conj(psi) * _spectral_derivative(psi, spec, axis))
-        g = np.zeros_like(density)
-        np.divide(num, density, out=g, where=mask)
-        grads.append(g)
-    return EnsembleRepresentation(spec, density, tuple(grads), mask)
+    return EnsembleRepresentation(state, density, density > epsilon)
 
 
 def grid_moments(state: GridState) -> tuple[np.ndarray, np.ndarray]:

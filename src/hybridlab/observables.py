@@ -234,8 +234,7 @@ def _require_kind(spec: ObservableSpec, kind: ObservableKind) -> None:
 # Quantum operator application on the grid
 # ---------------------------------------------------------------------------
 
-def apply_quantum(spec: ObservableSpec, state: GridState,
-                  symmetrize: bool = True) -> np.ndarray:
+def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
     """Apply the Weyl-symmetrized operator polynomial to the amplitudes.
 
     Symmetrization averages each monomial over all factor orderings;
@@ -248,7 +247,7 @@ def apply_quantum(spec: ObservableSpec, state: GridState,
         if not factors:
             out += coeff * psi
             continue
-        orders = set(itertools.permutations(factors)) if symmetrize else [factors]
+        orders = set(itertools.permutations(factors))
         acc = np.zeros_like(psi)
         for order in orders:
             term = psi
@@ -264,10 +263,6 @@ def quantum_commutator_over_ihbar(a: ObservableSpec, b: ObservableSpec,
     """([A, B]/(i hbar)) psi with A, B Weyl-symmetrized."""
     psi_b = apply_quantum(b, state)
     psi_a = apply_quantum(a, state)
-    ab = _apply_raw(a, GridState(state.spec, psi_b))
-    ba = _apply_raw(b, GridState(state.spec, psi_a))
+    ab = apply_quantum(a, GridState(state.spec, psi_b))
+    ba = apply_quantum(b, GridState(state.spec, psi_a))
     return (ab - ba) / (1j * state.spec.hbar)
-
-
-def _apply_raw(spec: ObservableSpec, state: GridState) -> np.ndarray:
-    return apply_quantum(spec, state, symmetrize=True)

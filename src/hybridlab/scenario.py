@@ -54,6 +54,10 @@ class ScenarioConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.total_time < 0:
@@ -70,6 +74,20 @@ class ScenarioConfig:
         for pair in self.bracket_pairs:
             a, b = _split_pair(pair)
             parse_observable(a), parse_observable(b)
+        if self.tomo_noise < 0:
+            raise ConfigError("tomo_noise must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        for name in ("q_width", "qprime_width", "c_width"):
+            width = getattr(self, name)
+            if width is not None and width <= 0:
+                raise ConfigError(f"{name} must be positive")
+        # GridSpec checks the tuple lengths, the grid sizes and hbar
+        gr.GridSpec(self.grid_points, self.grid_half_widths, self.hbar)
+        try:
+            self.initial_gaussian()
+        except ZeroDivisionError:
+            raise ConfigError("a width is too small: its square underflows")
 
     # -- derived pieces ---------------------------------------------------
 
@@ -130,7 +148,7 @@ def _parse_value(key: str, raw: str):
         return raw
     if key == "output_path":
         return None if raw.lower() == "none" else raw
-    if raw.lower() == "none":
+    if key.endswith("_width") and raw.lower() == "none":
         return None
     return float(raw)
 
@@ -235,16 +253,28 @@ def _moment_residual(grid_state: gr.GridState, gauss: ga.PhaseSpaceState) -> flo
                      np.abs(v - gauss.covariance).max()))
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Evolve both backends over the time grid and tabulate diagnostics."""
+def _trajectory(config: ScenarioConfig, with_grid: bool):
+    """Yield (t, Gaussian state, grid state or None) at each sample time."""
+    if with_grid and config.variant != "EQ1":
+        raise ConfigError("grid diagnostics support only the EQ1 variant")
     h = config.hamiltonian()
     gauss0 = config.initial_gaussian()
-    needs_grid = bool(set(config.diagnostics) & {"brackets", "validate"}) \
-        or config.bracket_pairs
-    grid_state = config.initial_grid() if needs_grid else None
-    if needs_grid and config.variant != "EQ1":
-        raise ConfigError("grid diagnostics support only the EQ1 variant")
+    grid_state = config.initial_grid() if with_grid else None
+    _, samples = config.sample_steps()
+    prev = 0
+    for step in samples:
+        if grid_state is not None and step > prev:
+            grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
+                                              config.dt, step - prev)
+            prev = step
+        t = step * config.dt
+        yield t, ga.evolve_gaussian(gauss0, h, t), grid_state
 
+
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    """Evolve both backends over the time grid and tabulate diagnostics."""
+    needs_grid = bool(set(config.diagnostics) & {"brackets", "validate"}
+                      or config.bracket_pairs)
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
     columns = ["t"]
@@ -259,17 +289,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if "validate" in config.diagnostics:
         columns.append("backend_residual")
 
-    n_steps, samples = config.sample_steps()
     rows = []
     mask_fractions = []
-    prev_step = 0
-    for step in samples:
-        t = step * config.dt
-        if grid_state is not None and step > prev_step:
-            grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
-                                              config.dt, step - prev_step)
-            prev_step = step
-        gauss = ga.evolve_gaussian(gauss0, h, t)
+    for t, gauss, grid_state in _trajectory(config, needs_grid):
         row = [t]
         if "negativity" in config.diagnostics:
             row.append(ga.logarithmic_negativity(gauss))
@@ -304,25 +326,15 @@ class ValidationSummary:
 def validate_backends(config: ScenarioConfig) -> ValidationSummary:
     """Max cross-backend moment discrepancy, at dt and dt/2.
 
-    The reported ratio is the dt-halving error ratio.  Strang splitting
-    is exact for this Hamiltonian (the commutator of its two terms is
-    central), so the residual does not depend on dt and the ratio sits
-    near 1: what remains is the grid's discretisation floor.
+    The reported ratio is the dt-halving error ratio.  The grid
+    propagator is exact in closed form and sees dt only through the
+    sample times, which halving dt and doubling sample_every leave in
+    place, so the two residuals are equal and the ratio reads 1: what
+    remains is the grid's band-limit floor.
     """
     def max_residual(cfg: ScenarioConfig) -> float:
-        h = cfg.hamiltonian()
-        gauss0 = cfg.initial_gaussian()
-        grid_state = cfg.initial_grid()
-        _, samples = cfg.sample_steps()
-        worst, prev = 0.0, 0
-        for step in samples:
-            if step > prev:
-                grid_state = gr.split_step_evolve(grid_state, cfg.g1, cfg.g2,
-                                                  cfg.dt, step - prev)
-                prev = step
-            gauss = ga.evolve_gaussian(gauss0, h, step * cfg.dt)
-            worst = max(worst, _moment_residual(grid_state, gauss))
-        return worst
+        return max(_moment_residual(grid_state, gauss)
+                   for _, gauss, grid_state in _trajectory(cfg, True))
 
     r1 = max_residual(config)
     half = replace(config, dt=config.dt / 2.0,
@@ -345,17 +357,16 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
     """
     if config.g1 == 0.0 or config.g2 == 0.0:
         raise ConfigError("tomography needs nonzero couplings")
-    n_steps, samples = config.sample_steps()
-    times = np.array([s * config.dt for s in samples if s > 0])
+    samples = [(t, gauss) for t, gauss, _ in _trajectory(config, False)
+               if t > 0]
+    times = np.array([t for t, _ in samples])
     if np.unique(times).size < 3:
         raise ConfigError("tomography needs at least 3 distinct sample times")
-    state0 = config.initial_gaussian()
-    h = config.hamiltonian()
-    states = [ga.evolve_gaussian(state0, h, t) for t in times]
-    series = ga.ProbeMomentSeries.from_states(times, states)
+    series = ga.ProbeMomentSeries.from_states(times, [g for _, g in samples])
     if config.tomo_noise > 0:
         series = series.with_noise(config.tomo_noise, config.seed)
     est = ga.mediator_moment_inversion(series, config.g1, config.g2)
+    state0 = config.initial_gaussian()
     m, v = state0.means, state0.covariance
     planted = ga.MediatorEstimate(
         mean_x=float(m[ga.IDX_X]), mean_k=float(m[ga.IDX_K]),

@@ -7,9 +7,11 @@ product Gaussian input the evolved Q-Q' cross block C has
 det C = a^2 Var(p) Var(q') >= 0 (a = g1 g2 t^2 / 2), which the PPT
 criterion (Simon, PRL 84, 2726 (2000)) classifies as separable; the
 probe-probe negativity is zero and entanglement forms across Q|C.
-Check 3: the commutator [g1 p x, g2 q' k] is central, so Strang
-splitting is exact; the grid moments do not move with dt, and the only
-cross-backend residual is the grid's band-limit floor at late times.
+Check 3: the commutator [g1 p x, g2 q' k] is central, so the grid
+propagator is an exact product of three shears that sees dt only
+through the sample times; the grid moments do not move with dt, and the
+only cross-backend residual is the grid's band-limit floor at late
+times.
 """
 
 import time
@@ -165,8 +167,8 @@ def test_3_cross_backend_agreement():
     gauss = [(ref.means, ref.covariance) for ref in refs]
     r1 = worst_difference(coarse, gauss)
     r2 = worst_difference(fine, gauss)
-    # the commutator of the two split factors is central, so Strang
-    # splitting is exact: halving dt must leave the grid moments where
+    # the commutator of the two Hamiltonian terms is central, so the
+    # propagator is exact: halving dt must leave the grid moments where
     # they are, and the residual to the Gaussian backend is the grid's
     # band-limit floor, which appears only at late sample times
     dt_shift = worst_difference(coarse, fine)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridlab.grid import GridSpec, grid_moments, init_product_gaussian
+from hybridlab.grid import (GridSpec, apply_operator, grid_moments,
+                            init_product_gaussian)
 from hybridlab.observables import (
     KindMismatchError,
     ObservableKind,
@@ -134,10 +135,10 @@ class TestQuantumApplication:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_unsymmetrized_product_differs_by_commutator(self, state):
-        qp = apply_quantum(quantum("q*p"), state, symmetrize=False)
-        pq = apply_quantum(quantum("p*q"), state, symmetrize=False)
-        np.testing.assert_allclose(qp - pq, 1j * state.spec.hbar
-                                   * state.amplitudes, atol=1e-8)
+        psi, spec = state.amplitudes, state.spec
+        qp = apply_operator(apply_operator(psi, spec, "p"), spec, "q")
+        pq = apply_operator(apply_operator(psi, spec, "q"), spec, "p")
+        np.testing.assert_allclose(qp - pq, 1j * spec.hbar * psi, atol=1e-8)
 
     def test_canonical_commutator(self, state):
         field = quantum_commutator_over_ihbar(quantum("q"), quantum("p"), state)

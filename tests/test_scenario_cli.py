@@ -1,6 +1,11 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridlab.cli import main
+from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -12,6 +17,17 @@ from hybridlab.scenario import (
 )
 
 FAST_GRID = "grid_points = 32,32,32\ngrid_half_widths = 10,6,8\n"
+README_CONFIG = {
+    "g1": "1", "g2": "1", "total_time": "2", "dt": "0.03125",
+    "sample_every": "8", "grid_points": "64,64,64",
+    "grid_half_widths": "14,6,10", "c_xk": "0.2",
+    "diagnostics": "negativity,witness,validate",
+    "bracket_pairs": "Q[ sym(p'*p') ]|C[ u*u ]",
+}
+
+
+def config_text(values) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def fast_config(extra=""):
@@ -64,6 +80,9 @@ class TestParseConfig:
         ("bracket_pairs = Q[ q ]\n", "SPEC|SPEC"),
         ("bracket_pairs = Q[ ?? ]|C[ x ]\n", "unexpected"),
         ("g1 = abc\n", "bad value"),
+        ("dt = none\n", "bad value"),
+        ("q_width = 1e-200\n", "underflows"),
+        ("q_width = 1e200\n", "finite"),
     ])
     def test_rejections_mention_cause(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -72,6 +91,25 @@ class TestParseConfig:
     def test_line_numbers_in_errors(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("g1 = 1\ng2 = 1\nbogus = 1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in fields(ScenarioConfig)]),
+        st.one_of(st.floats().map(repr),
+                  st.integers(-2 ** 70, 2 ** 70).map(str),
+                  st.lists(st.one_of(st.integers(-64, 128), st.floats()),
+                           max_size=4).map(lambda v: ",".join(map(str, v))),
+                  st.sampled_from(["none", "", "64,64,64", "14,6,10",
+                                   "EQ1", "negativity,witness",
+                                   "Q[ q ]|C[ u ]"])),
+        max_size=8))
+    def test_parsed_config_builds_or_is_rejected(self, values):
+        try:
+            config = parse_config(config_text(values))
+        except ConfigError:
+            return
+        config.initial_gaussian()
+        GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
 
 
 class TestRunScenario:
@@ -201,6 +239,30 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("simulate", {"grid_points": "64,64", "grid_half_widths": "14,6"}),
+        ("simulate", {"g1": "nan"}),
+        ("simulate", {"hbar": "-1"}),
+        ("simulate", {"grid_points": "48,64,64"}),
+        ("simulate", {"c_width": "0"}),
+        ("tomography", {"tomo_noise": "-1"}),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, command, overrides):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, **overrides)))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_noisy_tomography_exits_3(self, tmp_path, capsys):
+        # noise this large drives a fitted variance negative
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, tomo_noise="1",
+                                        seed="0")))
+        assert main(["tomography", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+        assert "guard" in capsys.readouterr().err
 
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # mediator spread far too wide for the configured box
