@@ -45,8 +45,8 @@ class GridSpec:
                 raise ValueError("points_per_axis must be powers of two >= 32")
         if not all(0 < l < np.inf for l in self.half_widths):
             raise ValueError("half_widths must be positive and finite")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
 
     def axis(self, i: int) -> np.ndarray:
         n, l = self.points_per_axis[i], self.half_widths[i]
@@ -274,26 +274,38 @@ def momentum_marginal(state: GridState, axis: int) -> tuple[np.ndarray, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Flat binary dump: 3 int64 sizes, 3 float64 half-widths, then
-# interleaved re/im float64 in row-major order (all little-endian).
+# Flat binary dump: 3 int64 sizes, 3 float64 half-widths, float64 hbar,
+# then interleaved re/im float64 in row-major order (all little-endian).
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<3q4d")
+
 
 def save_grid_state(state: GridState, path) -> None:
     spec = state.spec
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<3q", *spec.points_per_axis))
-        fh.write(struct.pack("<3d", *spec.half_widths))
+        fh.write(_HEADER.pack(*spec.points_per_axis, *spec.half_widths, spec.hbar))
         inter = np.empty(state.amplitudes.size * 2)
         inter[0::2] = state.amplitudes.real.ravel()
         inter[1::2] = state.amplitudes.imag.ravel()
         fh.write(inter.astype("<f8").tobytes())
 
 
-def load_grid_state(path, hbar: float = 1.0) -> GridState:
+def load_grid_state(path) -> GridState:
+    """Read a state written by `save_grid_state`; ValueError if corrupt."""
     with open(path, "rb") as fh:
-        sizes = struct.unpack("<3q", fh.read(24))
-        halves = struct.unpack("<3d", fh.read(24))
-        inter = np.frombuffer(fh.read(), dtype="<f8")
-    spec = GridSpec(tuple(int(n) for n in sizes), halves, hbar)
+        header = fh.read(_HEADER.size)
+        payload = fh.read()
+    if len(header) != _HEADER.size:
+        raise ValueError(f"grid state file has a {len(header)}-byte header, "
+                         f"expected {_HEADER.size}")
+    *sizes, l0, l1, l2, hbar = _HEADER.unpack(header)
+    spec = GridSpec(tuple(sizes), (l0, l1, l2), hbar)
+    nq, nqp, nx = spec.points_per_axis
+    expected = 16 * nq * nqp * nx
+    if len(payload) != expected:
+        raise ValueError(f"grid state file has {len(payload)} payload bytes, "
+                         f"expected {expected}")
+    inter = np.frombuffer(payload, dtype="<f8")
     psi = (inter[0::2] + 1j * inter[1::2]).reshape(spec.points_per_axis)
     return GridState(spec, psi)

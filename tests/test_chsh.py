@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hybridlab.gaussian import (
+    _ParityCorrelator,
     build_hamiltonian,
     chsh_displaced_parity,
     evolve_gaussian,
@@ -10,6 +13,8 @@ from hybridlab.gaussian import (
     two_mode_squeezed_state,
     vacuum_state,
 )
+
+from test_acceptance import random_separable_two_mode
 
 
 def brute_force_chsh(state, modes=("Q", "Qprime"), span=0.9, coarse=7):
@@ -51,6 +56,80 @@ def brute_force_chsh(state, modes=("Q", "Qprime"), span=0.9, coarse=7):
                         best, params, improved = val, trial, True
         step *= 0.5
     return best
+
+
+def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
+    """Reference: the 25 starts of optimize_chsh as scalar descents.
+
+    One start at a time, each trial evaluating all four correlators,
+    in the operation order optimize_chsh keeps.
+    """
+    grid = np.linspace(-0.6, 0.6, 5)
+    means, cov = state.reduced(list(modes))
+    corr = _ParityCorrelator(means, cov, state.hbar)
+    c00, c01, c02, c03 = (float(v) for v in corr.inv[0])
+    _, c11, c12, c13 = (float(v) for v in corr.inv[1])
+    c22, c23, c33 = float(corr.inv[2, 2]), float(corr.inv[2, 3]), float(corr.inv[3, 3])
+    m0, m1, m2, m3 = (float(v) for v in means)
+    scale, norm = float(corr.scale), float(corr.norm)
+
+    def efun(ar, ai, br, bi):
+        d0 = scale * ar - m0
+        d1 = scale * ai - m1
+        d2 = scale * br - m2
+        d3 = scale * bi - m3
+        quad = (c00 * d0 * d0 + c11 * d1 * d1 + c22 * d2 * d2 + c33 * d3 * d3
+                + 2.0 * (c01 * d0 * d1 + c02 * d0 * d2 + c03 * d0 * d3
+                         + c12 * d1 * d2 + c13 * d1 * d3 + c23 * d2 * d3))
+        return norm * math.exp(-0.5 * quad)
+
+    def value(x):
+        return (efun(x[0], x[1], x[4], x[5]) + efun(x[2], x[3], x[4], x[5])
+                + efun(x[0], x[1], x[6], x[7]) - efun(x[2], x[3], x[6], x[7]))
+
+    best_val, best_x = -np.inf, None
+    for va in grid:
+        for vb in grid:
+            x = np.array([0.0, 0.0, 0.0, va, 0.0, 0.0, 0.0, vb])
+            cur = value(x)
+            step = 0.25
+            while step > 1e-6:
+                improved = False
+                for i in range(8):
+                    for sgn in (1.0, -1.0):
+                        trial = x.copy()
+                        trial[i] += sgn * step
+                        tv = value(trial)
+                        if tv > cur + 1e-15:
+                            x, cur, improved = trial, tv, True
+                if not improved:
+                    step *= 0.5
+            if cur > best_val:
+                best_val, best_x = cur, x
+    return float(best_val), (complex(best_x[0], best_x[1]),
+                             complex(best_x[2], best_x[3]),
+                             complex(best_x[4], best_x[5]),
+                             complex(best_x[6], best_x[7]))
+
+
+def exactness_cases():
+    """(state, modes) on which optimize_chsh must equal the reference."""
+    probes = ("Q", "Qprime")
+    cases = [pytest.param(vacuum_state(), probes, id="vacuum")]
+    # at r = 0.7 the optimum moves by one ulp if np.exp replaces math.exp
+    cases += [pytest.param(two_mode_squeezed_state(r), probes, id=f"squeezed_r{r}")
+              for r in (0.3, 0.7, 0.9)]
+    h = build_hamiltonian(1.0, 1.0)
+    for widths in [(None, None, None), (0.5, 1.0, 0.5)]:
+        for t in (0.5, 1.0, 2.0):
+            st = evolve_gaussian(product_state(widths=widths), h, t)
+            cases.append(pytest.param(st, probes, id=f"evolved_{widths[0]}_t{t}"))
+    cases.append(pytest.param(evolve_gaussian(vacuum_state(), h, 1.0),
+                              ("Q", "C"), id="mixed_Q_C"))
+    rng = np.random.default_rng(7)
+    cases += [pytest.param(random_separable_two_mode(rng), probes, id=f"separable_{i}")
+              for i in range(10)]
+    return cases
 
 
 class TestParityCorrelation:
@@ -106,3 +185,28 @@ class TestOptimizer:
         assert logarithmic_negativity(ev, (["Q"], ["C"])) > 0.5
         val, _ = optimize_chsh(ev, modes=("Q", "C"))
         assert val < 2.0
+
+    def test_repeated_calls_agree(self):
+        st = two_mode_squeezed_state(0.5)
+        assert optimize_chsh(st) == optimize_chsh(st)
+
+
+@pytest.mark.parametrize("state,modes", exactness_cases())
+def test_lockstep_descent_equals_scalar_reference(state, modes):
+    val, settings = optimize_chsh(state, modes)
+    ref_val, ref_settings = scalar_optimize_chsh(state, modes)
+    assert type(val) is float
+    assert all(type(s) is complex for s in settings)
+    assert val == ref_val
+    assert settings == ref_settings
+
+
+@pytest.mark.parametrize("modes", [("Q",), ("Q", "Qprime", "C"), ("Q", "Q"),
+                                   ("Q", "Z"), ()])
+@pytest.mark.parametrize("call", [
+    lambda st, modes: optimize_chsh(st, modes),
+    lambda st, modes: chsh_displaced_parity(st, (0j, 0j, 0j, 0j), modes),
+], ids=["optimize_chsh", "chsh_displaced_parity"])
+def test_modes_must_be_two_distinct_names(call, modes):
+    with pytest.raises(ValueError, match="two distinct modes"):
+        call(vacuum_state(), modes)

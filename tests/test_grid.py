@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -204,11 +206,37 @@ class TestBinaryRoundTrip:
         path = tmp_path / "state.bin"
         save_grid_state(st, path)
         raw = path.read_bytes()
-        assert len(raw) == 48 + 16 * 32 * 64 * 32
+        assert len(raw) == 56 + 16 * 32 * 64 * 32
         sizes = np.frombuffer(raw[:24], dtype="<i8")
         np.testing.assert_array_equal(sizes, [32, 64, 32])
         halves = np.frombuffer(raw[24:48], dtype="<f8")
         np.testing.assert_array_equal(halves, [4.0, 8.0, 4.0])
+        assert np.frombuffer(raw[48:56], dtype="<f8")[0] == 1.0
+
+    def test_hbar_round_trip(self, tmp_path):
+        spec = GridSpec((32, 32, 32), (4.0, 4.0, 4.0), hbar=2.0)
+        st = init_product_gaussian(spec, widths=(0.4, 0.4, 0.4))
+        path = tmp_path / "state.bin"
+        save_grid_state(st, path)
+        loaded = load_grid_state(path)
+        assert loaded.spec.hbar == 2.0
+        assert loaded.spec == spec
+        np.testing.assert_array_equal(loaded.amplitudes, st.amplitudes)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:-16],                       # truncated payload
+        lambda raw: raw + bytes(16),                 # extra bytes
+        lambda raw: raw[:40],                        # cut header
+        lambda raw: raw[:48] + struct.pack("<d", np.nan) + raw[56:],  # bad hbar
+    ], ids=["truncated", "extra", "cut_header", "nan_hbar"])
+    def test_corrupt_file_rejected(self, tmp_path, corrupt):
+        spec = GridSpec((32, 32, 32), (4.0, 4.0, 4.0))
+        st = init_product_gaussian(spec, widths=(0.4, 0.4, 0.4))
+        path = tmp_path / "state.bin"
+        save_grid_state(st, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_grid_state(path)
 
 
 def test_grid_state_shape_mismatch():
