@@ -2,10 +2,10 @@
 quantum probes coupled through a mediator mode.
 
 Two backends cover the same dynamics: an exact Gaussian phase-space
-backend (symplectic propagation of means and covariances) and a 3-D
-grid backend (exact three-shear FFT evolution of the full amplitude),
-plus the configuration-ensemble machinery of functional derivatives
-and hybrid Poisson brackets used for locality diagnostics.
+backend (closed-form symplectic propagation of means and covariances)
+and a 3-D grid backend (exact three-shear FFT evolution of the full
+amplitude), plus the configuration-ensemble machinery of functional
+derivatives and hybrid Poisson brackets used for locality diagnostics.
 """
 
 from .gaussian import (
@@ -16,7 +16,6 @@ from .gaussian import (
     QuadraticHamiltonian,
     build_hamiltonian,
     chsh_displaced_parity,
-    closed_form_propagator,
     entangling_time_scan,
     evolve_gaussian,
     logarithmic_negativity,

@@ -5,17 +5,18 @@ a 6-vector of means and a 6x6 covariance matrix in the canonical ordering
 (q, p, q', p', x, k).  The interaction Hamiltonian is quadratic, so the
 evolution is an exact symplectic linear map and every diagnostic
 (entanglement, witness, CHSH, moment tomography) reduces to linear
-algebra on the moments.
+algebra on the moments.  The generator M = Omega G of either variant
+obeys M^3 = lam M, so one closed form, exp(M t) = I + f M + g M^2,
+propagates both to any time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp
+from math import exp, sin, sinh, sqrt
 
 import numpy as np
-from scipy.linalg import expm
 
 # Canonical index layout, fixed project-wide.
 IDX_Q, IDX_P, IDX_QP, IDX_PP, IDX_X, IDX_K = range(6)
@@ -60,8 +61,8 @@ class PhaseSpaceState:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
         if self.means.shape != (6,) or self.covariance.shape != (6, 6):
             raise ValueError("expected a 6-vector of means and a 6x6 covariance")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         if not (np.isfinite(self.means).all()
                 and np.isfinite(self.covariance).all()):
             raise ValueError("means and covariance must be finite")
@@ -127,33 +128,30 @@ def product_state(widths=(None, None, None), means=(0.0, 0.0, 0.0),
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = (1/2) v^T G v with v in the canonical ordering."""
+    """H = (1/2) v^T G v; G is derived from (g1, g2, variant)."""
 
-    gmatrix: np.ndarray
     g1: float
     g2: float
     variant: HamiltonianVariant = HamiltonianVariant.EQ1
 
     def __post_init__(self):
-        g = np.asarray(self.gmatrix, dtype=float)
-        object.__setattr__(self, "gmatrix", g)
-        if g.shape != (6, 6) or np.abs(g - g.T).max() > 1e-12:
-            raise ValueError("gmatrix must be a symmetric 6x6 matrix")
+        if not isinstance(self.variant, HamiltonianVariant):
+            raise ValueError(f"unknown variant {self.variant!r}")
+
+    @property
+    def gmatrix(self) -> np.ndarray:
+        g = np.zeros((6, 6))
+        g[IDX_P, IDX_X] = g[IDX_X, IDX_P] = self.g1
+        j = IDX_QP if self.variant is HamiltonianVariant.EQ1 else IDX_Q
+        g[j, IDX_K] = g[IDX_K, j] = self.g2
+        return g
 
 
 def build_hamiltonian(g1: float, g2: float,
                       variant: HamiltonianVariant = HamiltonianVariant.EQ1,
                       ) -> QuadraticHamiltonian:
     """Interaction g1*p*x plus g2*q'*k (EQ1) or g2*q*k (PAPER_HEFF)."""
-    g = np.zeros((6, 6))
-    g[IDX_P, IDX_X] = g[IDX_X, IDX_P] = g1
-    if variant is HamiltonianVariant.EQ1:
-        g[IDX_QP, IDX_K] = g[IDX_K, IDX_QP] = g2
-    elif variant is HamiltonianVariant.PAPER_HEFF:
-        g[IDX_Q, IDX_K] = g[IDX_K, IDX_Q] = g2
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return QuadraticHamiltonian(g, g1, g2, variant)
+    return QuadraticHamiltonian(g1, g2, variant)
 
 
 @dataclass(frozen=True)
@@ -169,22 +167,25 @@ class SymplecticMatrix:
             raise ValueError("matrix is not symplectic to 1e-10")
 
 
+def _sinhc(z: float) -> float:
+    """sinh(sqrt z)/sqrt z, continued to sin(sqrt -z)/sqrt -z for z < 0."""
+    y = sqrt(abs(z))
+    return 1.0 if y == 0.0 else (sinh(y) if z > 0.0 else sin(y)) / y
+
+
 def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
-    """exp(Omega G t) by scaling-and-squaring."""
-    return SymplecticMatrix(expm(OMEGA @ h.gmatrix * t))
+    """exp(M t) = I + f M + g M^2 for M = Omega G, as M^3 = lam M.
 
-
-def closed_form_propagator(g1: float, g2: float, t: float) -> np.ndarray:
-    """Exact EQ1 propagator from the nilpotent generator (cubes to zero)."""
-    a = 0.5 * g1 * g2 * t * t
-    s = np.eye(6)
-    s[IDX_Q, IDX_X] = g1 * t
-    s[IDX_Q, IDX_QP] = a
-    s[IDX_PP, IDX_K] = -g2 * t
-    s[IDX_PP, IDX_P] = a
-    s[IDX_X, IDX_QP] = g2 * t
-    s[IDX_K, IDX_P] = -g1 * t
-    return s
+    lam = 0 for EQ1 and g1*g2 for PAPER_HEFF.  f = sinh(sqrt(lam) t)/sqrt(lam)
+    = t sinhc(lam t^2) and g = 2 sinh^2(sqrt(lam) t/2)/lam = (t^2/2)
+    sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.
+    """
+    lam = h.g1 * h.g2 if h.variant is HamiltonianVariant.PAPER_HEFF else 0.0
+    z = lam * t * t
+    m = OMEGA @ h.gmatrix
+    f = t * _sinhc(z)
+    g = 0.5 * t * t * _sinhc(0.25 * z) ** 2
+    return SymplecticMatrix(np.eye(6) + f * m + g * (m @ m))
 
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
@@ -203,6 +204,18 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(ev).reshape(n, 2).mean(axis=1)
 
 
+def _check_modes(sides) -> list[str]:
+    """The names of a bipartition (two nonempty, disjoint lists of modes;
+    a CHSH pair a, b is [a], [b]), side by side, else ValueError."""
+    sides = [list(side) for side in sides]
+    names = [m for side in sides for m in side]
+    if len(sides) != 2 or not all(sides) or len(set(names)) != len(names) \
+            or not all(m in MODE_SLICES for m in names):
+        raise ValueError(f"expected two distinct modes, or two nonempty, disjoint "
+                         f"lists of modes, of {sorted(MODE_SLICES)}; got {sides!r}")
+    return names
+
+
 def logarithmic_negativity(state: PhaseSpaceState,
                            bipartition: tuple[list[str], list[str]] = (["Q"], ["Qprime"]),
                            ) -> float:
@@ -211,14 +224,11 @@ def logarithmic_negativity(state: PhaseSpaceState,
     Modes outside the bipartition are traced out; the partial transpose
     flips the momentum rows/columns of the second side.
     """
+    modes = _check_modes(bipartition)
     state.require_physical()
-    side_a, side_b = bipartition
-    modes = list(side_a) + list(side_b)
     _, cov = state.reduced(modes)
     flip = np.ones(2 * len(modes))
-    for j, m in enumerate(modes):
-        if m in side_b:
-            flip[2 * j + 1] = -1.0
+    flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
     cov_pt = np.diag(flip) @ cov @ np.diag(flip)
     nu = _symplectic_eigenvalues(cov_pt)
     half = 0.5 * state.hbar
@@ -281,21 +291,11 @@ class _ParityCorrelator:
         return float(self.norm * np.exp(-0.5 * delta @ self.inv @ delta))
 
 
-def _check_modes(modes) -> list[str]:
-    """The two distinct mode names of a CHSH test, else ValueError."""
-    modes = list(modes)
-    if len(modes) != 2 or modes[0] == modes[1] \
-            or not all(m in MODE_SLICES for m in modes):
-        raise ValueError(f"CHSH needs two distinct modes of "
-                         f"{sorted(MODE_SLICES)}, got {modes!r}")
-    return modes
-
-
 def chsh_displaced_parity(state: PhaseSpaceState,
                           settings: tuple[complex, complex, complex, complex],
                           modes: tuple[str, str] = ("Q", "Qprime")) -> float:
     """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations."""
-    modes = _check_modes(modes)
+    modes = _check_modes([m] for m in modes)
     state.require_physical()
     means, cov = state.reduced(modes)
     e = _ParityCorrelator(means, cov, state.hbar)
@@ -320,7 +320,7 @@ def optimize_chsh(state: PhaseSpaceState,
     operations, so the result is deterministic.  The first start, in
     grid order, with the largest B wins.
     """
-    modes = _check_modes(modes)
+    modes = _check_modes([m] for m in modes)
     state.require_physical()
     means, cov = state.reduced(modes)
     corr = _ParityCorrelator(means, cov, state.hbar)
@@ -512,7 +512,6 @@ def mediator_moment_inversion(series: ProbeMomentSeries, g1: float, g2: float,
     cov_qpbar = series.cov_qp.mean()
     cov_q2p2bar = series.cov_q2p2.mean()
 
-    total = 0.0
     (_, mean_x), r1 = _lstsq(np.column_stack([ones, g1 * t]),
                              series.mean_q - a * t * t * q2bar)
     (_, mean_k), r2 = _lstsq(np.column_stack([ones, -g2 * t]),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,7 +12,6 @@ from hybridlab.gaussian import (
     PhysicalityError,
     ProbeMomentSeries,
     build_hamiltonian,
-    closed_form_propagator,
     entangling_time_scan,
     evolve_gaussian,
     logarithmic_negativity,
@@ -28,6 +29,10 @@ from fock_oracle import tmsv_log_negativity, evolved_probe_log_negativity
 
 def expm_oracle(g1, g2, t, variant=HamiltonianVariant.EQ1):
     return expm(OMEGA @ build_hamiltonian(g1, g2, variant).gmatrix * t)
+
+
+each_variant = pytest.mark.parametrize("variant", list(HamiltonianVariant),
+                                       ids=lambda v: v.value)
 
 
 class TestBuildHamiltonian:
@@ -50,6 +55,29 @@ class TestBuildHamiltonian:
         nonzero = set(zip(*np.nonzero(g)))
         assert nonzero == {(1, 4), (4, 1), (0, 5), (5, 0)}
 
+    def test_gmatrix_is_derived_from_the_couplings(self):
+        h = replace(build_hamiltonian(1.0, 1.0), g2=-1.5,
+                    variant=HamiltonianVariant.PAPER_HEFF)
+        assert h.gmatrix[0, 5] == h.gmatrix[5, 0] == -1.5
+        assert h.gmatrix[2, 5] == 0.0
+        with pytest.raises(AttributeError):
+            h.gmatrix = np.eye(6)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_hamiltonian(1.0, 1.0, "EQ1")
+
+    @each_variant
+    def test_generator_cube_identity(self, variant):
+        # M^3 = lam M, lam = 0 (EQ1) or g1 g2 (PAPER_HEFF): the identity the
+        # closed-form propagator rests on.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g1, g2 = rng.uniform(-2.0, 2.0, 2)
+            m = OMEGA @ build_hamiltonian(g1, g2, variant).gmatrix
+            lam = g1 * g2 if variant is HamiltonianVariant.PAPER_HEFF else 0.0
+            np.testing.assert_allclose(m @ m @ m, lam * m, atol=1e-14)
+
 
 class TestSymplecticPropagator:
     def test_zero_time_is_identity(self):
@@ -66,7 +94,7 @@ class TestSymplecticPropagator:
         assert off[5, 1] == pytest.approx(-2.0)
 
     def test_closed_form_matches_expm(self):
-        s = closed_form_propagator(1.0, 1.0, 1.0)
+        s = symplectic_propagator(build_hamiltonian(1.0, 1.0), 1.0).entries
         np.testing.assert_allclose(s, expm_oracle(1.0, 1.0, 1.0), atol=1e-13)
         assert s[0, 2] == pytest.approx(0.5)
         assert s[3, 1] == pytest.approx(0.5)
@@ -80,12 +108,30 @@ class TestSymplecticPropagator:
             assert np.abs(s.T @ OMEGA @ s - OMEGA).max() < 1e-10
             assert abs(np.linalg.det(s) - 1.0) < 1e-10
 
-    def test_heff_variant_against_expm(self):
-        h = build_hamiltonian(0.8, -0.6, HamiltonianVariant.PAPER_HEFF)
-        s = symplectic_propagator(h, 1.3).entries
-        np.testing.assert_allclose(
-            s, expm_oracle(0.8, -0.6, 1.3, HamiltonianVariant.PAPER_HEFF),
-            atol=1e-12)
+    @each_variant
+    def test_random_draws_against_expm(self, variant):
+        # expm's own error on these draws is about 1.4e-13 of max|S|
+        rng = np.random.default_rng(2024)
+        for g1, g2, t in rng.uniform(-2.0, 2.0, (250, 3)):
+            s = symplectic_propagator(build_hamiltonian(g1, g2, variant), t).entries
+            oracle = expm_oracle(g1, g2, t, variant)
+            assert np.abs(s - oracle).max() <= 1e-12 * np.abs(s).max()
+
+    @each_variant
+    @pytest.mark.parametrize("g1,g2,t", [
+        (1.3, 0.0, 1.7),        # g1 g2 = 0
+        (0.0, -1.1, -0.9),
+        (1.5, -1.2, 1.9),       # g1 g2 < 0: oscillating for PAPER_HEFF
+        (-0.7, 1.8, 2.0),
+        (1.5, 1.2, 1.9),        # g1 g2 > 0: growing for PAPER_HEFF
+        (1e-9, 1e-9, 1.5),      # |g1 g2| <= 1e-18
+        (1e-9, -1e-9, -1.5),
+        (1e-300, 1e-300, 2.0),  # g1 g2 underflows to 0
+    ])
+    def test_edge_couplings_against_expm(self, variant, g1, g2, t):
+        s = symplectic_propagator(build_hamiltonian(g1, g2, variant), t).entries
+        oracle = expm_oracle(g1, g2, t, variant)
+        assert np.abs(s - oracle).max() <= 1e-12 * np.abs(s).max()
 
 
 class TestEvolveGaussian:
@@ -128,6 +174,11 @@ class TestStateInvariants:
         cov[0, 1] = 1e-6
         with pytest.raises(ValueError):
             PhaseSpaceState(np.zeros(6), cov)
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            PhaseSpaceState(np.zeros(6), 0.5 * np.eye(6), hbar)
 
     def test_hbar_scaling(self):
         st = vacuum_state(hbar=2.0)
@@ -189,6 +240,26 @@ class TestLogarithmicNegativity:
         st2 = PhaseSpaceState(local @ ev.means, local @ ev.covariance @ local.T)
         assert logarithmic_negativity(st2, (["Q"], ["Qprime", "C"])) \
             == pytest.approx(base, abs=1e-9)
+
+    def test_sides_in_either_order(self):
+        ev = evolve_gaussian(product_state(widths=(0.5, 1.0, 0.5)),
+                             build_hamiltonian(1.0, 1.0), 1.0)
+        base = logarithmic_negativity(ev, (["Q"], ["Qprime", "C"]))
+        assert logarithmic_negativity(ev, (["Qprime", "C"], ["Q"])) \
+            == pytest.approx(base, abs=1e-12)
+        assert logarithmic_negativity(ev, (["C", "Qprime"], ["Q"])) \
+            == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("bipartition", [
+        (["Q"], ["Q"]),            # overlapping sides: gave 54.2 on the vacuum
+        (["Q"], ["Z"]),            # unknown mode: gave KeyError
+        ([], ["Q"]),               # empty side
+        (["Q", "Q"], ["C"]),       # repeated mode
+        (["Q"], ["Qprime"], ["C"]),
+    ])
+    def test_bad_bipartition_rejected(self, bipartition):
+        with pytest.raises(ValueError, match="disjoint"):
+            logarithmic_negativity(vacuum_state(), bipartition)
 
 
 class TestWitness:
