@@ -238,7 +238,9 @@ def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
     """Apply the Weyl-symmetrized operator polynomial to the amplitudes.
 
     Symmetrization averages each monomial over all factor orderings;
-    factors are applied right to left.
+    factors are applied right to left.  The orderings are summed in
+    first-seen order, so the result does not depend on the process's
+    string-hash seed.
     """
     _require_kind(spec, ObservableKind.QUANTUM)
     psi = state.amplitudes
@@ -247,7 +249,7 @@ def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
         if not factors:
             out += coeff * psi
             continue
-        orders = set(itertools.permutations(factors))
+        orders = dict.fromkeys(itertools.permutations(factors))
         acc = np.zeros_like(psi)
         for order in orders:
             term = psi

@@ -13,6 +13,7 @@ from hybridlab.grid import (
     DomainTooSmallError,
     GridSpec,
     GridState,
+    apply_operator,
     grid_moments,
     init_product_gaussian,
     load_grid_state,
@@ -30,6 +31,22 @@ from conftest import (
     BENCH_TIME,
     BENCH_WIDTHS,
 )
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy FFTs called while the test runs, in order."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return calls
 
 
 class TestGridSpec:
@@ -84,6 +101,24 @@ class TestInitProductGaussian:
         with pytest.raises(DomainTooSmallError):
             init_product_gaussian(spec, widths=(1.5, None, None))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("param", ["means", "widths", "tilts", "chirps"])
+    def test_rejects_nonfinite_parameters(self, param, bad):
+        spec = GridSpec((32, 32, 32), (8.0, 8.0, 8.0))
+        with pytest.raises(ValueError):
+            init_product_gaussian(spec, **{param: (0.5, bad, 0.5)})
+
+    @pytest.mark.parametrize("mean", [8.0, -8.1, 30.0, 100.0])
+    def test_rejects_mean_outside_box(self, mean):
+        # the periodic box would wrap such a state round to the other side
+        spec = GridSpec((32, 32, 32), (14.0, 6.0, 8.0))
+        with pytest.raises(DomainTooSmallError):
+            init_product_gaussian(spec, means=(0.0, 0.0, mean))
+
+    def test_accepts_mean_at_lower_edge(self):
+        spec = GridSpec((32, 32, 32), (8.0, 8.0, 8.0))
+        init_product_gaussian(spec, means=(0.0, -8.0, 0.0))
+
 
 class TestSplitStepEvolve:
     def test_zero_steps_identity(self):
@@ -114,22 +149,12 @@ class TestSplitStepEvolve:
         assert np.abs(cov - ref.covariance).max() < 1e-6
 
     def test_fft_count_does_not_grow_with_steps(self, product_grid_state,
-                                                monkeypatch):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
-        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+                                                fft_calls):
         counts = []
         for steps in (1, 64):
-            calls.clear()
+            fft_calls.clear()
             split_step_evolve(product_grid_state, 1.0, 1.0, 1.0 / 64, steps)
-            counts.append(len(calls))
+            counts.append(len(fft_calls))
         assert counts[0] == counts[1]
 
     def test_one_call_matches_composed_calls(self, product_grid_state):
@@ -158,6 +183,83 @@ class TestSplitStepEvolve:
         np.testing.assert_allclose(f0, f1, atol=1e-9)
         dp = p0[1] - p0[0]
         assert np.sum(f0) * dp == pytest.approx(1.0, abs=1e-12)
+
+
+def six_field_moments(state):
+    """Reference moments: apply each of the six canonical operators to psi
+    and take Re<A psi|B psi> for every pair."""
+    spec, psi = state.spec, state.amplitudes
+    dv = spec.cell_volume
+    fields = [apply_operator(psi, spec, s)
+              for s in ("q", "p", "q'", "p'", "x", "k")]
+    means = np.array([np.real(np.sum(np.conj(psi) * f)) * dv for f in fields])
+    cov = np.empty((6, 6))
+    for i in range(6):
+        for j in range(i, 6):
+            second = np.real(np.sum(np.conj(fields[i]) * fields[j])) * dv
+            cov[i, j] = cov[j, i] = second - means[i] * means[j]
+    return means, cov
+
+
+@pytest.fixture(scope="module")
+def chirped_32_state():
+    spec = GridSpec((32, 32, 32), (10.0, 8.0, 8.0))
+    state = init_product_gaussian(spec, means=(0.5, -0.3, 0.2),
+                                  widths=(0.9, 0.6, 0.8),
+                                  tilts=(0.4, 0.0, -0.2),
+                                  chirps=(0.3, -0.2, 0.4))
+    return split_step_evolve(state, 1.0, 1.0, 1.0 / 8, 4)
+
+
+HBAR2_WIDTHS = (1.2, 0.9, 1.1)
+
+
+@pytest.fixture(scope="module")
+def hbar2_product_state():
+    spec = GridSpec((64, 64, 64), (16.0, 12.0, 16.0), hbar=2.0)
+    return init_product_gaussian(spec, means=BENCH_MEANS, widths=HBAR2_WIDTHS,
+                                 tilts=BENCH_TILTS, chirps=BENCH_CHIRPS)
+
+
+@pytest.fixture(scope="module")
+def hbar2_evolved_state(hbar2_product_state):
+    return split_step_evolve(hbar2_product_state, *BENCH_COUPLINGS,
+                             BENCH_TIME / 32, 32)
+
+
+class TestGridMoments:
+    @pytest.mark.parametrize("fixture", [
+        "product_grid_state", "evolved_grid_state", "chirped_32_state",
+        "hbar2_product_state", "hbar2_evolved_state"])
+    def test_matches_six_field_oracle(self, fixture, request):
+        state = request.getfixturevalue(fixture)
+        means, cov = grid_moments(state)
+        ref_means, ref_cov = six_field_moments(state)
+        tol = 1e-12 * np.abs(ref_cov).max() + 1e-14
+        assert np.abs(means - ref_means).max() <= tol
+        assert np.abs(cov - ref_cov).max() <= tol
+        assert np.array_equal(cov, cov.T)
+
+    def test_fortran_ordered_amplitudes(self, evolved_grid_state):
+        spec, psi = evolved_grid_state.spec, evolved_grid_state.amplitudes
+        state = GridState(spec, np.asfortranarray(psi))
+        means, cov = grid_moments(state)
+        ref_means, ref_cov = grid_moments(evolved_grid_state)
+        np.testing.assert_array_equal(means, ref_means)
+        np.testing.assert_array_equal(cov, ref_cov)
+
+    def test_hbar2_matches_phase_space_backend(self, hbar2_evolved_state):
+        st = product_state(widths=HBAR2_WIDTHS, means=BENCH_MEANS,
+                           tilts=BENCH_TILTS, chirps=BENCH_CHIRPS, hbar=2.0)
+        ref = evolve_gaussian(st, build_hamiltonian(*BENCH_COUPLINGS),
+                              BENCH_TIME)
+        means, cov = grid_moments(hbar2_evolved_state)
+        assert np.abs(means - ref.means).max() < 1e-6
+        assert np.abs(cov - ref.covariance).max() < 1e-6
+
+    def test_three_fft_pairs(self, evolved_grid_state, fft_calls):
+        grid_moments(evolved_grid_state)
+        assert sorted(fft_calls) == ["fft"] * 3 + ["ifft"] * 3
 
 
 class TestEnsembleRepresentation:

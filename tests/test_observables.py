@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -157,3 +161,25 @@ class TestQuantumApplication:
 def test_spec_rejects_nonfinite_coefficient():
     with pytest.raises(ValueError):
         ObservableSpec(ObservableKind.CLASSICAL, ((float("nan"), ("x",)),))
+
+
+def test_apply_quantum_is_independent_of_hash_seed():
+    # the six orders of a cubic monomial must be summed in the same order
+    # whatever the string-hash seed of the process
+    code = (
+        "import sys\n"
+        "from hybridlab.grid import GridSpec, init_product_gaussian\n"
+        "from hybridlab.observables import apply_quantum, quantum\n"
+        "spec = GridSpec((32, 32, 32), (10.0, 6.0, 8.0))\n"
+        "st = init_product_gaussian(spec, means=(0.5, 0.0, 0.0),\n"
+        "                           tilts=(0.4, 0.0, 0.0),\n"
+        "                           chirps=(0.0, 0.3, 0.4))\n"
+        "out = apply_quantum(quantum(\"sym(q*p'*x)\"), st)\n"
+        "sys.stdout.buffer.write(out.tobytes())\n")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                      capture_output=True, check=True).stdout)
+    assert outputs[0] == outputs[1]

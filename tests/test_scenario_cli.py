@@ -264,6 +264,19 @@ class TestCli:
                      "--out", str(tmp_path / "out.csv")]) == 3
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("c_mean", ["100", "30"])
+    def test_mean_outside_box_exits_3(self, tmp_path, capsys, command,
+                                      c_mean):
+        # the mediator's mean lies outside [-10, 10): the periodic box
+        # would wrap the state, so the run must stop before any output
+        cfg = tmp_path / "wrapped.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, c_mean=c_mean,
+                                        grid_points="32,32,32")))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+        assert "guard" in capsys.readouterr().err
+
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # mediator spread far too wide for the configured box
         cfg = self.write_config(tmp_path, "c_width = 4.0\n"
