@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused, but benchmarks/tracing.py patches to_ensemble under this name too
 from .grid import (EnsembleRepresentation, GridState, _spectral_derivative,
-                   to_ensemble)
+                   to_ensemble)  # noqa: F401
 from .observables import (ObservableKind, ObservableSpec, apply_quantum,
                           classical_partial, classical_value, quantum_product,
                           _require_kind)
@@ -90,16 +91,18 @@ def functional_gradients(ens: EnsembleRepresentation,
         x = np.broadcast_to(spec.coordinate_field(2), ens.density.shape)
         u = ens.phase_gradient(2)
         d_dp = classical_value(obs, x, u)
+        d_dp[~mask] = 0.0
         flux = ens.density * classical_value(classical_partial(obs, "u"), x, u)
         d_ds = -np.real(_spectral_derivative(flux.astype(complex), spec, 2))
     else:
         mpsi = apply_quantum(obs, state)
         overlap = np.conj(mpsi) * state.amplitudes
+        # the division leaves d_dp at 0 off the mask
         d_dp = np.zeros_like(ens.density)
         np.divide(np.real(overlap), ens.density, out=d_dp, where=mask)
         d_ds = -(2.0 / spec.hbar) * np.imag(overlap)
-    return FunctionalGradient(np.where(mask, d_dp, 0.0),
-                              np.where(mask, d_ds, 0.0))
+    d_ds[~mask] = 0.0
+    return FunctionalGradient(d_dp, d_ds)
 
 
 def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
@@ -111,20 +114,23 @@ def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
     return full, abs(full - half)
 
 
-def hybrid_bracket(state: GridState, a: ObservableSpec, b: ObservableSpec,
-                   epsilon: float | None = None) -> BracketResult:
-    """{A, B} over the support mask of one ensemble of the state."""
-    ens = to_ensemble(state, epsilon)
+def hybrid_bracket(ens: EnsembleRepresentation, a: ObservableSpec,
+                   b: ObservableSpec) -> BracketResult:
+    """{A, B} over the ensemble's support mask.
+
+    The brackets of one state share its ensemble, and with it the phase
+    gradient u = dS/dx the classical functionals read.
+    """
     ga = functional_gradients(ens, a)
     gb = functional_gradients(ens, b)
     integrand = ga.d_dP * gb.d_dS - ga.d_dS * gb.d_dP
     value, err = _masked_quadrature(integrand, ens.support_mask,
-                                    state.spec.cell_volume)
+                                    ens.spec.cell_volume)
     return BracketResult(value, err)
 
 
-def separability_probe(state: GridState, m: ObservableSpec, f: ObservableSpec,
-                       epsilon: float | None = None) -> BracketResult:
+def separability_probe(ens: EnsembleRepresentation, m: ObservableSpec,
+                       f: ObservableSpec) -> BracketResult:
     """Cross-sector bracket {Q_M, C_f}; nonzero magnitude = non-locality.
 
     M must be supported on exactly one probe; touching the mediator is
@@ -137,7 +143,7 @@ def separability_probe(state: GridState, m: ObservableSpec, f: ObservableSpec,
         raise SupportOverlapError("probe observable must not touch the mediator")
     if len(support) != 1:
         raise SupportOverlapError("probe observable must act on a single probe")
-    return hybrid_bracket(state, m, f, epsilon)
+    return hybrid_bracket(ens, m, f)
 
 
 def ensemble_hamiltonian_value(ens: EnsembleRepresentation,

@@ -198,13 +198,15 @@ def split_step_evolve(state: GridState, g1: float, g2: float,
     x = spec.coordinate_field(2)
     qp = spec.coordinate_field(1)
     # each phase factor spans two axes; multiplying in place builds no
-    # full-size phase array
+    # full-size phase array, and every transform after the first writes
+    # into the one array the first allocated
     psi = np.fft.fft(state.amplitudes, axis=2)
     psi *= np.exp(-1j * g2 * t * qp * kx)
-    psi = np.fft.fft(np.fft.ifft(psi, axis=2), axis=0)
+    np.fft.ifft(psi, axis=2, out=psi)
+    np.fft.fft(psi, axis=0, out=psi)
     psi *= np.exp(-1j * g1 * t * kq * x)
     psi *= np.exp(0.5j * g1 * g2 * t * t * kq * qp)
-    return GridState(spec, np.fft.ifft(psi, axis=0))
+    return GridState(spec, np.fft.ifft(psi, axis=0, out=psi))
 
 
 def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
@@ -225,7 +227,9 @@ def apply_operator(psi: np.ndarray, spec: GridSpec, symbol: str) -> np.ndarray:
     if symbol in positions:
         return spec.coordinate_field(positions[symbol]) * psi
     if symbol in momenta:
-        return -1j * spec.hbar * _spectral_derivative(psi, spec, momenta[symbol])
+        d = _spectral_derivative(psi, spec, momenta[symbol])
+        d *= -1j * spec.hbar
+        return d
     raise ValueError(f"unknown canonical symbol {symbol!r}")
 
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridState, apply_operator
+from .grid import GridSpec, GridState, apply_operator
 
 CLASSICAL_PRIMITIVES = ("x", "u")
 QUANTUM_PRIMITIVES = ("q", "p", "q'", "p'", "x", "k")
@@ -237,27 +237,57 @@ def _require_kind(spec: ObservableSpec, kind: ObservableKind) -> None:
 def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
     """Apply the Weyl-symmetrized operator polynomial to the amplitudes.
 
-    Symmetrization averages each monomial over all factor orderings;
-    factors are applied right to left.  The orderings are summed in
-    first-seen order, so the result does not depend on the process's
-    string-hash seed.
+    Symmetrization averages each monomial over all orders of its
+    factors.  Factors of different modes act on different grid axes and
+    commute, and a uniform order of all factors induces independent
+    uniform orders within each mode.  So a monomial is applied as the
+    product over its modes (grouped in first-seen order) of each mode's
+    own average: sym(q*p'*x) takes one order instead of six, and a
+    single-mode monomial is summed over its orders exactly as a full
+    average would.  Factors are applied right to left, and a mode's
+    distinct orders are summed in first-seen order, so the result does
+    not depend on the process's string-hash seed.
     """
     _require_kind(spec, ObservableKind.QUANTUM)
     psi = state.amplitudes
-    out = np.zeros_like(psi)
+    out = None
     for coeff, factors in spec.terms:
-        if not factors:
-            out += coeff * psi
-            continue
-        orders = dict.fromkeys(itertools.permutations(factors))
-        acc = np.zeros_like(psi)
-        for order in orders:
-            term = psi
-            for f in reversed(order):
-                term = apply_operator(term, state.spec, f)
-            acc += term
-        out += (coeff / len(orders)) * acc
-    return out
+        if factors:
+            groups = {}
+            for f in factors:
+                groups.setdefault(_MODE_OF[f], []).append(f)
+            term, count = psi, 1
+            for group in reversed(groups.values()):
+                term, orders = _order_sum(term, state.spec, group)
+                count *= orders
+            term *= coeff / count
+        else:
+            term = coeff * psi
+        # the first term's array becomes the sum: no zero-filled array
+        # joins the peak
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros_like(psi) if out is None else out
+
+
+def _order_sum(psi: np.ndarray, spec: GridSpec,
+               factors: list[str]) -> tuple[np.ndarray, int]:
+    """Sum over the distinct orders of one mode's factors, each applied
+    right to left, and the number of those orders.  The sum is a new
+    array."""
+    total = None
+    orders = dict.fromkeys(itertools.permutations(factors))
+    for order in orders:
+        term = psi
+        for f in reversed(order):
+            term = apply_operator(term, spec, f)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total, len(orders)
 
 
 def quantum_commutator_over_ihbar(a: ObservableSpec, b: ObservableSpec,

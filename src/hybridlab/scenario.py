@@ -299,12 +299,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             row.append(ga.witness_expectation(gauss))
         if "chsh" in config.diagnostics:
             row.append(ga.optimize_chsh(gauss)[0])
-        for a, b in pair_specs:
-            row.append(br.hybrid_bracket(grid_state, a, b).value)
+        if grid_state is not None:
+            # one ensemble per state serves every pair; its fields (P, the
+            # mask, u) are dropped before the next state is built
+            ens = gr.to_ensemble(grid_state)
+            mask_fractions.append(ens.mask_fraction)
+            row += [br.hybrid_bracket(ens, a, b).value for a, b in pair_specs]
+            del ens
         if "validate" in config.diagnostics:
             row.append(_moment_residual(grid_state, gauss))
-        if grid_state is not None:
-            mask_fractions.append(gr.to_ensemble(grid_state).mask_fraction)
         rows.append(row)
 
     extra = []

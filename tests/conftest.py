@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hybridlab.grid import GridSpec, init_product_gaussian, split_step_evolve
@@ -30,3 +31,19 @@ def evolved_grid_state(product_grid_state):
     steps = 32
     return split_step_evolve(product_grid_state, g1, g2,
                              BENCH_TIME / steps, steps)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy FFTs called while the test runs, in order."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return calls

@@ -197,7 +197,7 @@ def test_4_isomorphism_identities():
         for fe in classical_family:
             for ge in classical_family:
                 f, g = classical(fe), classical(ge)
-                res = hybrid_bracket(state, f, g)
+                res = hybrid_bracket(ens, f, g)
                 target = classical_functional(ens, classical_poisson(f, g))
                 tol = max(1e-6, 10.0 * res.quadrature_error_estimate)
                 err = abs(res.value - target)
@@ -206,7 +206,7 @@ def test_4_isomorphism_identities():
         for me in quantum_family:
             for ne in quantum_family:
                 m, n = quantum(me), quantum(ne)
-                res = hybrid_bracket(state, m, n)
+                res = hybrid_bracket(ens, m, n)
                 comm = quantum_commutator_over_ihbar(m, n, state)
                 target = float(np.real(
                     np.sum(np.conj(state.amplitudes) * comm)) * dv)
@@ -221,8 +221,8 @@ def test_4_isomorphism_identities():
 
 def test_5_separability_dichotomy(product_grid_state, evolved_grid_state):
     m, f = quantum("sym(p'*p')"), classical("u*u")
-    before = separability_probe(product_grid_state, m, f)
-    after = separability_probe(evolved_grid_state, m, f)
+    before = separability_probe(to_ensemble(product_grid_state), m, f)
+    after = separability_probe(to_ensemble(evolved_grid_state), m, f)
     ratio = abs(after.value) / max(after.quadrature_error_estimate, 1e-300)
     ok = abs(before.value) <= 1e-8 and ratio > 10.0
     report(5, "separability dichotomy", ok,

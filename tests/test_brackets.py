@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,17 +150,18 @@ class TestSectorIsomorphism:
         for fe in self.CLASSICAL_FAMILY:
             for ge in self.CLASSICAL_FAMILY:
                 f, g = classical(fe), classical(ge)
-                result = hybrid_bracket(smooth_state, f, g, epsilon=1e-10)
+                result = hybrid_bracket(ens, f, g)
                 target = classical_functional(ens, classical_poisson(f, g))
                 tol = max(1e-6, 10.0 * result.quadrature_error_estimate)
                 assert abs(result.value - target) < tol, (fe, ge)
 
     def test_quantum_family(self, smooth_state):
+        ens = to_ensemble(smooth_state, epsilon=1e-10)
         dv = smooth_state.spec.cell_volume
         for me in self.QUANTUM_FAMILY:
             for ne in self.QUANTUM_FAMILY:
                 m, n = quantum(me), quantum(ne)
-                result = hybrid_bracket(smooth_state, m, n, epsilon=1e-10)
+                result = hybrid_bracket(ens, m, n)
                 comm = quantum_commutator_over_ihbar(m, n, smooth_state)
                 target = float(np.real(
                     np.sum(np.conj(smooth_state.amplitudes) * comm)) * dv)
@@ -167,32 +170,34 @@ class TestSectorIsomorphism:
 
     def test_antisymmetry(self, smooth_state):
         a, b = quantum("q*q"), quantum("sym(q*p)")
-        ab = hybrid_bracket(smooth_state, a, b, epsilon=1e-10)
-        ba = hybrid_bracket(smooth_state, b, a, epsilon=1e-10)
+        ens = to_ensemble(smooth_state, epsilon=1e-10)
+        ab = hybrid_bracket(ens, a, b)
+        ba = hybrid_bracket(ens, b, a)
         assert ab.value == pytest.approx(-ba.value, abs=1e-10)
 
 
 class TestSeparabilityProbe:
     def test_product_state_is_local(self, smooth_state):
-        result = separability_probe(smooth_state, quantum("sym(p'*p')"),
-                                    classical("u*u"), epsilon=1e-10)
+        result = separability_probe(to_ensemble(smooth_state, 1e-10),
+                                    quantum("sym(p'*p')"), classical("u*u"))
         assert abs(result.value) <= max(
             1e-8, 10.0 * result.quadrature_error_estimate)
 
     def test_evolved_state_is_nonlocal(self, evolved_grid_state):
-        result = separability_probe(evolved_grid_state, quantum("sym(p'*p')"),
-                                    classical("u*u"))
+        result = separability_probe(to_ensemble(evolved_grid_state),
+                                    quantum("sym(p'*p')"), classical("u*u"))
         assert abs(result.value) > 10.0 * result.quadrature_error_estimate
         assert abs(result.value) > 0.1
 
     def test_mediator_support_rejected(self, smooth_state):
         with pytest.raises(SupportOverlapError):
-            separability_probe(smooth_state, quantum("x"), classical("u"))
+            separability_probe(to_ensemble(smooth_state), quantum("x"),
+                               classical("u"))
 
     def test_two_probe_support_rejected(self, smooth_state):
         with pytest.raises(SupportOverlapError):
-            separability_probe(smooth_state, quantum("sym(q*p')"),
-                               classical("u"))
+            separability_probe(to_ensemble(smooth_state),
+                               quantum("sym(q*p')"), classical("u"))
 
 
 class TestHamiltonianConsistency:
@@ -267,3 +272,30 @@ def test_classical_gradient_flux_form(smooth_state):
                                              spec, 2))
     expected = np.where(ens.support_mask, expected, 0.0)
     np.testing.assert_allclose(grad.d_dS, expected, atol=1e-10)
+
+
+def test_pairs_share_one_ensemble(evolved_grid_state):
+    # u = dS/dx, cached by the first classical pair, serves the later
+    # pairs unchanged: each bracket equals its value on a fresh ensemble
+    pairs = [(classical("x*x"), classical("u*u")),
+             (quantum("sym(p'*p')"), classical("u*u")),
+             (quantum("sym(q*p'*x)"), quantum("sym(p*k)"))]
+    shared = to_ensemble(evolved_grid_state)
+    for a, b in pairs:
+        fresh = hybrid_bracket(to_ensemble(evolved_grid_state), a, b)
+        assert hybrid_bracket(shared, a, b) == fresh
+
+
+def test_cubic_bracket_memory_peak(product_grid_state):
+    # traced allocations of one ensemble and one cubic quantum bracket at
+    # 64^3.  The bound is their peak when apply_quantum ran all n! orders
+    # and the gradients were masked into copies: 23587636 bytes, 5.62
+    # complex fields.  Per-mode orders and in-place masking peak at 4.65.
+    a, b = quantum("sym(q*p'*x)"), quantum("sym(p*k)")
+    tracemalloc.start()
+    try:
+        hybrid_bracket(to_ensemble(product_grid_state), a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23587636

@@ -33,22 +33,6 @@ from conftest import (
 )
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Names of the numpy FFTs called while the test runs, in order."""
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    return calls
-
-
 class TestGridSpec:
     def test_axis_spacing_and_range(self):
         spec = GridSpec((64, 64, 64), (8.0, 8.0, 8.0))
@@ -157,6 +141,21 @@ class TestSplitStepEvolve:
             counts.append(len(fft_calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("t", [0.25, 2.0])
+    def test_in_place_transforms_match_out_of_place(self, product_grid_state,
+                                                    fft_calls, t):
+        # the last three transforms write into the array the first one
+        # allocated; the amplitudes are those of the out-of-place
+        # composition bit for bit, and the input state is left alone
+        g1, g2 = BENCH_COUPLINGS
+        before = product_grid_state.amplitudes.copy()
+        expected = out_of_place_evolve(product_grid_state, g1, g2, t)
+        fft_calls.clear()
+        got = split_step_evolve(product_grid_state, g1, g2, t / 8, 8)
+        assert sorted(fft_calls) == ["fft"] * 2 + ["ifft"] * 2
+        assert np.array_equal(got.amplitudes, expected)
+        assert np.array_equal(product_grid_state.amplitudes, before)
+
     def test_one_call_matches_composed_calls(self, product_grid_state):
         # U(t1 + t2) = U(t1) U(t2) holds on the grid while every state on
         # the way is resolved; by t = 2 this box's band limit shows (the
@@ -183,6 +182,21 @@ class TestSplitStepEvolve:
         np.testing.assert_allclose(f0, f1, atol=1e-9)
         dp = p0[1] - p0[0]
         assert np.sum(f0) * dp == pytest.approx(1.0, abs=1e-12)
+
+
+def out_of_place_evolve(state, g1, g2, t):
+    """The three-shear propagator with a fresh array for every transform."""
+    spec = state.spec
+    kq = spec.wavenumbers(0)[:, None, None]
+    kx = spec.wavenumbers(2)[None, None, :]
+    x = spec.coordinate_field(2)
+    qp = spec.coordinate_field(1)
+    psi = np.fft.fft(state.amplitudes, axis=2)
+    psi *= np.exp(-1j * g2 * t * qp * kx)
+    psi = np.fft.fft(np.fft.ifft(psi, axis=2), axis=0)
+    psi *= np.exp(-1j * g1 * t * kq * x)
+    psi *= np.exp(0.5j * g1 * g2 * t * t * kq * qp)
+    return np.fft.ifft(psi, axis=0)
 
 
 def six_field_moments(state):

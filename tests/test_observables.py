@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -183,3 +184,66 @@ def test_apply_quantum_is_independent_of_hash_seed():
         outputs.append(subprocess.run([sys.executable, "-c", code], env=env,
                                       capture_output=True, check=True).stdout)
     assert outputs[0] == outputs[1]
+
+
+def full_symmetrization(spec, state):
+    """The Weyl average over all n! orders of each monomial's factors,
+    applied right to left and summed in first-seen order: the oracle for
+    apply_quantum, which averages within each mode only."""
+    psi = state.amplitudes
+    out = np.zeros_like(psi)
+    for coeff, factors in spec.terms:
+        if not factors:
+            out += coeff * psi
+            continue
+        orders = dict.fromkeys(itertools.permutations(factors))
+        acc = np.zeros_like(psi)
+        for order in orders:
+            term = psi
+            for f in reversed(order):
+                term = apply_operator(term, state.spec, f)
+            acc += term
+        out += (coeff / len(orders)) * acc
+    return out
+
+
+@pytest.fixture(scope="module")
+def state_hbar2():
+    spec = GridSpec((32, 32, 32), (10.0, 8.0, 8.0), hbar=2.0)
+    return init_product_gaussian(spec, means=(0.5, 0.0, -0.3),
+                                 tilts=(0.4, 0.0, 0.2),
+                                 chirps=(0.0, 0.3, 0.4))
+
+
+class TestPerModeSymmetrization:
+    MIXED = ["sym(q*p'*x)", "sym(q*p*k)", "q*q'*q", "2*sym(p*k) - 0.5 + q'"]
+
+    @pytest.mark.parametrize("expr", MIXED)
+    @pytest.mark.parametrize("fixture", ["state", "evolved_grid_state",
+                                         "state_hbar2"])
+    def test_matches_full_average(self, expr, fixture, request):
+        st = request.getfixturevalue(fixture)
+        spec = quantum(expr)
+        expected = full_symmetrization(spec, st)
+        got = apply_quantum(spec, st)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("expr", ["sym(q*p)", "p'*p'", "sym(q*q*p)",
+                                      "q*q + 2*sym(x*k)"])
+    def test_single_mode_terms_unchanged(self, expr, evolved_grid_state):
+        # a monomial on one mode is summed over all its orders, as before
+        spec = quantum(expr)
+        assert np.array_equal(apply_quantum(spec, evolved_grid_state),
+                              full_symmetrization(spec, evolved_grid_state))
+
+    def test_cubic_cross_mode_product_takes_one_order(self, state, fft_calls):
+        spec = quantum("sym(q*p'*x)")
+        full_symmetrization(spec, state)
+        assert sorted(fft_calls) == ["fft"] * 6 + ["ifft"] * 6
+        fft_calls.clear()
+        apply_quantum(spec, state)
+        assert sorted(fft_calls) == ["fft", "ifft"]
+
+    def test_empty_spec_gives_zero(self, state):
+        out = apply_quantum(ObservableSpec(ObservableKind.QUANTUM, ()), state)
+        assert out.shape == state.amplitudes.shape and not out.any()

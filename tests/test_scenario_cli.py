@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
+    _trajectory,
     ConfigError,
     ScenarioConfig,
     format_config,
@@ -148,6 +150,27 @@ class TestRunScenario:
         assert report.columns == ["t", "bracket_0"]
         for row in report.rows:
             assert row[1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_one_ensemble_per_state(self, monkeypatch):
+        config = fast_config("diagnostics = validate\n"
+                             "bracket_pairs = C[ x ]|C[ u ]; "
+                             "Q[ q*q ]|Q[ sym(q*p) ]; "
+                             "Q[ sym(p'*p') ]|C[ u*u ]\n")
+        # the header's mask fraction is that of each state's default
+        # ensemble, as if built on its own
+        expected = max(gr.to_ensemble(state).mask_fraction
+                       for _, _, state in _trajectory(config, True))
+        built = []
+        to_ensemble = gr.to_ensemble
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return to_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(gr, "to_ensemble", counted)
+        report = run_scenario(config)
+        assert len(built) == len(report.rows) == 5
+        assert f"max_mask_fraction = {expected:.17g}" in report.header_lines
 
     def test_grid_diagnostics_reject_heff_variant(self):
         config = fast_config("variant = PAPER_HEFF\n"
