@@ -75,7 +75,7 @@ def report(number, name, ok, detail):
 
 
 def test_1_symplectic_suite():
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     rng = np.random.default_rng(42)
     worst_symp = 0.0
     worst_closed = 0.0
@@ -88,10 +88,13 @@ def test_1_symplectic_suite():
         oracle = expm(OMEGA @ h.gmatrix * t)
         worst_closed = max(worst_closed, float(np.abs(s - oracle).max()))
     elapsed = time.perf_counter() - t0
-    ok = worst_symp < 1e-10 and worst_closed < 1e-12 and elapsed < 1.0
+    # the time gate reads this process's CPU seconds: wall time also counts
+    # the time other processes on a loaded host hold the cores
+    cpu = time.process_time() - cpu0
+    ok = worst_symp < 1e-10 and worst_closed < 1e-12 and cpu < 1.0
     report(1, "symplectic suite", ok,
            f"symplectic residual {worst_symp:.2e}, closed-form vs expm "
-           f"{worst_closed:.2e}, {elapsed:.2f}s")
+           f"{worst_closed:.2e}, {elapsed:.2f}s wall, {cpu:.2f}s CPU")
 
 
 def test_2_probe_probe_entanglement():

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
+    _moment_residual,
     _trajectory,
     ConfigError,
     ScenarioConfig,
@@ -85,10 +86,19 @@ class TestParseConfig:
         ("dt = none\n", "bad value"),
         ("q_width = 1e-200\n", "underflows"),
         ("q_width = 1e200\n", "finite"),
+        ("total_time = 1\ndt = 0.3\n", "whole number"),
+        # 1e9 + 0.4 steps: within 1e-9 per step, but not a whole count
+        ("total_time = 1\ndt = 9.999999996e-10\n", "whole number"),
+        ("total_time = 1\ndt = 1.1102230246251565e-16\n", "2\\*\\*53"),
     ])
     def test_rejections_mention_cause(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
+
+    def test_step_count_just_below_2_to_53_accepted(self):
+        # 2**52 steps of 2**-52: the step list is never built here
+        config = parse_config("total_time = 1\ndt = 2.220446049250313e-16\n")
+        assert config.total_time / config.dt == 2.0 ** 52
 
     def test_line_numbers_in_errors(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -179,11 +189,72 @@ class TestRunScenario:
             run_scenario(config)
 
 
+def residuals(config):
+    """Sample times and per-sample cross-backend residuals of one pass."""
+    samples = [(t, _moment_residual(grid_state, gauss))
+               for t, gauss, grid_state in _trajectory(config, True)]
+    return [t for t, _ in samples], [r for _, r in samples]
+
+
+# the README config at 32^3 and t <= 0.5, and a config whose sample_every
+# does not divide its 8 steps, so the last sample is appended
+REPLAY_CONFIGS = {
+    "readme_short": dict(README_CONFIG, grid_points="32,32,32",
+                         total_time="0.5"),
+    "appended_sample": dict(README_CONFIG, grid_points="32,32,32",
+                            total_time="0.5", dt="0.0625", sample_every="3"),
+}
+
+
 class TestValidateBackends:
+    def assert_half_dt_replays(self, config):
+        half = replace(config, dt=config.dt / 2,
+                       sample_every=2 * config.sample_every)
+        times, full = residuals(config)
+        half_times, half_residuals = residuals(half)
+        assert half_times == times
+        assert half_residuals == full
+        assert validate_backends(config).max_residual == max(full)
+
     def test_residual_small_and_flat(self):
-        summary = validate_backends(fast_config())
-        assert summary.max_residual < 1e-4
-        assert summary.max_residual_half_dt < 1e-4
+        config = fast_config()
+        assert validate_backends(config).max_residual < 1e-4
+        self.assert_half_dt_replays(config)
+
+    @pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
+    def test_half_dt_pass_is_an_exact_replay(self, name):
+        self.assert_half_dt_replays(
+            parse_config(config_text(REPLAY_CONFIGS[name])))
+
+    def test_one_pass(self, monkeypatch):
+        config = parse_config(config_text(REPLAY_CONFIGS["appended_sample"]))
+        _, samples = config.sample_steps()
+        assert samples == [0, 3, 6, 8]
+        calls = {"grid_moments": 0, "split_step_evolve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gr, name, counted(name, getattr(gr, name)))
+        validate_backends(config)
+        assert calls == {"grid_moments": len(samples),
+                         "split_step_evolve": len(samples) - 1}
+
+    def test_cli_prints_replayed_lines(self, tmp_path, capsys):
+        values = REPLAY_CONFIGS["readme_short"]
+        cfg = tmp_path / "validate.cfg"
+        cfg.write_text(config_text(values))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        residual = validate_backends(parse_config(config_text(values)))
+        first = f"{residual.max_residual:.6e}"
+        assert lines == [f"max cross-backend moment residual: {first}",
+                         f"residual at dt/2:                  {first}",
+                         "dt-halving error ratio:            1.000"]
 
 
 class TestTomographyDemo:
@@ -277,6 +348,41 @@ class TestCli:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("total_time,dt", [
+        ("1", "0.3"),       # rounded to 3 steps, the run ended at t = 0.9
+        ("1", "0.6"),       # rounded to 2 steps, the run ended at t = 1.2
+        ("1", "1e-300"),    # 1e300 steps overflowed the step count
+    ])
+    def test_partial_step_exits_2(self, tmp_path, capsys, monkeypatch,
+                                  total_time, dt):
+        def no_steps(config):
+            pytest.fail("the config must be rejected before sample_steps")
+
+        monkeypatch.setattr(ScenarioConfig, "sample_steps", no_steps)
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, total_time=total_time,
+                                        dt=dt, grid_points="32,32,32")))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "dt" in err or "total_time" in err
+
+    def test_rounded_whole_steps_accepted(self, tmp_path):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps
+        config = parse_config("total_time = 0.3\ndt = 0.1\n")
+        assert config.sample_steps() == (3, [0, 3])
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text("total_time = 0.3\ndt = 0.1\nsample_every = 1\n"
+                       "diagnostics = witness\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [float(r.split(",")[0]) for r in rows] \
+            == [0.0, 0.1, 0.2, 3 * 0.1]
 
     def test_noisy_tomography_exits_3(self, tmp_path, capsys):
         # noise this large drives a fitted variance negative
