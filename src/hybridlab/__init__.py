@@ -47,6 +47,7 @@ from .brackets import (
     factorization_probe,
     functional_gradients,
     hybrid_bracket,
+    hybrid_brackets,
     quantum_functional,
     separability_probe,
 )

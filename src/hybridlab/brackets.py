@@ -13,6 +13,7 @@ only the P-free form satisfies the sector isomorphism identities.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,9 @@ def functional_gradients(ens: EnsembleRepresentation,
 
     Classical: dA/dP = f(x, u), dA/dS = -d/dx (P df/du).
     Quantum:   dA/dP = Re[(M psi)* psi]/P, dA/dS = -(2/hbar) Im[(M psi)* psi].
-    Both vanish off the ensemble's support mask.
+    Both vanish off the ensemble's support mask.  A classical f without
+    u has df/du = 0, so its dA/dS is zero and costs no transform.
+    `hybrid_brackets` calls this once per distinct observable of a state.
     """
     state, spec, mask = ens.state, ens.spec, ens.support_mask
     if obs.kind is ObservableKind.CLASSICAL:
@@ -92,7 +95,10 @@ def functional_gradients(ens: EnsembleRepresentation,
         u = ens.phase_gradient(2)
         d_dp = classical_value(obs, x, u)
         d_dp[~mask] = 0.0
-        flux = ens.density * classical_value(classical_partial(obs, "u"), x, u)
+        df_du = classical_partial(obs, "u")
+        if not df_du.terms:
+            return FunctionalGradient(d_dp, np.zeros_like(ens.density))
+        flux = ens.density * classical_value(df_du, x, u)
         d_ds = -np.real(_spectral_derivative(flux.astype(complex), spec, 2))
     else:
         mpsi = apply_quantum(obs, state)
@@ -114,19 +120,44 @@ def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
     return full, abs(full - half)
 
 
+def hybrid_brackets(ens: EnsembleRepresentation,
+                    pairs: Sequence[tuple[ObservableSpec, ObservableSpec]],
+                    ) -> list[BracketResult]:
+    """{A, B} for each (A, B) in pairs, over the ensemble's support mask.
+
+    The brackets of one state share its ensemble, with the phase
+    gradient u = dS/dx the classical functionals read, and each distinct
+    observable's gradients (dA/dP, dA/dS): they are built at the
+    observable's first pair and dropped after its last.
+    """
+    kept = {}
+    results = []
+    for i, (a, b) in enumerate(pairs):
+        for obs in (a, b):
+            if obs not in kept:
+                kept[obs] = functional_gradients(ens, obs)
+        ga, gb = kept[a], kept[b]
+        integrand = ga.d_dP * gb.d_dS - ga.d_dS * gb.d_dP
+        # a gradient or integrand held past its last use would join the
+        # next pair's peak
+        del ga, gb
+        later = pairs[i + 1:]
+        for obs in (a, b):
+            if not any(obs in pair for pair in later):
+                kept.pop(obs, None)
+        value, err = _masked_quadrature(integrand, ens.support_mask,
+                                        ens.spec.cell_volume)
+        del integrand
+        results.append(BracketResult(value, err))
+    return results
+
+
 def hybrid_bracket(ens: EnsembleRepresentation, a: ObservableSpec,
                    b: ObservableSpec) -> BracketResult:
-    """{A, B} over the ensemble's support mask.
-
-    The brackets of one state share its ensemble, and with it the phase
-    gradient u = dS/dx the classical functionals read.
-    """
-    ga = functional_gradients(ens, a)
-    gb = functional_gradients(ens, b)
-    integrand = ga.d_dP * gb.d_dS - ga.d_dS * gb.d_dP
-    value, err = _masked_quadrature(integrand, ens.support_mask,
-                                    ens.spec.cell_volume)
-    return BracketResult(value, err)
+    """{A, B} over the ensemble's support mask: `hybrid_brackets` on the
+    one pair.  A state's brackets are cheaper in one `hybrid_brackets`
+    call, which builds each observable's gradients once."""
+    return hybrid_brackets(ens, [(a, b)])[0]
 
 
 def separability_probe(ens: EnsembleRepresentation, m: ObservableSpec,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,10 @@ from .grid import GridSpec, GridState, apply_operator
 CLASSICAL_PRIMITIVES = ("x", "u")
 QUANTUM_PRIMITIVES = ("q", "p", "q'", "p'", "x", "k")
 _MODE_OF = {"q": "Q", "p": "Q", "q'": "Qprime", "p'": "Qprime", "x": "C", "k": "C"}
+# apply_quantum sums a mode's factors over their distinct orders, found
+# among all n! permutations: 8! = 40320 enumerate in milliseconds, and
+# each further factor multiplies the time and memory
+MAX_FACTORS_PER_MODE = 8
 
 
 class ObservableKind(Enum):
@@ -66,6 +71,13 @@ class ObservableSpec:
                 if f not in allowed:
                     raise ValueError(f"primitive {f!r} not allowed in "
                                      f"{self.kind.name} observables")
+            if self.kind is ObservableKind.QUANTUM:
+                for mode, n in Counter(_MODE_OF[f] for f in factors).items():
+                    if n > MAX_FACTORS_PER_MODE:
+                        raise ValueError(
+                            f"a quantum monomial has {n} factors on mode "
+                            f"{mode}; at most {MAX_FACTORS_PER_MODE} are "
+                            "allowed")
             norm.append((coeff, tuple(factors)))
         object.__setattr__(self, "terms", tuple(norm))
 

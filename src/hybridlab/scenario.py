@@ -20,6 +20,8 @@ from .observables import ParseError, parse_observable
 
 KNOWN_DIAGNOSTICS = ("negativity", "witness", "chsh", "brackets",
                      "tomography", "validate")
+# a run keeps one Gaussian state and one CSV row per sample
+MAX_SAMPLES = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -126,7 +128,16 @@ class ScenarioConfig:
                                         tilts=tilts, chirps=chirps)
 
     def sample_steps(self) -> tuple[int, list[int]]:
+        """The step count and the sampled steps: every sample_every-th
+        step from 0, and the last step.  More than MAX_SAMPLES samples
+        raise ConfigError before the list is built."""
         n_steps = round(self.total_time / self.dt)
+        n_samples = (n_steps // self.sample_every + 1
+                     + (n_steps % self.sample_every != 0))
+        if n_samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"{n_samples} samples exceed the limit of {MAX_SAMPLES}: "
+                "raise dt or sample_every")
         samples = list(range(0, n_steps + 1, self.sample_every))
         if samples[-1] != n_steps:
             samples.append(n_steps)
@@ -268,10 +279,10 @@ def _trajectory(config: ScenarioConfig, with_grid: bool):
     """Yield (t, Gaussian state, grid state or None) at each sample time."""
     if with_grid and config.variant != "EQ1":
         raise ConfigError("grid diagnostics support only the EQ1 variant")
+    _, samples = config.sample_steps()
     h = config.hamiltonian()
     gauss0 = config.initial_gaussian()
     grid_state = config.initial_grid() if with_grid else None
-    _, samples = config.sample_steps()
     prev = 0
     for step in samples:
         if grid_state is not None and step > prev:
@@ -311,11 +322,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         if "chsh" in config.diagnostics:
             row.append(ga.optimize_chsh(gauss)[0])
         if grid_state is not None:
-            # one ensemble per state serves every pair; its fields (P, the
-            # mask, u) are dropped before the next state is built
+            # one ensemble per state serves every pair, and each distinct
+            # observable's gradients every pair that uses it; all are
+            # dropped before the next state is built
             ens = gr.to_ensemble(grid_state)
             mask_fractions.append(ens.mask_fraction)
-            row += [br.hybrid_bracket(ens, a, b).value for a, b in pair_specs]
+            row += [r.value for r in br.hybrid_brackets(ens, pair_specs)]
             del ens
         if "validate" in config.diagnostics:
             row.append(_moment_residual(grid_state, gauss))

@@ -11,6 +11,10 @@ BENCH_TILTS = (0.4, 0.0, 0.0)
 BENCH_CHIRPS = (0.0, 0.3, 0.4)
 BENCH_COUPLINGS = (1.0, 1.0)
 BENCH_TIME = 1.0
+# the bracket pairs of the 128^3 benchmark workload
+BENCH_BRACKET_PAIRS = ("Q[ sym(p'*p') ]|C[ u*u ]", "C[ x*x ]|C[ u*u ]",
+                       "Q[ q*q ]|Q[ sym(q*p) ]",
+                       "Q[ sym(q*p'*x) ]|Q[ sym(p*k) ]")
 
 
 @pytest.fixture(scope="session")

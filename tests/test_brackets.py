@@ -13,6 +13,7 @@ from hybridlab.brackets import (
     factorization_probe,
     functional_gradients,
     hybrid_bracket,
+    hybrid_brackets,
     quantum_functional,
     separability_probe,
 )
@@ -27,11 +28,12 @@ from hybridlab.grid import (
 from hybridlab.observables import (
     classical,
     classical_poisson,
+    parse_observable,
     quantum,
     quantum_commutator_over_ihbar,
 )
 
-from conftest import BENCH_COUPLINGS
+from conftest import BENCH_BRACKET_PAIRS, BENCH_COUPLINGS
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +301,60 @@ def test_cubic_bracket_memory_peak(product_grid_state):
     finally:
         tracemalloc.stop()
     assert peak <= 23587636
+
+
+def parse_pairs(pairs):
+    return [tuple(parse_observable(s) for s in p.split("|")) for p in pairs]
+
+
+@pytest.mark.parametrize("pairs", [
+    BENCH_BRACKET_PAIRS,
+    ("Q[ sym(q*p) ]|Q[ sym(q*p) ]",),
+    ("Q[ sym(q*p) ]|C[ u*u ]", "Q[ q*q ]|Q[ sym(q*p) ]",
+     "C[ x ]|C[ u ]", "Q[ sym(q*p) ]|C[ x ]"),
+], ids=["benchmark", "same_spec_both_sides", "one_spec_in_three_pairs"])
+def test_batched_brackets_equal_per_pair(evolved_grid_state, monkeypatch,
+                                         pairs):
+    # each distinct observable's gradients are built once and serve every
+    # pair that uses it, with each bracket as computed on its own
+    specs = parse_pairs(pairs)
+    single = [hybrid_bracket(to_ensemble(evolved_grid_state), a, b)
+              for a, b in specs]
+    built = []
+
+    def counted(ens, obs):
+        built.append(obs)
+        return functional_gradients(ens, obs)
+
+    monkeypatch.setattr("hybridlab.brackets.functional_gradients", counted)
+    assert hybrid_brackets(to_ensemble(evolved_grid_state), specs) == single
+    assert sorted(map(str, built)) \
+        == sorted({str(obs) for pair in specs for obs in pair})
+
+
+@pytest.mark.parametrize("expr", ["x*x", "2"])
+def test_u_free_classical_gradient_skips_transform(smooth_state, fft_calls,
+                                                   expr):
+    # df/du = 0, so dA/dS is zero without transforming a zero flux
+    ens = to_ensemble(smooth_state)
+    ens.phase_gradient(2)
+    fft_calls.clear()
+    grad = functional_gradients(ens, classical(expr))
+    assert fft_calls == []
+    assert grad.d_dS.shape == ens.density.shape and not grad.d_dS.any()
+
+
+def test_benchmark_pairs_memory_peak(product_grid_state):
+    # traced allocations of one ensemble and the benchmark's four pairs at
+    # 64^3.  One pair at a time, as run_scenario called them before the
+    # pairs shared gradients, they peaked at 21621140 bytes.  A gradient
+    # or integrand kept past its last use would add a 2 MiB field; the
+    # 4 KiB allowance is for the batched call's dict and results.
+    pairs = parse_pairs(BENCH_BRACKET_PAIRS)
+    tracemalloc.start()
+    try:
+        hybrid_brackets(to_ensemble(product_grid_state), pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21621140 + 4096

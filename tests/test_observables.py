@@ -164,6 +164,25 @@ def test_spec_rejects_nonfinite_coefficient():
         ObservableSpec(ObservableKind.CLASSICAL, ((float("nan"), ("x",)),))
 
 
+@pytest.mark.parametrize("expr", [
+    "sym(q*q*q*q*p*p*p*p)",             # 8 factors on one mode
+    "sym(q*p*q*q'*p'*q'*x*k*x)",        # 9 factors, 3 on each mode
+])
+def test_spec_accepts_eight_factors_per_mode(expr):
+    assert len(quantum(expr).terms[0][1]) in (8, 9)
+
+
+@pytest.mark.parametrize("factors", [
+    ("q",) * 9,
+    ("q",) * 11 + ("p",) * 10,          # never finished enumerating
+    ("x", "x", "q") + ("k",) * 7,
+])
+def test_spec_rejects_more_than_eight_factors_on_one_mode(factors):
+    # apply_quantum would enumerate all n! orders of the mode's factors
+    with pytest.raises(ValueError, match="factors on mode"):
+        ObservableSpec(ObservableKind.QUANTUM, ((1.0, factors),))
+
+
 def test_apply_quantum_is_independent_of_hash_seed():
     # the six orders of a cubic monomial must be summed in the same order
     # whatever the string-hash seed of the process

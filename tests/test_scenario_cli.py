@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlab import brackets as br
 from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
@@ -19,7 +20,12 @@ from hybridlab.scenario import (
     validate_backends,
 )
 
+from conftest import BENCH_BRACKET_PAIRS
+
 FAST_GRID = "grid_points = 32,32,32\ngrid_half_widths = 10,6,8\n"
+# 21 factors on mode Q: enumerating their 21! orders never finished
+FACTORIAL_PAIR = ("Q[ sym(q*q*q*q*q*q*q*q*q*q*q*p*p*p*p*p*p*p*p*p*p) ]"
+                  "|C[ u ]")
 README_CONFIG = {
     "g1": "1", "g2": "1", "total_time": "2", "dt": "0.03125",
     "sample_every": "8", "grid_points": "64,64,64",
@@ -100,6 +106,31 @@ class TestParseConfig:
         config = parse_config("total_time = 1\ndt = 2.220446049250313e-16\n")
         assert config.total_time / config.dt == 2.0 ** 52
 
+    @pytest.mark.parametrize("total_time,sample_every,count", [
+        ("999999", "1", 10 ** 6),
+        ("2999997", "3", 10 ** 6),
+        ("2999995", "3", 10 ** 6),      # the last step is appended
+        ("5", "3", 3),
+    ])
+    def test_sample_count(self, total_time, sample_every, count):
+        config = parse_config(f"total_time = {total_time}\ndt = 1\n"
+                              f"sample_every = {sample_every}\n")
+        n_steps, samples = config.sample_steps()
+        assert n_steps == int(total_time) and samples[-1] == n_steps
+        assert len(samples) == count
+
+    @pytest.mark.parametrize("total_time,dt,sample_every", [
+        ("1000000", "1", "1"),
+        ("2999999", "1", "3"),
+        ("1", "2.220446049250313e-16", "1"),    # 2**52 + 1 samples
+    ])
+    def test_more_than_a_million_samples_rejected(self, total_time, dt,
+                                                  sample_every):
+        config = parse_config(f"total_time = {total_time}\ndt = {dt}\n"
+                              f"sample_every = {sample_every}\n")
+        with pytest.raises(ConfigError, match="samples"):
+            config.sample_steps()
+
     def test_line_numbers_in_errors(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("g1 = 1\ng2 = 1\nbogus = 1\n")
@@ -113,7 +144,7 @@ class TestParseConfig:
                            max_size=4).map(lambda v: ",".join(map(str, v))),
                   st.sampled_from(["none", "", "64,64,64", "14,6,10",
                                    "EQ1", "negativity,witness",
-                                   "Q[ q ]|C[ u ]"])),
+                                   "Q[ q ]|C[ u ]", FACTORIAL_PAIR])),
         max_size=8))
     def test_parsed_config_builds_or_is_rejected(self, values):
         try:
@@ -181,6 +212,23 @@ class TestRunScenario:
         report = run_scenario(config)
         assert len(built) == len(report.rows) == 5
         assert f"max_mask_fraction = {expected:.17g}" in report.header_lines
+
+    def test_gradients_once_per_observable_per_state(self, monkeypatch):
+        # the four benchmark pairs name 7 distinct observables: C[ u*u ]
+        # serves two pairs of each state
+        config = fast_config("diagnostics = \nbracket_pairs = "
+                             + ";".join(BENCH_BRACKET_PAIRS) + "\n")
+        built = []
+        functional_gradients = br.functional_gradients
+
+        def counted(ens, obs):
+            built.append(obs)
+            return functional_gradients(ens, obs)
+
+        monkeypatch.setattr(br, "functional_gradients", counted)
+        report = run_scenario(config)
+        assert len(report.rows) == 5
+        assert len(built) == 7 * 5 and len(set(built)) == 7
 
     def test_grid_diagnostics_reject_heff_variant(self):
         config = fast_config("variant = PAPER_HEFF\n"
@@ -276,6 +324,15 @@ class TestTomographyDemo:
     def test_needs_couplings(self):
         with pytest.raises(ConfigError):
             tomography_demo(parse_config("g1 = 0\n"))
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if a grid state is built."""
+    def fail(*args, **kwargs):
+        pytest.fail("the config must be rejected before any grid")
+
+    monkeypatch.setattr(gr, "init_product_gaussian", fail)
 
 
 class TestCli:
@@ -405,6 +462,31 @@ class TestCli:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 3
         assert "guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [
+        FACTORIAL_PAIR, "Q[ sym(q*q*q*q*q*p*p*p*p) ]|C[ u ]"])
+    def test_too_many_factors_on_one_mode_exits_2(self, tmp_path, capsys,
+                                                  no_grid, pair):
+        cfg = tmp_path / "factors.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, bracket_pairs=pair,
+                                        grid_points="32,32,32")))
+        assert main(["brackets", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "factors on mode Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate",
+                                         "tomography"])
+    def test_more_than_a_million_samples_exits_2(self, tmp_path, capsys,
+                                                 no_grid, command):
+        # 2**52 + 1 samples of 2**-52: the sample list used to end in a
+        # MemoryError traceback
+        cfg = tmp_path / "samples.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, total_time="1",
+                                        dt="2.220446049250313e-16",
+                                        sample_every="1")))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "samples exceed" in capsys.readouterr().err
 
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # mediator spread far too wide for the configured box
