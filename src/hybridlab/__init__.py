@@ -39,7 +39,6 @@ from .grid import (
 )
 from .observables import ObservableKind, ObservableSpec, parse_observable
 from .brackets import (
-    BracketResult,
     FunctionalGradient,
     classical_functional,
     continuity_rate_field,

@@ -8,7 +8,10 @@ functionals of (P, S), and the bracket
 
 reproduces the classical Poisson bracket on C_f's and the commutator
 bracket on expectations.  The integrand carries no extra factor of P:
-only the P-free form satisfies the sector isomorphism identities.
+only the P-free form satisfies the sector isomorphism identities.  A
+bracket is a plain float: the midpoint sum of the integrand over the
+support mask.  It carries no error estimate; a value that is not finite
+is rejected where the report is built.
 """
 
 from __future__ import annotations
@@ -40,20 +43,6 @@ class FunctionalGradient:
 
     d_dP: np.ndarray
     d_dS: np.ndarray
-
-
-@dataclass(frozen=True)
-class BracketResult:
-    """Bracket quadrature with a half-resolution Richardson error estimate."""
-
-    value: float
-    quadrature_error_estimate: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("bracket value is not finite")
-        if self.quadrature_error_estimate < 0:
-            raise ValueError("error estimate must be nonnegative")
 
 
 def classical_functional(ens: EnsembleRepresentation, f: ObservableSpec) -> float:
@@ -111,18 +100,9 @@ def functional_gradients(ens: EnsembleRepresentation,
     return FunctionalGradient(d_dp, d_ds)
 
 
-def _masked_quadrature(field: np.ndarray, mask: np.ndarray,
-                       cell_volume: float) -> tuple[float, float]:
-    """Midpoint quadrature with a half-resolution error estimate."""
-    full = float(np.sum(field[mask]) * cell_volume)
-    sub = field[::2, ::2, ::2]
-    half = float(np.sum(sub[mask[::2, ::2, ::2]]) * 8.0 * cell_volume)
-    return full, abs(full - half)
-
-
 def hybrid_brackets(ens: EnsembleRepresentation,
                     pairs: Sequence[tuple[ObservableSpec, ObservableSpec]],
-                    ) -> list[BracketResult]:
+                    ) -> list[float]:
     """{A, B} for each (A, B) in pairs, over the ensemble's support mask.
 
     The brackets of one state share its ensemble, with the phase
@@ -145,15 +125,14 @@ def hybrid_brackets(ens: EnsembleRepresentation,
         for obs in (a, b):
             if not any(obs in pair for pair in later):
                 kept.pop(obs, None)
-        value, err = _masked_quadrature(integrand, ens.support_mask,
-                                        ens.spec.cell_volume)
+        results.append(float(np.sum(integrand[ens.support_mask])
+                             * ens.spec.cell_volume))
         del integrand
-        results.append(BracketResult(value, err))
     return results
 
 
 def hybrid_bracket(ens: EnsembleRepresentation, a: ObservableSpec,
-                   b: ObservableSpec) -> BracketResult:
+                   b: ObservableSpec) -> float:
     """{A, B} over the ensemble's support mask: `hybrid_brackets` on the
     one pair.  A state's brackets are cheaper in one `hybrid_brackets`
     call, which builds each observable's gradients once."""
@@ -161,7 +140,7 @@ def hybrid_bracket(ens: EnsembleRepresentation, a: ObservableSpec,
 
 
 def separability_probe(ens: EnsembleRepresentation, m: ObservableSpec,
-                       f: ObservableSpec) -> BracketResult:
+                       f: ObservableSpec) -> float:
     """Cross-sector bracket {Q_M, C_f}; nonzero magnitude = non-locality.
 
     M must be supported on exactly one probe; touching the mediator is

@@ -13,8 +13,9 @@ from pathlib import Path
 
 from .gaussian import DegenerateDesignError, PhysicalityError
 from .grid import ConfigurationError, DomainTooSmallError
-from .scenario import (ConfigError, ScenarioConfig, parse_config, run_scenario,
-                       tomography_demo, validate_backends)
+from .scenario import (ConfigError, NonFiniteResultError, ScenarioConfig,
+                       parse_config, run_scenario, tomography_demo,
+                       validate_backends)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -40,7 +41,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    residual = validate_backends(config).max_residual
+    residual = validate_backends(config)
     # total_time is a whole number of dt steps, so a dt/2 pass samples
     # steps 2s, where (dt/2) * 2s == dt * s bit for bit: it replays the one
     # pass exactly, its residual is this one and the ratio is r / r.  Both
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PhysicalityError, DegenerateDesignError, DomainTooSmallError,
-            ConfigurationError) as exc:
+            ConfigurationError, NonFiniteResultError) as exc:
         print(f"numerical guard violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -89,13 +89,12 @@ def vacuum_state(hbar: float = 1.0) -> PhaseSpaceState:
     return PhaseSpaceState(np.zeros(6), 0.5 * hbar * np.eye(6), hbar)
 
 
-def mode_covariance(width: float, tilt: float = 0.0, chirp: float = 0.0,
+def mode_covariance(width: float, chirp: float = 0.0,
                     hbar: float = 1.0) -> np.ndarray:
     """Single-mode pure-Gaussian covariance for position std `width`.
 
     `chirp` is the quadratic phase coefficient gamma; it plants the
-    symmetrized position-momentum correlation gamma*width^2.  `tilt`
-    shifts only the momentum mean and is ignored here.
+    symmetrized position-momentum correlation gamma*width^2.
     """
     if width <= 0:
         raise ValueError("width must be positive")

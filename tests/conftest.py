@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridlab.brackets import functional_gradients
 from hybridlab.grid import GridSpec, init_product_gaussian, split_step_evolve
 
 # Committed benchmark inputs, shared by module and acceptance tests:
@@ -51,3 +52,29 @@ def fft_calls(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     return calls
+
+
+def half_resolution_estimates(ens, pairs, values):
+    """|full - half| for each bracket: the midpoint sum over the support
+    mask against the same sum on every second cell per axis, times 8.
+
+    A Richardson-style reference kept in the tests only: the library
+    returns the full-resolution sum, and `values` (its brackets of
+    `pairs`) must equal the sums recomputed here from
+    `functional_gradients`.  Each observable's gradients are built once.
+    """
+    mask, dv = ens.support_mask, ens.spec.cell_volume
+    gradients = {}
+    estimates = []
+    for (a, b), value in zip(pairs, values, strict=True):
+        for obs in (a, b):
+            if obs not in gradients:
+                gradients[obs] = functional_gradients(ens, obs)
+        ga, gb = gradients[a], gradients[b]
+        integrand = ga.d_dP * gb.d_dS - ga.d_dS * gb.d_dP
+        full = float(np.sum(integrand[mask]) * dv)
+        assert full == value, (str(a), str(b), full, value)
+        sub = integrand[::2, ::2, ::2]
+        half = float(np.sum(sub[mask[::2, ::2, ::2]]) * 8.0 * dv)
+        estimates.append(abs(full - half))
+    return estimates

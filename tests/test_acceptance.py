@@ -21,7 +21,7 @@ import numpy as np
 from hybridlab.brackets import (
     classical_functional,
     continuity_rate_field,
-    hybrid_bracket,
+    hybrid_brackets,
     separability_probe,
 )
 from hybridlab.gaussian import (
@@ -63,6 +63,7 @@ from conftest import (
     BENCH_MEANS,
     BENCH_TILTS,
     BENCH_WIDTHS,
+    half_resolution_estimates,
 )
 
 from scipy.linalg import expm
@@ -190,33 +191,33 @@ def test_4_isomorphism_identities():
         init_product_gaussian(GridSpec((64, 64, 64), (8.0, 10.0, 8.0)),
                               widths=(0.8, 1.2, 1.0), chirps=(0.2, 0.0, 0.1)),
     ]
-    classical_family = ["x", "u", "x*u", "x*x", "u*u"]
-    quantum_family = ["q", "p", "sym(q*p)", "q*q", "p*p"]
+    classical_family = [classical(e) for e in ("x", "u", "x*u", "x*x", "u*u")]
+    quantum_family = [quantum(e) for e in ("q", "p", "sym(q*p)", "q*q", "p*p")]
     worst = 0.0
     ok = True
     for state in states:
         ens = to_ensemble(state)
         dv = state.spec.cell_volume
-        for fe in classical_family:
-            for ge in classical_family:
-                f, g = classical(fe), classical(ge)
-                res = hybrid_bracket(ens, f, g)
-                target = classical_functional(ens, classical_poisson(f, g))
-                tol = max(1e-6, 10.0 * res.quadrature_error_estimate)
-                err = abs(res.value - target)
+        classical_pairs = [(f, g) for f in classical_family
+                           for g in classical_family]
+        quantum_pairs = [(m, n) for m in quantum_family for n in quantum_family]
+        families = [
+            (classical_pairs, [classical_functional(ens, classical_poisson(f, g))
+                               for f, g in classical_pairs]),
+            (quantum_pairs, [float(np.real(np.sum(
+                np.conj(state.amplitudes)
+                * quantum_commutator_over_ihbar(m, n, state))) * dv)
+                for m, n in quantum_pairs]),
+        ]
+        # one hybrid_brackets call per state and family; each tolerance
+        # reads the tests' half-resolution estimate of its bracket
+        for pairs, targets in families:
+            values = hybrid_brackets(ens, pairs)
+            estimates = half_resolution_estimates(ens, pairs, values)
+            for value, est, target in zip(values, estimates, targets):
+                err = abs(value - target)
                 worst = max(worst, err)
-                ok = ok and err <= tol
-        for me in quantum_family:
-            for ne in quantum_family:
-                m, n = quantum(me), quantum(ne)
-                res = hybrid_bracket(ens, m, n)
-                comm = quantum_commutator_over_ihbar(m, n, state)
-                target = float(np.real(
-                    np.sum(np.conj(state.amplitudes) * comm)) * dv)
-                tol = max(1e-6, 10.0 * res.quadrature_error_estimate)
-                err = abs(res.value - target)
-                worst = max(worst, err)
-                ok = ok and err <= tol
+                ok = ok and err <= max(1e-6, 10.0 * est)
     report(4, "sector isomorphism", ok,
            f"worst identity residual {worst:.2e} over "
            f"{2 * 25 * len(states)} pairs on {len(states)} states")
@@ -225,12 +226,14 @@ def test_4_isomorphism_identities():
 def test_5_separability_dichotomy(product_grid_state, evolved_grid_state):
     m, f = quantum("sym(p'*p')"), classical("u*u")
     before = separability_probe(to_ensemble(product_grid_state), m, f)
-    after = separability_probe(to_ensemble(evolved_grid_state), m, f)
-    ratio = abs(after.value) / max(after.quadrature_error_estimate, 1e-300)
-    ok = abs(before.value) <= 1e-8 and ratio > 10.0
+    ens = to_ensemble(evolved_grid_state)
+    after = separability_probe(ens, m, f)
+    [est] = half_resolution_estimates(ens, [(m, f)], [after])
+    ratio = abs(after) / max(est, 1e-300)
+    ok = abs(before) <= 1e-8 and ratio > 10.0
     report(5, "separability dichotomy", ok,
-           f"product-state bracket {before.value:.2e} (need <= 1e-8), "
-           f"evolved bracket {after.value:.3f} at {ratio:.1e}x its "
+           f"product-state bracket {before:.2e} (need <= 1e-8), "
+           f"evolved bracket {after:.3f} at {ratio:.1e}x its "
            f"quadrature estimate (need > 10x)")
 
 

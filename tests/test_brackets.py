@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hybridlab.brackets import (
-    BracketResult,
     HermiticityError,
     SupportOverlapError,
     classical_functional,
@@ -33,7 +32,8 @@ from hybridlab.observables import (
     quantum_commutator_over_ihbar,
 )
 
-from conftest import BENCH_BRACKET_PAIRS, BENCH_COUPLINGS
+from conftest import (BENCH_BRACKET_PAIRS, BENCH_COUPLINGS,
+                      half_resolution_estimates)
 
 
 @pytest.fixture(scope="module")
@@ -149,47 +149,51 @@ class TestSectorIsomorphism:
 
     def test_classical_family(self, smooth_state):
         ens = to_ensemble(smooth_state, epsilon=1e-10)
-        for fe in self.CLASSICAL_FAMILY:
-            for ge in self.CLASSICAL_FAMILY:
-                f, g = classical(fe), classical(ge)
-                result = hybrid_bracket(ens, f, g)
-                target = classical_functional(ens, classical_poisson(f, g))
-                tol = max(1e-6, 10.0 * result.quadrature_error_estimate)
-                assert abs(result.value - target) < tol, (fe, ge)
+        pairs = [(classical(fe), classical(ge))
+                 for fe in self.CLASSICAL_FAMILY
+                 for ge in self.CLASSICAL_FAMILY]
+        values = hybrid_brackets(ens, pairs)
+        estimates = half_resolution_estimates(ens, pairs, values)
+        for (f, g), value, est in zip(pairs, values, estimates):
+            target = classical_functional(ens, classical_poisson(f, g))
+            assert abs(value - target) < max(1e-6, 10.0 * est), (f, g)
 
     def test_quantum_family(self, smooth_state):
         ens = to_ensemble(smooth_state, epsilon=1e-10)
         dv = smooth_state.spec.cell_volume
-        for me in self.QUANTUM_FAMILY:
-            for ne in self.QUANTUM_FAMILY:
-                m, n = quantum(me), quantum(ne)
-                result = hybrid_bracket(ens, m, n)
-                comm = quantum_commutator_over_ihbar(m, n, smooth_state)
-                target = float(np.real(
-                    np.sum(np.conj(smooth_state.amplitudes) * comm)) * dv)
-                tol = max(1e-5, 10.0 * result.quadrature_error_estimate)
-                assert abs(result.value - target) < tol, (me, ne)
+        pairs = [(quantum(me), quantum(ne))
+                 for me in self.QUANTUM_FAMILY for ne in self.QUANTUM_FAMILY]
+        values = hybrid_brackets(ens, pairs)
+        estimates = half_resolution_estimates(ens, pairs, values)
+        for (m, n), value, est in zip(pairs, values, estimates):
+            comm = quantum_commutator_over_ihbar(m, n, smooth_state)
+            target = float(np.real(
+                np.sum(np.conj(smooth_state.amplitudes) * comm)) * dv)
+            assert abs(value - target) < max(1e-5, 10.0 * est), (m, n)
 
     def test_antisymmetry(self, smooth_state):
         a, b = quantum("q*q"), quantum("sym(q*p)")
         ens = to_ensemble(smooth_state, epsilon=1e-10)
         ab = hybrid_bracket(ens, a, b)
         ba = hybrid_bracket(ens, b, a)
-        assert ab.value == pytest.approx(-ba.value, abs=1e-10)
+        assert ab == pytest.approx(-ba, abs=1e-10)
 
 
 class TestSeparabilityProbe:
+    PAIR = (quantum("sym(p'*p')"), classical("u*u"))
+
     def test_product_state_is_local(self, smooth_state):
-        result = separability_probe(to_ensemble(smooth_state, 1e-10),
-                                    quantum("sym(p'*p')"), classical("u*u"))
-        assert abs(result.value) <= max(
-            1e-8, 10.0 * result.quadrature_error_estimate)
+        ens = to_ensemble(smooth_state, 1e-10)
+        value = separability_probe(ens, *self.PAIR)
+        [est] = half_resolution_estimates(ens, [self.PAIR], [value])
+        assert abs(value) <= max(1e-8, 10.0 * est)
 
     def test_evolved_state_is_nonlocal(self, evolved_grid_state):
-        result = separability_probe(to_ensemble(evolved_grid_state),
-                                    quantum("sym(p'*p')"), classical("u*u"))
-        assert abs(result.value) > 10.0 * result.quadrature_error_estimate
-        assert abs(result.value) > 0.1
+        ens = to_ensemble(evolved_grid_state)
+        value = separability_probe(ens, *self.PAIR)
+        [est] = half_resolution_estimates(ens, [self.PAIR], [value])
+        assert abs(value) > 10.0 * est
+        assert abs(value) > 0.1
 
     def test_mediator_support_rejected(self, smooth_state):
         with pytest.raises(SupportOverlapError):
@@ -252,12 +256,6 @@ class TestFactorization:
 
 
 class TestGuards:
-    def test_bracket_result_validation(self):
-        with pytest.raises(ValueError):
-            BracketResult(float("inf"), 0.0)
-        with pytest.raises(ValueError):
-            BracketResult(0.0, -1.0)
-
     def test_hermiticity_guard(self, smooth_state):
         with pytest.raises(HermiticityError):
             quantum_functional(smooth_state, quantum("sym(q*p)"),
@@ -327,7 +325,8 @@ def test_batched_brackets_equal_per_pair(evolved_grid_state, monkeypatch,
         return functional_gradients(ens, obs)
 
     monkeypatch.setattr("hybridlab.brackets.functional_gradients", counted)
-    assert hybrid_brackets(to_ensemble(evolved_grid_state), specs) == single
+    batched = hybrid_brackets(to_ensemble(evolved_grid_state), specs)
+    assert batched == single and all(type(v) is float for v in batched)
     assert sorted(map(str, built)) \
         == sorted({str(obs) for pair in specs for obs in pair})
 

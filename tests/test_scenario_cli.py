@@ -262,11 +262,11 @@ class TestValidateBackends:
         half_times, half_residuals = residuals(half)
         assert half_times == times
         assert half_residuals == full
-        assert validate_backends(config).max_residual == max(full)
+        assert validate_backends(config) == max(full)
 
     def test_residual_small_and_flat(self):
         config = fast_config()
-        assert validate_backends(config).max_residual < 1e-4
+        assert validate_backends(config) < 1e-4
         self.assert_half_dt_replays(config)
 
     @pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
@@ -299,7 +299,7 @@ class TestValidateBackends:
         assert main(["validate", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         residual = validate_backends(parse_config(config_text(values)))
-        first = f"{residual.max_residual:.6e}"
+        first = f"{residual:.6e}"
         assert lines == [f"max cross-backend moment residual: {first}",
                          f"residual at dt/2:                  {first}",
                          "dt-halving error ratio:            1.000"]
@@ -398,6 +398,8 @@ class TestCli:
         ("simulate", {"grid_points": "48,64,64"}),
         ("simulate", {"c_width": "0"}),
         ("tomography", {"tomo_noise": "-1"}),
+        # tomography is a subcommand, not a diagnostic of run_scenario
+        ("simulate", {"diagnostics": "negativity,tomography"}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = tmp_path / "bad.cfg"
@@ -487,6 +489,39 @@ class TestCli:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert "samples exceed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "tomography"])
+    @pytest.mark.parametrize("g1", ["1e200", "1e300"])
+    def test_overflowing_coupling_exits_2(self, tmp_path, capsys, no_grid,
+                                          command, g1):
+        # the Gaussian moments at total_time overflow: the run used to stop
+        # at that sample with a ValueError traceback
+        cfg = tmp_path / "coupling.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, g1=g1)))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "moments at total_time overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,cell", [
+        ({"hbar": "1e-300", "c_xk": "0", "diagnostics": "negativity",
+          "bracket_pairs": ""}, "logneg_q_qprime is inf at t = 0"),
+        ({"diagnostics": "", "grid_points": "32,32,32",
+          "bracket_pairs": "Q[ 1e308*q*q ]|Q[ 1e308*p ]"},
+         "bracket_0 is nan at t = 0"),
+    ], ids=["negativity", "bracket"])
+    # the overflows that make the cells non-finite warn on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_cell_exits_3(self, tmp_path, capsys, overrides, cell):
+        # the report's finite check names the first non-finite cell; before,
+        # the run ended in a ValueError traceback
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, **overrides)))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"numerical guard violation: {cell}"
+        assert not out.exists()
 
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # mediator spread far too wide for the configured box
