@@ -5,7 +5,8 @@ Two backends cover the same dynamics: an exact Gaussian phase-space
 backend (closed-form symplectic propagation of means and covariances)
 and a 3-D grid backend (exact three-shear FFT evolution of the full
 amplitude), plus the configuration-ensemble machinery of functional
-derivatives and hybrid Poisson brackets used for locality diagnostics.
+derivatives and hybrid Poisson brackets used for locality diagnostics,
+on the grid and in closed form for pure Gaussian states.
 """
 
 from .gaussian import (
@@ -45,6 +46,7 @@ from .brackets import (
     ensemble_hamiltonian_value,
     factorization_probe,
     functional_gradients,
+    gaussian_brackets,
     hybrid_bracket,
     hybrid_brackets,
     quantum_functional,

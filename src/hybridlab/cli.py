@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .brackets import GaussianBracketError
 from .gaussian import DegenerateDesignError, PhysicalityError
 from .grid import ConfigurationError, DomainTooSmallError
 from .scenario import (ConfigError, NonFiniteResultError, ScenarioConfig,
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PhysicalityError, DegenerateDesignError, DomainTooSmallError,
-            ConfigurationError, NonFiniteResultError) as exc:
+            ConfigurationError, GaussianBracketError,
+            NonFiniteResultError) as exc:
         print(f"numerical guard violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -189,10 +189,16 @@ def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
                     t: float) -> PhaseSpaceState:
-    """Propagate means and covariance: m -> Sm, V -> S V S^T."""
+    """Propagate means and covariance: m -> Sm, V -> S V S^T.
+
+    S V S^T is symmetric only up to rounding, which at large couplings
+    exceeds PhaseSpaceState's 1e-12 guard, so its symmetric part is
+    returned.
+    """
     state.require_physical()
     s = symplectic_propagator(h, t).entries
-    return PhaseSpaceState(s @ state.means, s @ state.covariance @ s.T, state.hbar)
+    v = s @ state.covariance @ s.T
+    return PhaseSpaceState(s @ state.means, 0.5 * (v + v.T), state.hbar)
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

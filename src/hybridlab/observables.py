@@ -253,25 +253,22 @@ def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
     factors.  Factors of different modes act on different grid axes and
     commute, and a uniform order of all factors induces independent
     uniform orders within each mode.  So a monomial is applied as the
-    product over its modes (grouped in first-seen order) of each mode's
-    own average: sym(q*p'*x) takes one order instead of six, and a
-    single-mode monomial is summed over its orders exactly as a full
-    average would.  Factors are applied right to left, and a mode's
-    distinct orders are summed in first-seen order, so the result does
-    not depend on the process's string-hash seed.
+    product over its modes of each mode's own average (`mode_orders`):
+    sym(q*p'*x) takes one order instead of six, and a single-mode
+    monomial is summed over its orders exactly as a full average would.
+    Factors are applied right to left, and a mode's distinct orders are
+    summed in first-seen order, so the result does not depend on the
+    process's string-hash seed.
     """
     _require_kind(spec, ObservableKind.QUANTUM)
     psi = state.amplitudes
     out = None
     for coeff, factors in spec.terms:
         if factors:
-            groups = {}
-            for f in factors:
-                groups.setdefault(_MODE_OF[f], []).append(f)
             term, count = psi, 1
-            for group in reversed(groups.values()):
-                term, orders = _order_sum(term, state.spec, group)
-                count *= orders
+            for orders in mode_orders(factors):
+                term = _order_sum(term, state.spec, orders)
+                count *= len(orders)
             term *= coeff / count
         else:
             term = coeff * psi
@@ -284,13 +281,27 @@ def apply_quantum(spec: ObservableSpec, state: GridState) -> np.ndarray:
     return np.zeros_like(psi) if out is None else out
 
 
+def mode_orders(factors: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
+    """The distinct orders of each mode's factors in a quantum monomial.
+
+    Modes are grouped in first-seen order and listed last group first,
+    the order in which a right-to-left product applies them; each
+    group's orders are its permutations in first-seen order.  A
+    monomial's symmetrized average is the product over the groups of
+    the mean over each group's orders.
+    """
+    groups = {}
+    for f in factors:
+        groups.setdefault(_MODE_OF[f], []).append(f)
+    return [list(dict.fromkeys(itertools.permutations(group)))
+            for group in reversed(groups.values())]
+
+
 def _order_sum(psi: np.ndarray, spec: GridSpec,
-               factors: list[str]) -> tuple[np.ndarray, int]:
-    """Sum over the distinct orders of one mode's factors, each applied
-    right to left, and the number of those orders.  The sum is a new
-    array."""
+               orders: list[tuple[str, ...]]) -> np.ndarray:
+    """Sum of one mode's factor orders, each applied right to left, as a
+    new array."""
     total = None
-    orders = dict.fromkeys(itertools.permutations(factors))
     for order in orders:
         term = psi
         for f in reversed(order):
@@ -299,7 +310,7 @@ def _order_sum(psi: np.ndarray, spec: GridSpec,
             total = term
         else:
             total += term
-    return total, len(orders)
+    return total
 
 
 def quantum_commutator_over_ihbar(a: ObservableSpec, b: ObservableSpec,

@@ -254,10 +254,7 @@ class ScenarioReport:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("rows must be strictly increasing in t")
         for row in self.rows:
-            for column, v in zip(self.columns, row):
-                if not np.isfinite(v):
-                    raise NonFiniteResultError(
-                        f"{column} is {v} at t = {_num(row[0])}")
+            _require_finite(self.columns, row)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -273,12 +270,19 @@ class ScenarioReport:
             fh.write(self.to_csv())
 
 
-def _report_header(config: ScenarioConfig, extra: list[str] = ()) -> list[str]:
+def _require_finite(columns: list[str], row: list[float]) -> None:
+    """Raise NonFiniteResultError naming the first non-finite cell."""
+    for column, v in zip(columns, row):
+        if not np.isfinite(v):
+            raise NonFiniteResultError(
+                f"{column} is {v} at t = {_num(row[0])}")
+
+
+def _report_header(config: ScenarioConfig) -> list[str]:
     import hybridlab
     lines = [f"hybridlab {hybridlab.__version__}",
              f"numpy {np.__version__}"]
     lines += format_config(config).strip().splitlines()
-    lines += list(extra)
     return lines
 
 
@@ -307,9 +311,14 @@ def _trajectory(config: ScenarioConfig, with_grid: bool):
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Evolve both backends over the time grid and tabulate diagnostics."""
-    needs_grid = bool(set(config.diagnostics) & {"brackets", "validate"}
-                      or config.bracket_pairs)
+    """Evolve the Gaussian state over the time grid and tabulate diagnostics.
+
+    Every sampled state is a pure Gaussian, so the bracket columns come
+    from `gaussian_brackets` in closed form, exact at any grid size.  The
+    grid is built and propagated only for the `validate` diagnostic.
+    Each row is checked as it is built: a non-finite cell stops the run
+    with NonFiniteResultError before the next state is propagated.
+    """
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
     columns = ["t"]
@@ -325,8 +334,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         columns.append("backend_residual")
 
     rows = []
-    mask_fractions = []
-    for t, gauss, grid_state in _trajectory(config, needs_grid):
+    for t, gauss, grid_state in _trajectory(
+            config, "validate" in config.diagnostics):
         row = [t]
         if "negativity" in config.diagnostics:
             row.append(ga.logarithmic_negativity(gauss))
@@ -334,22 +343,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             row.append(ga.witness_expectation(gauss))
         if "chsh" in config.diagnostics:
             row.append(ga.optimize_chsh(gauss)[0])
+        row += br.gaussian_brackets(gauss, pair_specs)
         if grid_state is not None:
-            # one ensemble per state serves every pair, and each distinct
-            # observable's gradients every pair that uses it; all are
-            # dropped before the next state is built
-            ens = gr.to_ensemble(grid_state)
-            mask_fractions.append(ens.mask_fraction)
-            row += br.hybrid_brackets(ens, pair_specs)
-            del ens
-        if "validate" in config.diagnostics:
             row.append(_moment_residual(grid_state, gauss))
+        _require_finite(columns, row)
         rows.append(row)
 
-    extra = []
-    if mask_fractions:
-        extra.append(f"max_mask_fraction = {_num(max(mask_fractions))}")
-    report = ScenarioReport(_report_header(config, extra), columns, rows)
+    report = ScenarioReport(_report_header(config), columns, rows)
     if config.output_path:
         report.write(config.output_path)
     return report

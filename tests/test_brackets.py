@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridlab.brackets import (
+    GaussianBracketError,
     HermiticityError,
     SupportOverlapError,
     classical_functional,
@@ -11,10 +12,20 @@ from hybridlab.brackets import (
     ensemble_hamiltonian_value,
     factorization_probe,
     functional_gradients,
+    gaussian_brackets,
     hybrid_bracket,
     hybrid_brackets,
     quantum_functional,
     separability_probe,
+)
+from hybridlab.cli import main as cli_main
+from hybridlab.gaussian import (
+    HamiltonianVariant,
+    PhaseSpaceState,
+    build_hamiltonian,
+    evolve_gaussian,
+    product_state,
+    vacuum_state,
 )
 from hybridlab.grid import (
     GridSpec,
@@ -27,12 +38,16 @@ from hybridlab.grid import (
 from hybridlab.observables import (
     classical,
     classical_poisson,
+    classical_value,
     parse_observable,
     quantum,
     quantum_commutator_over_ihbar,
 )
 
-from conftest import (BENCH_BRACKET_PAIRS, BENCH_COUPLINGS,
+from hybridlab.scenario import parse_config
+
+from conftest import (BENCH_BRACKET_PAIRS, BENCH_CHIRPS, BENCH_COUPLINGS,
+                      BENCH_MEANS, BENCH_TILTS, BENCH_TIME, BENCH_WIDTHS,
                       half_resolution_estimates)
 
 
@@ -357,3 +372,185 @@ def test_benchmark_pairs_memory_peak(product_grid_state):
     finally:
         tracemalloc.stop()
     assert peak <= 21621140 + 4096
+
+
+# ---------------------------------------------------------------------------
+# Exact brackets of pure Gaussian states
+# ---------------------------------------------------------------------------
+
+POS, MOM = [0, 2, 4], [1, 3, 5]
+# the item-3 pairs: higher degree than the benchmark's
+HIGH_DEGREE_PAIRS = ("Q[ sym(q*q*p*p) ]|C[ x*u*u ]",
+                     "Q[ sym(p'*p'*x) ]|C[ u*u*u ]")
+
+
+def random_product(rng):
+    """A random pure product state: (means, widths, tilts, chirps)."""
+    return (tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(0.6, 0.9, 3)),
+            tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-0.3, 0.3, 3)))
+
+
+def evolved_gaussian(params, g1, g2, t, hbar=1.0,
+                     variant=HamiltonianVariant.EQ1):
+    means, widths, tilts, chirps = params
+    state = product_state(widths=widths, means=means, tilts=tilts,
+                          chirps=chirps, hbar=hbar)
+    return evolve_gaussian(state, build_hamiltonian(g1, g2, variant), t)
+
+
+def closed_forms(state):
+    """The benchmark pairs' brackets from the moments (q, p, q', p', x, k).
+
+    {Q[p'^2], C[u^2]} = -hbar^2 (Sigma^-1)_{q'x} (Sigma^-1 C)_{q'x}; the
+    others are Wigner averages of Poisson brackets: {x^2, u^2} = 4 x u,
+    {q^2, qp} = 2 q^2 and {q p' x, p k} = p' x k + q p' p.
+    """
+    m, v, hbar = state.means, state.covariance, state.hbar
+
+    def third(i, j, k):
+        return (m[i] * m[j] * m[k] + m[i] * v[j, k] + m[j] * v[i, k]
+                + m[k] * v[i, j])
+
+    sigma_inv = np.linalg.inv(v[np.ix_(POS, POS)])
+    b = sigma_inv @ v[np.ix_(POS, MOM)]
+    return [-hbar * hbar * sigma_inv[1, 2] * b[1, 2],
+            4.0 * (v[4, 5] + m[4] * m[5]),
+            2.0 * (v[0, 0] + m[0] * m[0]),
+            third(3, 4, 5) + third(0, 3, 1)]
+
+
+def gaussian_average(spec, mean, cov, order=12):
+    """E[f(a, b)] of a classical spec f(x, u) over a bivariate normal,
+    by Gauss-Hermite quadrature (exact for degree < 2 order)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    z0, z1 = np.meshgrid(nodes, nodes, indexing="ij")
+    low = np.linalg.cholesky(cov)
+    a = mean[0] + low[0, 0] * z0
+    b = mean[1] + low[1, 0] * z0 + low[1, 1] * z1
+    w = np.outer(weights, weights) / (2.0 * np.pi)
+    return float(np.sum(w * classical_value(spec, a, b)))
+
+
+# the Q(q, p) family written as classical polynomials in (x, u) = (q, p),
+# so that classical_poisson gives their Poisson brackets
+AS_CLASSICAL = {"q": "x", "p": "u", "sym(q*p)": "x*u", "q*q": "x*x",
+                "p*p": "u*u"}
+
+
+@pytest.fixture(scope="module")
+def random_gaussians():
+    rng = np.random.default_rng(12)
+    states = []
+    for hbar in (1.0, 0.7):
+        for _ in range(3):
+            params = random_product(rng)
+            g1, g2 = rng.uniform(-1.5, 1.5, 2)
+            states.append(evolved_gaussian(params, g1, g2,
+                                           rng.uniform(0.0, 2.0), hbar))
+    return states
+
+
+class TestGaussianBrackets:
+    def test_benchmark_pairs_match_closed_forms(self, random_gaussians):
+        pairs = parse_pairs(BENCH_BRACKET_PAIRS)
+        for state in random_gaussians:
+            exact = gaussian_brackets(state, pairs)
+            assert all(type(v) is float for v in exact)
+            assert exact == pytest.approx(closed_forms(state), rel=1e-11,
+                                          abs=1e-12)
+
+    def test_classical_sector_is_poisson(self, random_gaussians):
+        family = TestSectorIsomorphism.CLASSICAL_FAMILY
+        pairs = [(classical(f), classical(g)) for f in family for g in family]
+        for state in random_gaussians:
+            m, v = state.means, state.covariance
+            # (x, u) is jointly normal under P: u = k + (Sigma^-1 C delta)_x
+            b = np.linalg.solve(v[np.ix_(POS, POS)], v[np.ix_(POS, MOM)])
+            var_u = (v[np.ix_(POS, POS)] @ b)[:, 2] @ b[:, 2]
+            cov = np.array([[v[4, 4], v[4, 5]], [v[4, 5], var_u]])
+            for (f, g), value in zip(pairs, gaussian_brackets(state, pairs)):
+                target = gaussian_average(classical_poisson(f, g),
+                                          m[4:6], cov)
+                assert value == pytest.approx(target, rel=1e-11,
+                                              abs=1e-12), (f, g)
+
+    def test_quantum_sector_is_commutator(self, random_gaussians):
+        # the family is at most quadratic, so <[A, B]>/(i hbar) is the
+        # Wigner average of the Poisson bracket of the Weyl symbols
+        family = TestSectorIsomorphism.QUANTUM_FAMILY
+        names = [(a, b) for a in family for b in family]
+        pairs = [(quantum(a), quantum(b)) for a, b in names]
+        for state in random_gaussians:
+            values = gaussian_brackets(state, pairs)
+            for (a, b), value in zip(names, values):
+                bracket = classical_poisson(classical(AS_CLASSICAL[a]),
+                                            classical(AS_CLASSICAL[b]))
+                target = gaussian_average(bracket, state.means[0:2],
+                                          state.covariance[0:2, 0:2])
+                assert value == pytest.approx(target, rel=1e-11,
+                                              abs=1e-12), (a, b)
+
+    def test_grid_agreement_on_resolved_states(self, bench_spec,
+                                               evolved_grid_state):
+        # 64^3 resolves these states up to t = 1: the grid brackets agree
+        # with the closed form to its band-limit floor
+        pairs = parse_pairs(BENCH_BRACKET_PAIRS + HIGH_DEGREE_PAIRS)
+        rng = np.random.default_rng(5)
+        cases = [((BENCH_MEANS, BENCH_WIDTHS, BENCH_TILTS, BENCH_CHIRPS),
+                  *BENCH_COUPLINGS, BENCH_TIME, evolved_grid_state)]
+        for t in (0.5, 1.0):
+            params = random_product(rng)
+            g1, g2 = rng.uniform(-1.0, 1.0, 2)
+            means, widths, tilts, chirps = params
+            grid = init_product_gaussian(bench_spec, means=means,
+                                         widths=widths, tilts=tilts,
+                                         chirps=chirps)
+            grid = split_step_evolve(grid, g1, g2, t / 8, 8)
+            cases.append((params, g1, g2, t, grid))
+        for params, g1, g2, t, grid in cases:
+            exact = gaussian_brackets(evolved_gaussian(params, g1, g2, t),
+                                      pairs)
+            on_grid = hybrid_brackets(to_ensemble(grid), pairs)
+            assert on_grid == pytest.approx(exact, rel=1e-5, abs=1e-5)
+
+    def test_mixed_covariance_refused(self):
+        state = evolved_gaussian(random_product(np.random.default_rng(3)),
+                                 1.0, 1.0, 1.0)
+        cov = state.covariance.copy()
+        cov[4:6, 4:6] *= 1.01          # a slightly thermal mediator
+        mixed = PhaseSpaceState(state.means, cov, state.hbar)
+        mixed.require_physical()
+        with pytest.raises(ValueError, match="mixed"):
+            gaussian_brackets(mixed, parse_pairs(("C[ x ]|C[ u ]",)))
+
+    def test_ill_conditioned_covariance_refused(self):
+        # at g1 = 1e8 the position covariance is singular to double
+        # precision: the brackets would lose every digit
+        state = evolved_gaussian(random_product(np.random.default_rng(3)),
+                                 1e8, 1.0, 0.5)
+        with pytest.raises(GaussianBracketError, match="ill-conditioned"):
+            gaussian_brackets(state, parse_pairs(("Q[ q*q ]|Q[ sym(q*p) ]",)))
+
+    def test_no_pairs_no_checks(self):
+        assert gaussian_brackets(vacuum_state(), []) == []
+
+    def test_heff_brackets_run_exits_0(self, tmp_path):
+        # the grid supports only EQ1, but exact brackets need no grid
+        cfg = tmp_path / "heff.cfg"
+        cfg.write_text("variant = PAPER_HEFF\ntotal_time = 1\ndt = 0.25\n"
+                       "sample_every = 1\nq_mean = 0.3\nc_xk = 0.2\n"
+                       "diagnostics = \n"
+                       "bracket_pairs = Q[ q*q ]|Q[ sym(q*p) ]\n")
+        out = tmp_path / "heff.csv"
+        assert cli_main(["brackets", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == "t,bracket_0"
+        config = parse_config(cfg.read_text())
+        for line in lines[1:]:
+            t, value = map(float, line.split(","))
+            state = evolve_gaussian(config.initial_gaussian(),
+                                    config.hamiltonian(), t)
+            q2 = state.covariance[0, 0] + state.means[0] ** 2
+            assert value == pytest.approx(2.0 * q2, rel=1e-12)

@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridlab import brackets as br
 from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
@@ -192,46 +195,28 @@ class TestRunScenario:
         for row in report.rows:
             assert row[1] == pytest.approx(1.0, abs=1e-3)
 
-    def test_one_ensemble_per_state(self, monkeypatch):
-        config = fast_config("diagnostics = validate\n"
-                             "bracket_pairs = C[ x ]|C[ u ]; "
-                             "Q[ q*q ]|Q[ sym(q*p) ]; "
-                             "Q[ sym(p'*p') ]|C[ u*u ]\n")
-        # the header's mask fraction is that of each state's default
-        # ensemble, as if built on its own
-        expected = max(gr.to_ensemble(state).mask_fraction
-                       for _, _, state in _trajectory(config, True))
-        built = []
-        to_ensemble = gr.to_ensemble
+    @pytest.mark.parametrize("diagnostics", ["", "negativity,brackets"],
+                             ids=["no_diagnostics", "with_brackets"])
+    def test_bracket_only_run_builds_no_grid(self, monkeypatch, fft_calls,
+                                             diagnostics):
+        # every bracket column comes from the Gaussian closed form: only
+        # validate builds, propagates or samples a grid
+        def fail(*args, **kwargs):
+            pytest.fail("a bracket-only run must build no grid")
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return to_ensemble(*args, **kwargs)
-
-        monkeypatch.setattr(gr, "to_ensemble", counted)
-        report = run_scenario(config)
-        assert len(built) == len(report.rows) == 5
-        assert f"max_mask_fraction = {expected:.17g}" in report.header_lines
-
-    def test_gradients_once_per_observable_per_state(self, monkeypatch):
-        # the four benchmark pairs name 7 distinct observables: C[ u*u ]
-        # serves two pairs of each state
-        config = fast_config("diagnostics = \nbracket_pairs = "
+        for name in ("init_product_gaussian", "split_step_evolve",
+                     "to_ensemble"):
+            monkeypatch.setattr(gr, name, fail)
+        config = fast_config(f"diagnostics = {diagnostics}\nbracket_pairs = "
                              + ";".join(BENCH_BRACKET_PAIRS) + "\n")
-        built = []
-        functional_gradients = br.functional_gradients
-
-        def counted(ens, obs):
-            built.append(obs)
-            return functional_gradients(ens, obs)
-
-        monkeypatch.setattr(br, "functional_gradients", counted)
         report = run_scenario(config)
-        assert len(report.rows) == 5
-        assert len(built) == 7 * 5 and len(set(built)) == 7
+        assert len(report.rows) == 5 and fft_calls == []
+        assert not any(l.startswith("max_mask_fraction")
+                       for l in report.header_lines)
 
     def test_grid_diagnostics_reject_heff_variant(self):
         config = fast_config("variant = PAPER_HEFF\n"
+                             "diagnostics = validate\n"
                              "bracket_pairs = C[ x ]|C[ u ]\n")
         with pytest.raises(ConfigError):
             run_scenario(config)
@@ -523,12 +508,78 @@ class TestCli:
         assert err[-1] == f"numerical guard violation: {cell}"
         assert not out.exists()
 
+    # the overflows that make the cell non-finite warn on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_row_stops_before_propagating(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # each row is checked as it is built: a non-finite bracket at t = 0
+        # ends a validate run before its first grid propagation
+        steps = []
+        split_step_evolve = gr.split_step_evolve
+
+        def counted(*args, **kwargs):
+            steps.append(args)
+            return split_step_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gr, "split_step_evolve", counted)
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(config_text(dict(
+            README_CONFIG, grid_points="32,32,32",
+            bracket_pairs="Q[ 1e308*q*q ]|Q[ 1e308*p ]")))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("numerical guard violation: bracket_0 is nan "
+                           "at t = 0")
+        assert steps == [] and not out.exists()
+
+    @pytest.mark.parametrize("command,cause", [
+        ("tomography", "design matrix is rank deficient"),
+        ("simulate", "uncertainty relation")])
+    @pytest.mark.parametrize("g1", ["1e8", "1e20"])
+    def test_huge_coupling_exits_3(self, tmp_path, capsys, command, cause,
+                                   g1):
+        # the rounding of S V S^T once broke PhaseSpaceState's symmetry
+        # guard, and tomography ended in a ValueError traceback
+        cfg = self.write_config(tmp_path, f"g1 = {g1}\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical guard violation" in err and cause in err
+
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # mediator spread far too wide for the configured box
         cfg = self.write_config(tmp_path, "c_width = 4.0\n"
+                                "diagnostics = validate\n"
                                 "bracket_pairs = C[ x ]|C[ u ]\n")
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert "guard" in capsys.readouterr().err
+
+
+def test_brackets_csv_independent_of_hash_seed(tmp_path):
+    # observables key dicts and the Weyl orders are enumerated from
+    # tuples of strings: the CSV must not depend on the string-hash seed
+    cfg = tmp_path / "brackets.cfg"
+    # products with many distinct factor orders, whose sum rounds
+    # differently when the orders are summed in another order
+    pairs = BENCH_BRACKET_PAIRS + ("Q[ sym(q*q*q*p*p*p) ]|Q[ sym(q*p*p) ]",
+                                   "Q[ sym(q*p*q*p'*p'*q'*x*k*k) ]|C[ u*u*x ]")
+    cfg.write_text(config_text(dict(
+        README_CONFIG, diagnostics="negativity", total_time="1",
+        q_mean="0.3", q_tilt="0.2", bracket_pairs=";".join(pairs))))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "out.csv"      # the header echoes the output path
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "hybridlab.cli", "brackets",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_report_rejects_nonmonotonic_times():
