@@ -22,6 +22,7 @@ from .gaussian import (
     logarithmic_negativity,
     mediator_moment_inversion,
     optimize_chsh,
+    optimize_chsh_many,
     symplectic_form,
     symplectic_propagator,
     witness_expectation,

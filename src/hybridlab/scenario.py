@@ -87,6 +87,8 @@ class ScenarioConfig:
         for d in self.diagnostics:
             if d not in KNOWN_DIAGNOSTICS:
                 raise ConfigError(f"unknown diagnostic {d!r}")
+        if "brackets" in self.diagnostics and not self.bracket_pairs:
+            raise ConfigError("the brackets diagnostic needs bracket_pairs")
         for pair in self.bracket_pairs:
             a, b = _split_pair(pair)
             parse_observable(a), parse_observable(b)
@@ -317,7 +319,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     from `gaussian_brackets` in closed form, exact at any grid size.  The
     grid is built and propagated only for the `validate` diagnostic.
     Each row is checked as it is built: a non-finite cell stops the run
-    with NonFiniteResultError before the next state is propagated.
+    with NonFiniteResultError before the next state is propagated.  The
+    `chsh_opt` cells come from one `optimize_chsh_many` descent per chunk
+    of sampled states and are checked when their chunk is filled in.
     """
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
@@ -334,6 +338,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         columns.append("backend_residual")
 
     rows = []
+    # (row, state) pairs whose chsh_opt cell awaits their chunk's descent
+    pending = []
+
+    def fill_chsh():
+        col = columns.index("chsh_opt")
+        values = ga.optimize_chsh_many([gauss for _, gauss in pending])
+        for (row, _), (value, _) in zip(pending, values):
+            row[col] = value
+            _require_finite(columns, row)
+        pending.clear()
+
     for t, gauss, grid_state in _trajectory(
             config, "validate" in config.diagnostics):
         row = [t]
@@ -342,12 +357,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         if "witness" in config.diagnostics:
             row.append(ga.witness_expectation(gauss))
         if "chsh" in config.diagnostics:
-            row.append(ga.optimize_chsh(gauss)[0])
+            row.append(0.0)  # filled in by fill_chsh
+            pending.append((row, gauss))
         row += br.gaussian_brackets(gauss, pair_specs)
         if grid_state is not None:
             row.append(_moment_residual(grid_state, gauss))
         _require_finite(columns, row)
         rows.append(row)
+        if len(pending) == ga._CHSH_CHUNK:
+            fill_chsh()
+    if pending:
+        fill_chsh()
 
     report = ScenarioReport(_report_header(config), columns, rows)
     if config.output_path:

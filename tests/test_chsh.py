@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hybridlab import gaussian
 from hybridlab.gaussian import (
+    _CHSH_CHUNK,
     _ParityCorrelator,
     build_hamiltonian,
     chsh_displaced_parity,
     evolve_gaussian,
     optimize_chsh,
+    optimize_chsh_many,
     product_state,
     two_mode_squeezed_state,
     vacuum_state,
@@ -112,6 +115,17 @@ def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
                              complex(best_x[6], best_x[7]))
 
 
+_REFERENCES = {}
+
+
+def cached_reference(state, modes=("Q", "Qprime")):
+    """scalar_optimize_chsh, computed once per state and modes."""
+    key = (state.means.tobytes(), state.covariance.tobytes(), state.hbar, modes)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = scalar_optimize_chsh(state, modes)
+    return _REFERENCES[key]
+
+
 def exactness_cases():
     """(state, modes) on which optimize_chsh must equal the reference."""
     probes = ("Q", "Qprime")
@@ -194,15 +208,33 @@ class TestOptimizer:
 @pytest.mark.parametrize("state,modes", exactness_cases())
 def test_lockstep_descent_equals_scalar_reference(state, modes):
     val, settings = optimize_chsh(state, modes)
-    ref_val, ref_settings = scalar_optimize_chsh(state, modes)
+    ref_val, ref_settings = cached_reference(state, modes)
     assert type(val) is float
     assert all(type(s) is complex for s in settings)
     assert val == ref_val
     assert settings == ref_settings
 
 
-@pytest.mark.parametrize("modes", [("Q",), ("Q", "Qprime", "C"), ("Q", "Q"),
-                                   ("Q", "Z"), ()])
+def test_batched_descent_equals_scalar_reference():
+    # the probe-pair cases as one batch, then repeated past the chunk size
+    # so that a chunk boundary falls inside the list
+    states = [case.values[0] for case in exactness_cases()
+              if case.values[1] == ("Q", "Qprime")]
+    refs = [cached_reference(st) for st in states]
+    assert optimize_chsh_many(states) == refs
+    reps = _CHSH_CHUNK // len(states) + 1
+    assert len(states) * reps > _CHSH_CHUNK
+    assert optimize_chsh_many(states * reps) == refs * reps
+
+
+def test_empty_batch():
+    assert optimize_chsh_many([]) == []
+
+
+BAD_MODES = [("Q",), ("Q", "Qprime", "C"), ("Q", "Q"), ("Q", "Z"), ()]
+
+
+@pytest.mark.parametrize("modes", BAD_MODES)
 @pytest.mark.parametrize("call", [
     lambda st, modes: optimize_chsh(st, modes),
     lambda st, modes: chsh_displaced_parity(st, (0j, 0j, 0j, 0j), modes),
@@ -210,3 +242,14 @@ def test_lockstep_descent_equals_scalar_reference(state, modes):
 def test_modes_must_be_two_distinct_names(call, modes):
     with pytest.raises(ValueError, match="two distinct modes"):
         call(vacuum_state(), modes)
+
+
+@pytest.mark.parametrize("states", [[], [vacuum_state()] * 3], ids=["empty", "three"])
+@pytest.mark.parametrize("modes", BAD_MODES)
+def test_batch_checks_modes_before_any_descent(monkeypatch, states, modes):
+    def fail(*args):
+        pytest.fail("bad modes must be refused before any descent")
+
+    monkeypatch.setattr(gaussian, "_chsh_descent", fail)
+    with pytest.raises(ValueError, match="two distinct modes"):
+        optimize_chsh_many(states, modes)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlab import gaussian as ga
 from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
@@ -36,6 +37,11 @@ README_CONFIG = {
     "diagnostics": "negativity,witness,validate",
     "bracket_pairs": "Q[ sym(p'*p') ]|C[ u*u ]",
 }
+
+
+# 9 samples, no grid
+CHSH_CONFIG = ("total_time = 1\ndt = 0.125\nsample_every = 1\n"
+               "diagnostics = negativity,witness,chsh\n")
 
 
 def config_text(values) -> str:
@@ -214,6 +220,37 @@ class TestRunScenario:
         assert not any(l.startswith("max_mask_fraction")
                        for l in report.header_lines)
 
+    def test_chsh_column_is_each_states_optimum(self):
+        config = parse_config(CHSH_CONFIG)
+        report = run_scenario(config)
+        col = report.columns.index("chsh_opt")
+        states = [gauss for _, gauss, _ in _trajectory(config, False)]
+        assert len(report.rows) == len(states) >= 9
+        for row, gauss in zip(report.rows, states):
+            assert row[col] == ga.optimize_chsh(gauss)[0]
+
+    def test_chsh_column_from_one_descent_per_chunk(self, monkeypatch):
+        # the batched descent runs once per chunk of sampled states, and
+        # the one-state optimize_chsh never: no per-row loop comes back
+        sizes = []
+        optimize_chsh_many = ga.optimize_chsh_many
+
+        def counted(states, *args, **kwargs):
+            sizes.append(len(states))
+            return optimize_chsh_many(states, *args, **kwargs)
+
+        def fail(*args, **kwargs):
+            pytest.fail("run_scenario must not call the one-state optimize_chsh")
+
+        monkeypatch.setattr(ga, "optimize_chsh_many", counted)
+        monkeypatch.setattr(ga, "optimize_chsh", fail)
+        config = parse_config(CHSH_CONFIG)
+        rows = run_scenario(config).rows
+        assert sizes == [9]
+        monkeypatch.setattr(ga, "_CHSH_CHUNK", 4)
+        assert run_scenario(config).rows == rows
+        assert sizes == [9, 4, 4, 1]
+
     def test_grid_diagnostics_reject_heff_variant(self):
         config = fast_config("variant = PAPER_HEFF\n"
                              "diagnostics = validate\n"
@@ -356,6 +393,17 @@ class TestCli:
         header = [l for l in out.read_text().splitlines()
                   if not l.startswith("#")][0]
         assert "bracket_0" in header
+
+    @pytest.mark.parametrize("command", ["simulate", "brackets"])
+    def test_brackets_diagnostic_without_pairs_exits_2(self, tmp_path, capsys,
+                                                       command):
+        # simulate used to write only the t column and exit 0
+        cfg = self.write_config(tmp_path, "diagnostics = brackets\n")
+        out = tmp_path / "br.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("the brackets diagnostic needs bracket_pairs"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_tomography_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "tomo.cfg"
