@@ -61,11 +61,17 @@ class FunctionalGradient:
 def classical_functional(ens: EnsembleRepresentation, f: ObservableSpec) -> float:
     """C_f = integral of P f(x, dS/dx) over the support mask."""
     _require_kind(f, ObservableKind.CLASSICAL)
-    x = ens.spec.coordinate_field(2)
-    u = ens.phase_gradient(2)
-    vals = classical_value(f, np.broadcast_to(x, ens.density.shape), u)
+    vals = classical_value(f, *_classical_fields(ens, f))
     return float(np.sum(ens.density[ens.support_mask] * vals[ens.support_mask])
                  * ens.spec.cell_volume)
+
+
+def _classical_fields(ens: EnsembleRepresentation, f: ObservableSpec):
+    """The x field over the grid, and the phase gradient u = dS/dx if f
+    reads u, else 0: building u costs a transform."""
+    x = np.broadcast_to(ens.spec.coordinate_field(2), ens.density.shape)
+    reads_u = any("u" in factors for _, factors in f.terms)
+    return x, ens.phase_gradient(2) if reads_u else 0.0
 
 
 def quantum_functional(state: GridState, m: ObservableSpec,
@@ -88,13 +94,13 @@ def functional_gradients(ens: EnsembleRepresentation,
     Classical: dA/dP = f(x, u), dA/dS = -d/dx (P df/du).
     Quantum:   dA/dP = Re[(M psi)* psi]/P, dA/dS = -(2/hbar) Im[(M psi)* psi].
     Both vanish off the ensemble's support mask.  A classical f without
-    u has df/du = 0, so its dA/dS is zero and costs no transform.
+    u reads no u and has df/du = 0, so its dA/dS is zero and it costs no
+    transform.
     `hybrid_brackets` calls this once per distinct observable of a state.
     """
     state, spec, mask = ens.state, ens.spec, ens.support_mask
     if obs.kind is ObservableKind.CLASSICAL:
-        x = np.broadcast_to(spec.coordinate_field(2), ens.density.shape)
-        u = ens.phase_gradient(2)
+        x, u = _classical_fields(ens, obs)
         d_dp = classical_value(obs, x, u)
         d_dp[~mask] = 0.0
         df_du = classical_partial(obs, "u")

@@ -112,10 +112,6 @@ class EnsembleRepresentation:
     def total_probability(self) -> float:
         return float(np.sum(self.density) * self.spec.cell_volume)
 
-    @property
-    def mask_fraction(self) -> float:
-        return float(1.0 - self.support_mask.mean())
-
     def phase_gradient(self, axis: int) -> np.ndarray:
         """Gauge-safe hbar*Im(psi* dpsi/daxis)/P, set to 0 off the mask.
 

@@ -18,7 +18,7 @@ from . import gaussian as ga
 from . import grid as gr
 from .observables import ParseError, parse_observable
 
-KNOWN_DIAGNOSTICS = ("negativity", "witness", "chsh", "brackets", "validate")
+KNOWN_DIAGNOSTICS = ("negativity", "witness", "chsh", "validate")
 # a run keeps one Gaussian state and one CSV row per sample
 MAX_SAMPLES = 10 ** 6
 
@@ -87,8 +87,6 @@ class ScenarioConfig:
         for d in self.diagnostics:
             if d not in KNOWN_DIAGNOSTICS:
                 raise ConfigError(f"unknown diagnostic {d!r}")
-        if "brackets" in self.diagnostics and not self.bracket_pairs:
-            raise ConfigError("the brackets diagnostic needs bracket_pairs")
         for pair in self.bracket_pairs:
             a, b = _split_pair(pair)
             parse_observable(a), parse_observable(b)
@@ -294,80 +292,72 @@ def _moment_residual(grid_state: gr.GridState, gauss: ga.PhaseSpaceState) -> flo
                      np.abs(v - gauss.covariance).max()))
 
 
-def _trajectory(config: ScenarioConfig, with_grid: bool):
-    """Yield (t, Gaussian state, grid state or None) at each sample time."""
-    if with_grid and config.variant != "EQ1":
+def _grid_states(config: ScenarioConfig):
+    """An iterator over the grid states at the sample times.  The variant
+    is checked on the call; each state is built or propagated only when
+    the iterator reaches it."""
+    if config.variant != "EQ1":
         raise ConfigError("grid diagnostics support only the EQ1 variant")
+    _, samples = config.sample_steps()
+
+    def states():
+        grid_state, prev = config.initial_grid(), 0
+        for step in samples:
+            if step > prev:
+                grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
+                                                  config.dt, step - prev)
+                prev = step
+            yield grid_state
+    return states()
+
+
+def _trajectory(config: ScenarioConfig):
+    """Yield (t, Gaussian state) at each sample time."""
     _, samples = config.sample_steps()
     h = config.hamiltonian()
     gauss0 = config.initial_gaussian()
-    grid_state = config.initial_grid() if with_grid else None
-    prev = 0
     for step in samples:
-        if grid_state is not None and step > prev:
-            grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
-                                              config.dt, step - prev)
-            prev = step
         t = step * config.dt
-        yield t, ga.evolve_gaussian(gauss0, h, t), grid_state
+        yield t, ga.evolve_gaussian(gauss0, h, t)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Evolve the Gaussian state over the time grid and tabulate diagnostics.
 
-    Every sampled state is a pure Gaussian, so the bracket columns come
-    from `gaussian_brackets` in closed form, exact at any grid size.  The
-    grid is built and propagated only for the `validate` diagnostic.
-    Each row is checked as it is built: a non-finite cell stops the run
-    with NonFiniteResultError before the next state is propagated.  The
-    `chsh_opt` cells come from one `optimize_chsh_many` descent per chunk
-    of sampled states and are checked when their chunk is filled in.
+    The table is built column by column over the sampled Gaussian states:
+    `chsh_opt` from one `optimize_chsh_many` call, and the bracket columns
+    from `gaussian_brackets` in closed form, exact at any grid size, since
+    every sampled state is a pure Gaussian.  Every Gaussian cell is
+    checked, in row order, before any grid is built: a non-finite cell
+    stops the run with NonFiniteResultError.  The grid is built and
+    propagated only for the `validate` diagnostic, whose residual column
+    is filled row by row, each row checked before the next propagation.
     """
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
-    columns = ["t"]
+    # a variant the grid cannot run is a config error, found before any work
+    grids = _grid_states(config) if "validate" in config.diagnostics else None
+    samples = list(_trajectory(config))
+    states = [gauss for _, gauss in samples]
+    table = {"t": [t for t, _ in samples]}
     if "negativity" in config.diagnostics:
-        columns.append("logneg_q_qprime")
+        table["logneg_q_qprime"] = [ga.logarithmic_negativity(g) for g in states]
     if "witness" in config.diagnostics:
-        columns.append("witness")
+        table["witness"] = [ga.witness_expectation(g) for g in states]
     if "chsh" in config.diagnostics:
-        columns.append("chsh_opt")
-    for i, p in enumerate(config.bracket_pairs):
-        columns.append(f"bracket_{i}")
-    if "validate" in config.diagnostics:
-        columns.append("backend_residual")
-
-    rows = []
-    # (row, state) pairs whose chsh_opt cell awaits their chunk's descent
-    pending = []
-
-    def fill_chsh():
-        col = columns.index("chsh_opt")
-        values = ga.optimize_chsh_many([gauss for _, gauss in pending])
-        for (row, _), (value, _) in zip(pending, values):
-            row[col] = value
-            _require_finite(columns, row)
-        pending.clear()
-
-    for t, gauss, grid_state in _trajectory(
-            config, "validate" in config.diagnostics):
-        row = [t]
-        if "negativity" in config.diagnostics:
-            row.append(ga.logarithmic_negativity(gauss))
-        if "witness" in config.diagnostics:
-            row.append(ga.witness_expectation(gauss))
-        if "chsh" in config.diagnostics:
-            row.append(0.0)  # filled in by fill_chsh
-            pending.append((row, gauss))
-        row += br.gaussian_brackets(gauss, pair_specs)
-        if grid_state is not None:
-            row.append(_moment_residual(grid_state, gauss))
+        table["chsh_opt"] = [v for v, _ in ga.optimize_chsh_many(states)]
+    brackets = [br.gaussian_brackets(g, pair_specs) for g in states]
+    for i, column in enumerate(zip(*brackets)):
+        table[f"bracket_{i}"] = column
+    columns = list(table)
+    rows = [list(row) for row in zip(*table.values())]
+    for row in rows:
         _require_finite(columns, row)
-        rows.append(row)
-        if len(pending) == ga._CHSH_CHUNK:
-            fill_chsh()
-    if pending:
-        fill_chsh()
+    if grids is not None:
+        columns.append("backend_residual")
+        for row, gauss, grid_state in zip(rows, states, grids):
+            row.append(_moment_residual(grid_state, gauss))
+            _require_finite(columns, row)
 
     report = ScenarioReport(_report_header(config), columns, rows)
     if config.output_path:
@@ -384,11 +374,11 @@ def validate_backends(config: ScenarioConfig) -> float:
     checking makes total_time a whole number n of dt steps, so that pass
     samples steps 2s for each step s of this one, (dt/2) * 2s is dt * s
     bit for bit, and its per-step shear guard is weaker.  It replays this
-    trajectory exactly; the CLI still prints its residual and the
-    dt-halving ratio, which the benchmark's output check parses.
+    trajectory exactly; the CLI still prints its residual, which the
+    benchmark's output check parses.
     """
-    return max(_moment_residual(grid_state, gauss)
-               for _, gauss, grid_state in _trajectory(config, True))
+    return max(_moment_residual(grid_state, gauss) for (_, gauss), grid_state
+               in zip(_trajectory(config), _grid_states(config)))
 
 
 @dataclass(frozen=True)
@@ -405,8 +395,7 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
     """
     if config.g1 == 0.0 or config.g2 == 0.0:
         raise ConfigError("tomography needs nonzero couplings")
-    samples = [(t, gauss) for t, gauss, _ in _trajectory(config, False)
-               if t > 0]
+    samples = [(t, gauss) for t, gauss in _trajectory(config) if t > 0]
     times = np.array([t for t, _ in samples])
     if np.unique(times).size < 3:
         raise ConfigError("tomography needs at least 3 distinct sample times")

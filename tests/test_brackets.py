@@ -358,6 +358,25 @@ def test_u_free_classical_gradient_skips_transform(smooth_state, fft_calls,
     assert grad.d_dS.shape == ens.density.shape and not grad.d_dS.any()
 
 
+@pytest.mark.parametrize("expr", ["x*x", "2"])
+def test_u_free_classical_observable_reads_no_u(smooth_state, fft_calls, expr):
+    # f without u never reads u = dS/dx, so a fresh ensemble builds none
+    obs = classical(expr)
+    ens = to_ensemble(smooth_state)
+    fft_calls.clear()
+    grad = functional_gradients(ens, obs)
+    value = classical_functional(ens, obs)
+    assert fft_calls == []
+    # the values are those computed with the u field at hand
+    x = np.broadcast_to(ens.spec.coordinate_field(2), ens.density.shape)
+    want = classical_value(obs, x, ens.phase_gradient(2))
+    mask = ens.support_mask
+    assert value == float(np.sum(ens.density[mask] * want[mask])
+                          * ens.spec.cell_volume)
+    want[~mask] = 0.0
+    assert np.array_equal(grad.d_dP, want)
+
+
 def test_benchmark_pairs_memory_peak(product_grid_state):
     # traced allocations of one ensemble and the benchmark's four pairs at
     # 64^3.  One pair at a time, as run_scenario called them before the

@@ -299,7 +299,7 @@ class TestEnsembleRepresentation:
 
     def test_mask_suppresses_low_density_cells(self, evolved_grid_state):
         ens = to_ensemble(evolved_grid_state, epsilon=1e-6)
-        assert 0.0 < ens.mask_fraction < 1.0
+        assert 0.0 < ens.support_mask.mean() < 1.0
         assert np.all(ens.phase_gradient(0)[~ens.support_mask] == 0.0)
 
     def test_rejects_nonpositive_epsilon(self, product_grid_state):

@@ -13,6 +13,7 @@ from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
+    _grid_states,
     _moment_residual,
     _trajectory,
     ConfigError,
@@ -201,8 +202,8 @@ class TestRunScenario:
         for row in report.rows:
             assert row[1] == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("diagnostics", ["", "negativity,brackets"],
-                             ids=["no_diagnostics", "with_brackets"])
+    @pytest.mark.parametrize("diagnostics", ["", "negativity"],
+                             ids=["no_diagnostics", "with_negativity"])
     def test_bracket_only_run_builds_no_grid(self, monkeypatch, fft_calls,
                                              diagnostics):
         # every bracket column comes from the Gaussian closed form: only
@@ -224,19 +225,23 @@ class TestRunScenario:
         config = parse_config(CHSH_CONFIG)
         report = run_scenario(config)
         col = report.columns.index("chsh_opt")
-        states = [gauss for _, gauss, _ in _trajectory(config, False)]
+        states = [gauss for _, gauss in _trajectory(config)]
         assert len(report.rows) == len(states) >= 9
         for row, gauss in zip(report.rows, states):
             assert row[col] == ga.optimize_chsh(gauss)[0]
 
     def test_chsh_column_from_one_descent_per_chunk(self, monkeypatch):
-        # the batched descent runs once per chunk of sampled states, and
-        # the one-state optimize_chsh never: no per-row loop comes back
-        sizes = []
+        # run_scenario hands every sampled state to one optimize_chsh_many
+        # call, which alone splits them into chunks, and calls the
+        # one-state optimize_chsh never: no per-row loop comes back
+        calls = []
         optimize_chsh_many = ga.optimize_chsh_many
 
+        def moments(states):
+            return [(s.means.tolist(), s.covariance.tolist()) for s in states]
+
         def counted(states, *args, **kwargs):
-            sizes.append(len(states))
+            calls.append(moments(states))
             return optimize_chsh_many(states, *args, **kwargs)
 
         def fail(*args, **kwargs):
@@ -246,23 +251,30 @@ class TestRunScenario:
         monkeypatch.setattr(ga, "optimize_chsh", fail)
         config = parse_config(CHSH_CONFIG)
         rows = run_scenario(config).rows
-        assert sizes == [9]
+        states = moments(gauss for _, gauss in _trajectory(config))
+        assert len(states) == 9 and calls == [states]
         monkeypatch.setattr(ga, "_CHSH_CHUNK", 4)
         assert run_scenario(config).rows == rows
-        assert sizes == [9, 4, 4, 1]
+        assert calls == [states, states]
 
-    def test_grid_diagnostics_reject_heff_variant(self):
+    def test_grid_diagnostics_reject_heff_variant(self, monkeypatch):
+        # a config error, found before any Gaussian cell is computed
+        def fail(*args, **kwargs):
+            pytest.fail("the variant must stop the run before any cell")
+
         config = fast_config("variant = PAPER_HEFF\n"
                              "diagnostics = validate\n"
                              "bracket_pairs = C[ x ]|C[ u ]\n")
-        with pytest.raises(ConfigError):
+        monkeypatch.setattr(ga, "evolve_gaussian", fail)
+        with pytest.raises(ConfigError, match="EQ1 variant"):
             run_scenario(config)
 
 
 def residuals(config):
     """Sample times and per-sample cross-backend residuals of one pass."""
     samples = [(t, _moment_residual(grid_state, gauss))
-               for t, gauss, grid_state in _trajectory(config, True)]
+               for (t, gauss), grid_state in zip(_trajectory(config),
+                                                 _grid_states(config))]
     return [t for t, _ in samples], [r for _, r in samples]
 
 
@@ -323,8 +335,7 @@ class TestValidateBackends:
         residual = validate_backends(parse_config(config_text(values)))
         first = f"{residual:.6e}"
         assert lines == [f"max cross-backend moment residual: {first}",
-                         f"residual at dt/2:                  {first}",
-                         "dt-halving error ratio:            1.000"]
+                         f"residual at dt/2:                  {first}"]
 
 
 class TestTomographyDemo:
@@ -398,10 +409,12 @@ class TestCli:
     def test_brackets_diagnostic_without_pairs_exits_2(self, tmp_path, capsys,
                                                        command):
         # simulate used to write only the t column and exit 0
+        # bracket columns follow bracket_pairs alone, so brackets is not a
+        # diagnostic
         cfg = self.write_config(tmp_path, "diagnostics = brackets\n")
         out = tmp_path / "br.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert ("the brackets diagnostic needs bracket_pairs"
+        assert ("unknown diagnostic 'brackets'"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -580,6 +593,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == ("numerical guard violation: bracket_0 is nan "
                            "at t = 0")
+        assert steps == [] and not out.exists()
+
+    # the overflows that make the cell non-finite warn on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_late_nonfinite_cell_stops_before_any_grid(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # every Gaussian cell is checked before the grid is built: a
+        # bracket that overflows only at t = 0.5 ends a validate run
+        # before its first propagation, where row by row it took two
+        steps = []
+        split_step_evolve = gr.split_step_evolve
+
+        def counted(*args, **kwargs):
+            steps.append(args)
+            return split_step_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gr, "split_step_evolve", counted)
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(config_text(dict(
+            README_CONFIG, grid_points="32,32,32",
+            bracket_pairs="Q[ 1e308*q*q ]|Q[ sym(q*p) ]")))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("numerical guard violation: bracket_0 is inf "
+                           "at t = 0.5")
         assert steps == [] and not out.exists()
 
     @pytest.mark.parametrize("command,cause", [
