@@ -205,13 +205,14 @@ def split_step_evolve(state: GridState, g1: float, g2: float,
     return GridState(spec, np.fft.ifft(psi, axis=0, out=psi))
 
 
-def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int) -> np.ndarray:
+def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
     k = spec.wavenumbers(axis)
     shape = [1, 1, 1]
     shape[axis] = k.size
     # transforming back in place saves allocating, and faulting in, a
     # second full-size array
-    psi_k = np.fft.fft(psi, axis=axis)
+    psi_k = np.fft.fft(psi, axis=axis, out=out)
     psi_k *= 1j * k.reshape(shape)
     return np.fft.ifft(psi_k, axis=axis, out=psi_k)
 
@@ -244,7 +245,8 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
     return EnsembleRepresentation(state, density, density > epsilon)
 
 
-def grid_moments(state: GridState) -> tuple[np.ndarray, np.ndarray]:
+def grid_moments(state: GridState, work: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and symmetrized 6x6 covariance in the canonical ordering.
 
     The symmetrized second moment of Hermitian A, B is Re<A psi|B psi>.
@@ -257,20 +259,29 @@ def grid_moments(state: GridState) -> tuple[np.ndarray, np.ndarray]:
       J_j = hbar Im(psi* d_j psi), since Re<x_i psi|p_j psi> is the
       integral of x_i J_j;
     - momentum-momentum moments: hbar^2 Re<d_i psi|d_j psi>.
+
+    The fields are built in `work`, a C-contiguous complex array of shape
+    (3,) + points_per_axis, allocated here if not given.  A caller that
+    takes the moments of many states can pass one buffer for all of
+    them: no full-size array is then allocated per call.
     """
     spec = state.spec
     psi = state.amplitudes
+    if work is None:
+        work = np.empty((3,) + psi.shape, dtype=complex)
     dv, hbar = spec.cell_volume, spec.hbar
     axes = [spec.axis(a) for a in range(3)]
-    derivs = [_spectral_derivative(psi, spec, a) for a in range(3)]
     means = np.empty(6)
     second = np.empty((6, 6))
 
     def put(i, j, value):
         second[i, j] = second[j, i] = value * dv
 
-    # axis a's position has canonical index 2a, its momentum 2a + 1
-    density = np.abs(psi)
+    # axis a's position has canonical index 2a, its momentum 2a + 1.  The
+    # density takes the first half of d_0 psi's place, and is not needed
+    # once its planes are summed
+    density = work[0].view(np.float64).reshape(-1)[:psi.size].reshape(psi.shape)
+    np.abs(psi, out=density)
     density *= density
     planes = {(0, 1): density.sum(axis=2), (0, 2): density.sum(axis=1),
               (1, 2): density.sum(axis=0)}
@@ -281,6 +292,7 @@ def grid_moments(state: GridState) -> tuple[np.ndarray, np.ndarray]:
         put(2 * a, 2 * a, (axes[a] * axes[a]) @ lines[a])
     for (a, b), plane in planes.items():
         put(2 * a, 2 * b, axes[a] @ plane @ axes[b])
+    derivs = [_spectral_derivative(psi, spec, a, out=work[a]) for a in range(3)]
     # Re<d_i psi|d_j psi> is the dot product of the (re, im) float views,
     # taken row by row with einsum and the rows summed pairwise.  BLAS
     # is avoided: its threaded zdotc (np.vdot) rounds differently with
@@ -291,10 +303,13 @@ def grid_moments(state: GridState) -> tuple[np.ndarray, np.ndarray]:
         for i in range(j + 1):
             put(2 * i + 1, 2 * j + 1,
                 hbar * hbar * np.einsum("ij,ij->i", rows[i], rows[j]).sum())
-    psi_conj = np.conj(psi)
     for j, d in enumerate(derivs):
-        # d_j psi is not needed again, so psi* d_j psi takes its place
-        current = np.multiply(psi_conj, d, out=d).imag
+        # d_j psi is not needed again, so psi* d_j psi takes its place, one
+        # q slab at a time: no full-size conj(psi) is built.  Keep this
+        # operand order: the equal -Im(conj(d_j psi) psi) rounds differently
+        for s in range(psi.shape[0]):
+            np.multiply(np.conj(psi[s]), d[s], out=d[s])
+        current = d.imag
         plane = current.sum(axis=2)
         current_lines = [hbar * line for line in (
             plane.sum(axis=1), plane.sum(axis=0), current.sum(axis=(0, 1)))]

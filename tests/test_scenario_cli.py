@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,15 @@ from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
-    _grid_states,
+    _grid_moments,
     _moment_residual,
+    _num,
+    _require_finite,
     _trajectory,
     ConfigError,
+    NonFiniteResultError,
     ScenarioConfig,
+    ScenarioReport,
     format_config,
     parse_config,
     run_scenario,
@@ -272,9 +278,9 @@ class TestRunScenario:
 
 def residuals(config):
     """Sample times and per-sample cross-backend residuals of one pass."""
-    samples = [(t, _moment_residual(grid_state, gauss))
-               for (t, gauss), grid_state in zip(_trajectory(config),
-                                                 _grid_states(config))]
+    samples = [(t, _moment_residual(moments, gauss))
+               for (t, gauss), moments in zip(_trajectory(config),
+                                              _grid_moments(config))]
     return [t for t, _ in samples], [r for _, r in samples]
 
 
@@ -286,6 +292,193 @@ REPLAY_CONFIGS = {
     "appended_sample": dict(README_CONFIG, grid_points="32,32,32",
                             total_time="0.5", dt="0.0625", sample_every="3"),
 }
+
+
+def serial_moments(config):
+    """The grid moments at the sample times from a serial propagate-then-
+    measure loop: the oracle for `_grid_moments`, which takes each
+    sample's moments on a worker thread during the next propagation."""
+    _, samples = config.sample_steps()
+    grid_state, prev, out = config.initial_grid(), 0, []
+    for step in samples:
+        if step > prev:
+            grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
+                                              config.dt, step - prev)
+            prev = step
+        out.append(gr.grid_moments(grid_state))
+    return out
+
+
+ORACLE_CONFIGS = dict(REPLAY_CONFIGS, every_step=dict(
+    README_CONFIG, grid_points="32,32,32", total_time="0.25",
+    sample_every="1"))
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so that an unsafe overlap of the
+    two threads would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestGridMoments:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_equal_to_serial_loop(self, name, short_switch_interval):
+        config = parse_config(config_text(ORACLE_CONFIGS[name]))
+        got, want = list(_grid_moments(config)), serial_moments(config)
+        assert len(got) == len(want) == len(config.sample_steps()[1])
+        for (means, cov), (ref_means, ref_cov) in zip(got, want):
+            assert np.array_equal(means, ref_means)
+            assert np.array_equal(cov, ref_cov)
+
+    def test_one_buffer_for_the_trajectory(self, monkeypatch):
+        # the worker allocates no full-size field: every call builds its
+        # fields in the one buffer the calling thread allocated
+        buffers = []
+        grid_moments = gr.grid_moments
+
+        def recorded(state, work):
+            buffers.append((work, threading.current_thread()))
+            return grid_moments(state, work)
+
+        monkeypatch.setattr(gr, "grid_moments", recorded)
+        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
+        assert len(list(_grid_moments(config))) == len(buffers) == 9
+        work = buffers[0][0]
+        assert work.shape == (3, 32, 32, 32) and work.dtype == complex
+        assert all(w is work for w, _ in buffers)
+        caller = threading.current_thread()
+        assert [t is caller for _, t in buffers] == [False] * 8 + [True]
+
+    def test_one_worker_joined_before_last_moments(self):
+        # the worker starts on the first step and is joined before the
+        # last moments come out, so an iterator that is never run to its
+        # end leaves no thread behind
+        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
+        n = len(config.sample_steps()[1])
+        start = threading.active_count()
+        moments = _grid_moments(config)
+        extra = [threading.active_count() - start]
+        for _ in range(n):
+            next(moments)
+            extra.append(threading.active_count() - start)
+        assert extra == [0] + [1] * (n - 1) + [0]
+
+    def test_close_joins_worker(self):
+        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
+        start = threading.active_count()
+        moments = _grid_moments(config)
+        next(moments)
+        assert threading.active_count() == start + 1
+        moments.close()
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_run_leaves_no_thread(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
+        start = threading.active_count()
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_worker_error_reaches_cli(self, tmp_path, capsys, monkeypatch,
+                                      command):
+        # a guard raised while the worker takes the second sample's moments
+        # reaches cli.main as itself: exit 3, as on the calling thread
+        threads = []
+        grid_moments = gr.grid_moments
+
+        def failing(state, *args):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise gr.ConfigurationError("second sample")
+            return grid_moments(state, *args)
+
+        monkeypatch.setattr(gr, "grid_moments", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
+        start = threading.active_count()
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "numerical guard violation: second sample"
+        assert len(threads) == 2
+        assert threads[1] is not threading.current_thread()
+        assert threading.active_count() == start
+
+    def test_unexpected_worker_error_propagates(self, tmp_path, monkeypatch):
+        calls = []
+        grid_moments = gr.grid_moments
+
+        def failing(state, *args):
+            calls.append(state)
+            if len(calls) == 2:
+                raise RuntimeError("second sample")
+            return grid_moments(state, *args)
+
+        monkeypatch.setattr(gr, "grid_moments", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
+        start = threading.active_count()
+        with pytest.raises(RuntimeError, match="second sample"):
+            main(["validate", "--config", str(cfg)])
+        assert threading.active_count() == start
+
+
+def first_nonfinite(columns, rows):
+    """The message for the first non-finite cell, in row order, then
+    column order, found cell by cell; None for a finite table."""
+    for row in rows:
+        for column, v in zip(columns, row):
+            if not np.isfinite(v):
+                return f"{column} is {v} at t = {_num(row[0])}"
+    return None
+
+
+class TestRequireFinite:
+    COLUMNS = ["t", "logneg_q_qprime", "witness", "backend_residual"]
+
+    def table(self, cells):
+        rows = [[0.25 * i, 0.1 * i, -0.5, 1e-7] for i in range(8)]
+        for i, j, v in cells:
+            rows[i][j] = v
+        return rows
+
+    def assert_matches_reference(self, rows):
+        expected = first_nonfinite(self.COLUMNS, rows)
+        for check in (lambda: _require_finite(self.COLUMNS, rows),
+                      lambda: ScenarioReport([], self.COLUMNS, rows)):
+            if expected is None:
+                check()
+                continue
+            with pytest.raises(NonFiniteResultError) as info:
+                check()
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize("cells", [
+        [],
+        [(3, 2, np.nan), (1, 3, np.inf), (5, 1, -np.inf)],
+        [(2, 3, np.nan), (2, 1, np.inf), (2, 2, np.nan)],
+        [(7, 0, np.inf), (7, 3, np.nan)],
+        [(0, 2, np.float64(np.nan)), (0, 1, np.float64(-np.inf))],
+    ], ids=["finite", "rows", "one_row", "last_t", "numpy_cells"])
+    def test_message_matches_cell_by_cell(self, cells):
+        self.assert_matches_reference(self.table(cells))
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = rng.integers(1, 5)
+            cells = zip(rng.integers(0, 8, n), rng.integers(1, 4, n),
+                        rng.choice([np.nan, np.inf, -np.inf], n))
+            self.assert_matches_reference(self.table(cells))
 
 
 class TestValidateBackends:
