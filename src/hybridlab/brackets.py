@@ -31,9 +31,9 @@ from .gaussian import PhaseSpaceState, _symplectic_eigenvalues
 # unused, but benchmarks/tracing.py patches to_ensemble under this name too
 from .grid import (EnsembleRepresentation, GridState, _spectral_derivative,
                    to_ensemble)  # noqa: F401
-from .observables import (ObservableKind, ObservableSpec, apply_quantum,
-                          classical_partial, classical_value, mode_orders,
-                          quantum_product, _require_kind)
+from .observables import (MAX_FACTORS_PER_MODE, ObservableKind, ObservableSpec,
+                          apply_quantum, classical_partial, classical_value,
+                          mode_orders, quantum_product, _require_kind)
 
 
 class SupportOverlapError(ValueError):
@@ -216,9 +216,12 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _normal_moment(n: int) -> int:
-    """E[z^n] of a standard normal z: (n - 1)!! for even n, else 0."""
-    return 0 if n % 2 else math.prod(range(n - 1, 0, -2))
+# E[z^n] of a standard normal z: (n - 1)!! for even n, else 0.  A capped
+# monomial has at most MAX_FACTORS_PER_MODE factors on each of the three
+# modes, so each field has degree at most 3 MAX_FACTORS_PER_MODE in z,
+# and a product of two fields twice that
+_NORMAL_MOMENTS = tuple(0 if n % 2 else math.prod(range(n - 1, 0, -2))
+                        for n in range(2 * 3 * MAX_FACTORS_PER_MODE + 1))
 
 
 class _PureGaussian:
@@ -290,13 +293,26 @@ class _PureGaussian:
         return out
 
     def expect_product(self, a: dict, b: dict) -> float:
-        """E_P[a b]."""
+        """E_P[a b].
+
+        A pair of monomials has a nonzero moment only if each of its
+        three exponent sums is even, that is, if both have the same
+        exponent parities: odd moments of a standard normal vanish.  Only
+        those pairs are summed, in the order of the full double loop.  A
+        skipped term is a finite coefficient times 0, a signed zero, and
+        adding it to the sum, which starts at +0.0 and so never becomes
+        -0.0, changes nothing: where the full sum is finite, this one is
+        the same double.
+        """
+        by_parity = {}
+        for (b0, b1, b2), cb in b.items():
+            by_parity.setdefault((b0 & 1, b1 & 1, b2 & 1), []).append(
+                (b0, b1, b2, cb))
+        m = _NORMAL_MOMENTS
         total = 0.0
         for (a0, a1, a2), ca in a.items():
-            for (b0, b1, b2), cb in b.items():
-                total += ca * cb * (_normal_moment(a0 + b0)
-                                    * _normal_moment(a1 + b1)
-                                    * _normal_moment(a2 + b2))
+            for b0, b1, b2, cb in by_parity.get((a0 & 1, a1 & 1, a2 & 1), ()):
+                total += ca * cb * (m[a0 + b0] * m[a1 + b1] * m[a2 + b2])
         return total
 
     def apply_factor(self, m: dict, symbol: str) -> dict:
@@ -361,7 +377,10 @@ def gaussian_brackets(state: PhaseSpaceState,
     For psi = sqrt(P) exp(iS/hbar) Gaussian, dA/dP and (dA/dS)/P are
     polynomials in the configuration r = (q, q', x) (see `_PureGaussian`),
     so {A, B} = E_P[dA/dP (dB/dS)/P - (dA/dS)/P dB/dP] is a sum of
-    Gaussian moments of P.  Quantum products are ordered as
+    Gaussian moments of P.  In the whitened coordinates z of
+    `_PureGaussian` a moment of two monomials vanishes unless they have
+    the same exponent parities, and only those pairs are summed.
+    Quantum products are ordered as
     `apply_quantum` orders them.  Each distinct observable's derivatives
     are built once.  A bracket keeps a relative accuracy of about
     eps cond(R), R the correlation matrix of the position covariance;

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .brackets import GaussianBracketError
@@ -23,14 +22,15 @@ EXIT_NUMERICAL = 3
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The config file's scenario, writing to --out, else to the file's
+    output_path, else to the config name with .csv."""
     path = Path(args.config)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    config = parse_config(text)
-    out = args.out or config.output_path or str(path.with_suffix(".csv"))
-    return replace(config, output_path=out)
+    return parse_config(text, output_path=args.out,
+                        default_output_path=str(path.with_suffix(".csv")))
 
 
 def _cmd_simulate(args) -> int:

@@ -35,7 +35,9 @@ QUANTUM_PRIMITIVES = ("q", "p", "q'", "p'", "x", "k")
 _MODE_OF = {"q": "Q", "p": "Q", "q'": "Qprime", "p'": "Qprime", "x": "C", "k": "C"}
 # apply_quantum sums a mode's factors over their distinct orders, found
 # among all n! permutations: 8! = 40320 enumerate in milliseconds, and
-# each further factor multiplies the time and memory
+# each further factor multiplies the time and memory.  Classical monomials
+# take the same cap, which bounds the degree of the polynomials
+# `gaussian_brackets` multiplies
 MAX_FACTORS_PER_MODE = 8
 
 
@@ -71,13 +73,16 @@ class ObservableSpec:
                 if f not in allowed:
                     raise ValueError(f"primitive {f!r} not allowed in "
                                      f"{self.kind.name} observables")
-            if self.kind is ObservableKind.QUANTUM:
-                for mode, n in Counter(_MODE_OF[f] for f in factors).items():
-                    if n > MAX_FACTORS_PER_MODE:
-                        raise ValueError(
-                            f"a quantum monomial has {n} factors on mode "
-                            f"{mode}; at most {MAX_FACTORS_PER_MODE} are "
-                            "allowed")
+            # classical primitives all live on mode C
+            modes = (Counter(_MODE_OF[f] for f in factors)
+                     if self.kind is ObservableKind.QUANTUM
+                     else {"C": len(factors)})
+            for mode, n in modes.items():
+                if n > MAX_FACTORS_PER_MODE:
+                    raise ValueError(
+                        f"a {self.kind.name.lower()} monomial has {n} "
+                        f"factors on mode {mode}; at most "
+                        f"{MAX_FACTORS_PER_MODE} are allowed")
             norm.append((coeff, tuple(factors)))
         object.__setattr__(self, "terms", tuple(norm))
 

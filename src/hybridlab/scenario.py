@@ -187,8 +187,13 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse flat key = value lines; unknown keys are rejected."""
+def parse_config(text: str, *, output_path: str | None = None,
+                 default_output_path: str | None = None) -> ScenarioConfig:
+    """Parse flat key = value lines; unknown keys are rejected.
+
+    output_path, if given, replaces the text's output_path, and
+    default_output_path is taken where neither gives one, so that the
+    config is built and checked once."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -207,6 +212,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
+    output_path = output_path or values.get("output_path") or default_output_path
+    if output_path is not None:
+        values["output_path"] = output_path
     try:
         return ScenarioConfig(**values)
     except ConfigError:
@@ -266,8 +274,17 @@ class ScenarioReport:
         return buf.getvalue()
 
     def write(self, path) -> None:
+        _write_output(path, self.to_csv())
+
+
+def _write_output(path, text: str) -> None:
+    """Write text to path; a path that cannot be written is a
+    ConfigError."""
+    try:
         with open(path, "w") as fh:
-            fh.write(self.to_csv())
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
 
 
 def _require_finite(columns: list[str], rows: list[list[float]]) -> None:
@@ -442,11 +459,10 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
 
 def _write_tomography_csv(config: ScenarioConfig, result: TomographyResult) -> None:
     names = ("mean_x", "mean_k", "var_x", "var_k", "cov_xk")
-    with open(config.output_path, "w") as fh:
-        for line in _report_header(config):
-            fh.write(f"# {line}\n")
-        fh.write("moment,planted,recovered\n")
-        for n in names:
-            fh.write("%s,%s,%s\n" % (n, _num(getattr(result.planted, n)),
-                                     _num(getattr(result.recovered, n))))
-        fh.write("residual,0,%s\n" % _num(result.recovered.residual))
+    lines = [f"# {line}" for line in _report_header(config)]
+    lines.append("moment,planted,recovered")
+    for n in names:
+        lines.append("%s,%s,%s" % (n, _num(getattr(result.planted, n)),
+                                   _num(getattr(result.recovered, n))))
+    lines.append("residual,0,%s" % _num(result.recovered.residual))
+    _write_output(config.output_path, "\n".join(lines) + "\n")

@@ -1,9 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hybridlab.brackets import (
+    _NORMAL_MOMENTS,
+    _PureGaussian,
     GaussianBracketError,
     HermiticityError,
     SupportOverlapError,
@@ -36,6 +39,7 @@ from hybridlab.grid import (
     to_ensemble,
 )
 from hybridlab.observables import (
+    MAX_FACTORS_PER_MODE,
     classical,
     classical_poisson,
     classical_value,
@@ -553,6 +557,22 @@ class TestGaussianBrackets:
     def test_no_pairs_no_checks(self):
         assert gaussian_brackets(vacuum_state(), []) == []
 
+    def test_zero_mean_overflowing_pair_gives_zero(self, tmp_path):
+        # {q^2, p} = 2 q: each term is 1e400 <q> = 0 while q has zero
+        # mean.  The full sum over monomial pairs also added 1e400 times
+        # odd moments 0, which is nan, and the run exited 3
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("total_time = 1\ndt = 0.25\nsample_every = 1\n"
+                       "c_xk = 0.2\ndiagnostics = \n"
+                       "bracket_pairs = Q[ 1e200*q*q ]|Q[ 1e200*p ]\n")
+        out = tmp_path / "zero.csv"
+        assert cli_main(["brackets", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 5
+        assert all(value == "0" for _, value in rows)
+
     def test_heff_brackets_run_exits_0(self, tmp_path):
         # the grid supports only EQ1, but exact brackets need no grid
         cfg = tmp_path / "heff.cfg"
@@ -573,3 +593,83 @@ class TestGaussianBrackets:
                                     config.hamiltonian(), t)
             q2 = state.covariance[0, 0] + state.means[0] ** 2
             assert value == pytest.approx(2.0 * q2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Pruned moment sums against the full double loop
+# ---------------------------------------------------------------------------
+
+def normal_moment(n):
+    """E[z^n] of a standard normal z: (n - 1)!! for even n, else 0."""
+    return 0 if n % 2 else math.prod(range(n - 1, 0, -2))
+
+
+def full_expect_product(self, a, b):
+    """E_P[a b] summed over every pair of monomials, odd moments
+    included: the oracle for `_PureGaussian.expect_product`, which skips
+    the pairs whose moment is zero."""
+    total = 0.0
+    for (a0, a1, a2), ca in a.items():
+        for (b0, b1, b2), cb in b.items():
+            total += ca * cb * (normal_moment(a0 + b0)
+                                * normal_moment(a1 + b1)
+                                * normal_moment(a2 + b2))
+    return total
+
+
+def full_brackets(state, pairs):
+    """gaussian_brackets with every monomial pair summed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PureGaussian, "expect_product", full_expect_product)
+        return gaussian_brackets(state, pairs)
+
+
+README_PAIR = "Q[ sym(p'*p') ]|C[ u*u ]"
+# at most MAX_FACTORS_PER_MODE factors on each mode
+CAP_PAIRS = ("C[ x*x*x*x*u*u*u*u ]|C[ u*u*u*u*u*u*u*u ]",
+             "Q[ sym(q*q*q*q*p*p*p*p) ]|C[ x*x*x*x*x*x*x*x ]",
+             "Q[ sym(q*p*q*q'*p'*q'*x*k*x) ]|Q[ sym(p*p*p'*k) ]")
+
+
+def oracle_states():
+    """Displaced, tilted and chirped states, evolved under both
+    variants and at three values of hbar."""
+    rng = np.random.default_rng(21)
+    states = [product_state(widths=(0.8, 0.7, 0.9), means=(0.3, -0.2, 0.1),
+                            tilts=(0.1, 0.2, -0.3), chirps=(0.0, 0.1, 0.2))]
+    for hbar, variant in ((1.0, HamiltonianVariant.EQ1),
+                          (2.0, HamiltonianVariant.EQ1),
+                          (0.7, HamiltonianVariant.PAPER_HEFF),
+                          (2.0, HamiltonianVariant.PAPER_HEFF)):
+        g1, g2 = rng.uniform(-1.5, 1.5, 2)
+        states.append(evolved_gaussian(random_product(rng), g1, g2,
+                                       rng.uniform(0.5, 2.0), hbar, variant))
+    return states
+
+
+@pytest.mark.parametrize("pairs", [
+    BENCH_BRACKET_PAIRS + (README_PAIR,) + HIGH_DEGREE_PAIRS, CAP_PAIRS],
+    ids=["benchmark_readme_high_degree", "factor_caps"])
+def test_pruned_brackets_equal_full_sum(pairs):
+    # skipped terms are finite times 0, and the kept ones are added in
+    # the full loop's order: every bracket is the same double
+    pairs = parse_pairs(pairs)
+    for state in oracle_states():
+        pruned = gaussian_brackets(state, pairs)
+        assert pruned == full_brackets(state, pairs)
+        assert all(math.isfinite(v) for v in pruned)
+
+
+def test_moment_table_covers_the_factor_caps():
+    # a capped quantum monomial has degree at most 3 MAX_FACTORS_PER_MODE
+    # in z, and a bracket multiplies two of them
+    assert len(_NORMAL_MOMENTS) == 2 * 3 * MAX_FACTORS_PER_MODE + 1
+    assert list(_NORMAL_MOMENTS) == [normal_moment(n)
+                                     for n in range(len(_NORMAL_MOMENTS))]
+    n = MAX_FACTORS_PER_MODE
+    spec = quantum("*".join(["q"] * n + ["q'"] * n + ["x"] * n))
+    state = oracle_states()[1]
+    d_dp, _ = _PureGaussian(state).gradients(spec)
+    assert max(max(e) for e in d_dp) == 3 * n
+    # the bracket of two functions of position vanishes
+    assert gaussian_brackets(state, [(spec, spec)]) == [0.0]

@@ -183,6 +183,23 @@ def test_spec_rejects_more_than_eight_factors_on_one_mode(factors):
         ObservableSpec(ObservableKind.QUANTUM, ((1.0, factors),))
 
 
+def test_classical_spec_accepts_eight_factors():
+    assert len(classical("x*x*x*x*u*u*u*u").terms[0][1]) == 8
+
+
+@pytest.mark.parametrize("factors", [
+    ("u",) * 9,
+    ("u",) * 30,
+    ("x", "u") * 5,
+])
+def test_classical_spec_rejects_more_than_eight_factors(factors):
+    # every classical primitive lives on the mediator mode C, and the
+    # exact brackets' polynomials grow with the degree
+    with pytest.raises(ValueError,
+                       match=f"has {len(factors)} factors on mode C"):
+        ObservableSpec(ObservableKind.CLASSICAL, ((1.0, factors),))
+
+
 def test_apply_quantum_is_independent_of_hash_seed():
     # the six orders of a cubic monomial must be summed in the same order
     # whatever the string-hash seed of the process

@@ -630,6 +630,55 @@ class TestCli:
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.cfg")]) == 2
 
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        # a file that is not UTF-8 used to end in a UnicodeDecodeError
+        # traceback
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\ntotal_time = 1\n".encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "tomography"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command,
+                                       target):
+        # a missing directory ended in a FileNotFoundError traceback, a
+        # directory in an IsADirectoryError one
+        cfg = tmp_path / "tomo.cfg"
+        cfg.write_text("total_time = 2\ndt = 0.25\nsample_every = 1\n"
+                       "c_xk = 0.2\ndiagnostics = witness\n")
+        out = (tmp_path / "nope" / "out.csv" if target == "missing_dir"
+               else tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output {out}" in err
+
+    @pytest.mark.parametrize("argv_out,written", [
+        ("run.csv", "run.csv"), (None, "elsewhere.csv")])
+    def test_config_is_built_once(self, tmp_path, monkeypatch, argv_out,
+                                  written):
+        # the output path is set while the config is built: a second
+        # construction would check the config and build S again.  --out
+        # takes precedence over the file's output_path
+        built = []
+        post_init = ScenarioConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        out = tmp_path / written
+        cfg = self.write_config(tmp_path, "diagnostics = witness\n"
+                                f"output_path = {tmp_path / 'elsewhere.csv'}\n")
+        argv = ["simulate", "--config", str(cfg)]
+        if argv_out:
+            argv += ["--out", str(tmp_path / argv_out)]
+        assert main(argv) == 0
+        assert [c.output_path for c in built] == [str(out)]
+        assert out.exists()
+
     @pytest.mark.parametrize("command,overrides", [
         ("simulate", {"grid_points": "64,64", "grid_half_widths": "14,6"}),
         ("simulate", {"g1": "nan"}),
@@ -715,6 +764,22 @@ class TestCli:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert "factors on mode Q" in capsys.readouterr().err
 
+    def test_too_many_classical_factors_exits_2(self, tmp_path, capsys,
+                                                no_grid):
+        # the exact brackets of 30-factor classical monomials ran for
+        # minutes before the cap
+        cfg = tmp_path / "factors.cfg"
+        cfg.write_text(config_text(dict(
+            README_CONFIG, grid_points="32,32,32",
+            bracket_pairs="C[ %s ]|C[ %s ]" % ("*".join("u" * 30),
+                                               "*".join("x" * 30)))))
+        out = tmp_path / "out.csv"
+        assert main(["brackets", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert ("a classical monomial has 30 factors on mode C"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "validate",
                                          "tomography"])
     def test_more_than_a_million_samples_exits_2(self, tmp_path, capsys,
@@ -744,9 +809,10 @@ class TestCli:
     @pytest.mark.parametrize("overrides,cell", [
         ({"hbar": "1e-300", "c_xk": "0", "diagnostics": "negativity",
           "bracket_pairs": ""}, "logneg_q_qprime is inf at t = 0"),
-        ({"diagnostics": "", "grid_points": "32,32,32",
+        # {q^2, p} = 2 q: 1e616 q overflows at the nonzero mean of q
+        ({"diagnostics": "", "grid_points": "32,32,32", "q_mean": "0.5",
           "bracket_pairs": "Q[ 1e308*q*q ]|Q[ 1e308*p ]"},
-         "bracket_0 is nan at t = 0"),
+         "bracket_0 is inf at t = 0"),
     ], ids=["negativity", "bracket"])
     # the overflows that make the cells non-finite warn on the way
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -778,13 +844,13 @@ class TestCli:
         monkeypatch.setattr(gr, "split_step_evolve", counted)
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(config_text(dict(
-            README_CONFIG, grid_points="32,32,32",
+            README_CONFIG, grid_points="32,32,32", q_mean="0.5",
             bracket_pairs="Q[ 1e308*q*q ]|Q[ 1e308*p ]")))
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == ("numerical guard violation: bracket_0 is nan "
+        assert err[-1] == ("numerical guard violation: bracket_0 is inf "
                            "at t = 0")
         assert steps == [] and not out.exists()
 
