@@ -15,9 +15,7 @@ from .gaussian import (
     PhaseSpaceState,
     ProbeMomentSeries,
     QuadraticHamiltonian,
-    build_hamiltonian,
     chsh_displaced_parity,
-    entangling_time_scan,
     evolve_gaussian,
     logarithmic_negativity,
     mediator_moment_inversion,
@@ -33,9 +31,6 @@ from .grid import (
     GridState,
     grid_moments,
     init_product_gaussian,
-    load_grid_state,
-    momentum_marginal,
-    save_grid_state,
     split_step_evolve,
     to_ensemble,
 )

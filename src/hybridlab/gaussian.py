@@ -41,6 +41,7 @@ def symplectic_form(n_modes: int = 3) -> np.ndarray:
 
 
 OMEGA = symplectic_form(3)
+PHYSICALITY_TOL = 1e-10
 
 
 class HamiltonianVariant(Enum):
@@ -69,11 +70,11 @@ class PhaseSpaceState:
         if np.abs(self.covariance - self.covariance.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric to 1e-12")
 
-    def require_physical(self, tol: float = 1e-10) -> None:
-        """Raise unless covariance + i(hbar/2)Omega is PSD (up to tol)."""
+    def require_physical(self) -> None:
+        """Raise unless covariance + i(hbar/2)Omega is PSD (to PHYSICALITY_TOL)."""
         m = self.covariance + 0.5j * self.hbar * OMEGA
         min_eig = np.linalg.eigvalsh(m).min()
-        if min_eig < -tol:
+        if min_eig < -PHYSICALITY_TOL:
             raise PhysicalityError(
                 f"covariance violates uncertainty relation (min eig {min_eig:.3e})"
             )
@@ -146,45 +147,29 @@ class QuadraticHamiltonian:
         return g
 
 
-def build_hamiltonian(g1: float, g2: float,
-                      variant: HamiltonianVariant = HamiltonianVariant.EQ1,
-                      ) -> QuadraticHamiltonian:
-    """Interaction g1*p*x plus g2*q'*k (EQ1) or g2*q*k (PAPER_HEFF)."""
-    return QuadraticHamiltonian(g1, g2, variant)
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """Linear phase-space propagator, S^T Omega S = Omega."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", s)
-        if np.abs(s.T @ OMEGA @ s - OMEGA).max() > 1e-10:
-            raise ValueError("matrix is not symplectic to 1e-10")
-
-
 def _sinhc(z: float) -> float:
     """sinh(sqrt z)/sqrt z, continued to sin(sqrt -z)/sqrt -z for z < 0."""
     y = sqrt(abs(z))
     return 1.0 if y == 0.0 else (sinh(y) if z > 0.0 else sin(y)) / y
 
 
-def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
+def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> np.ndarray:
     """exp(M t) = I + f M + g M^2 for M = Omega G, as M^3 = lam M.
 
     lam = 0 for EQ1 and g1*g2 for PAPER_HEFF.  f = sinh(sqrt(lam) t)/sqrt(lam)
     = t sinhc(lam t^2) and g = 2 sinh^2(sqrt(lam) t/2)/lam = (t^2/2)
-    sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.
+    sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.  A result S
+    with |S^T Omega S - Omega| above 1e-10 raises ValueError.
     """
     lam = h.g1 * h.g2 if h.variant is HamiltonianVariant.PAPER_HEFF else 0.0
     z = lam * t * t
     m = OMEGA @ h.gmatrix
     f = t * _sinhc(z)
     g = 0.5 * t * t * _sinhc(0.25 * z) ** 2
-    return SymplecticMatrix(np.eye(6) + f * m + g * (m @ m))
+    s = np.eye(6) + f * m + g * (m @ m)
+    if np.abs(s.T @ OMEGA @ s - OMEGA).max() > 1e-10:
+        raise ValueError("matrix is not symplectic to 1e-10")
+    return s
 
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
@@ -196,7 +181,7 @@ def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
     returned.
     """
     state.require_physical()
-    s = symplectic_propagator(h, t).entries
+    s = symplectic_propagator(h, t)
     v = s @ state.covariance @ s.T
     return PhaseSpaceState(s @ state.means, 0.5 * (v + v.T), state.hbar)
 
@@ -241,17 +226,6 @@ def logarithmic_negativity(state: PhaseSpaceState,
     return max(0.0, float(neg))
 
 
-def two_mode_squeezed_state(r: float, hbar: float = 1.0) -> PhaseSpaceState:
-    """Two-mode squeezed vacuum on (Q, Q'); mediator left in vacuum."""
-    c = 0.5 * hbar * np.cosh(2 * r)
-    s = 0.5 * hbar * np.sinh(2 * r)
-    cov = 0.5 * hbar * np.eye(6)
-    cov[0:2, 0:2] = c * np.eye(2)
-    cov[2:4, 2:4] = c * np.eye(2)
-    cov[0:2, 2:4] = cov[2:4, 0:2] = s * np.diag([1.0, -1.0])
-    return PhaseSpaceState(np.zeros(6), cov, hbar)
-
-
 def witness_expectation(state: PhaseSpaceState) -> float:
     """The symmetrized probe cross-correlation <q p' + q' p>: covariance
     entries plus mean products.
@@ -265,18 +239,6 @@ def witness_expectation(state: PhaseSpaceState) -> float:
     m, v = state.means, state.covariance
     return float(v[IDX_Q, IDX_PP] + m[IDX_Q] * m[IDX_PP]
                  + v[IDX_QP, IDX_P] + m[IDX_QP] * m[IDX_P])
-
-
-def entangling_time_scan(state: PhaseSpaceState, g1: float, g2: float,
-                         times: np.ndarray,
-                         variant: HamiltonianVariant = HamiltonianVariant.EQ1,
-                         threshold: float = 1e-9) -> float | None:
-    """Smallest scanned time with E_N(Q|Q') above threshold, else None."""
-    h = build_hamiltonian(g1, g2, variant)
-    for t in np.asarray(times, dtype=float):
-        if logarithmic_negativity(evolve_gaussian(state, h, t)) > threshold:
-            return float(t)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ any time.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +87,6 @@ class GridState:
     @property
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.cell_volume)
-
-    def require_normalized(self, tol: float = 1e-10) -> None:
-        if abs(self.norm - 1.0) > tol:
-            raise ValueError(f"state norm {self.norm} deviates from 1")
 
 
 @dataclass(frozen=True)
@@ -317,62 +312,3 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
         for a in range(3):
             put(2 * a, 2 * j + 1, axes[a] @ current_lines[a])
     return means, second - np.outer(means, means)
-
-
-def momentum_marginal(state: GridState, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of the conjugate momentum along one axis.
-
-    Returns (momentum values, density), sorted and normalized to unit
-    integral; momentum = hbar * wavenumber.
-    """
-    spec = state.spec
-    n = spec.points_per_axis[axis]
-    h = spec.steps()[axis]
-    psi_k = np.fft.fft(state.amplitudes, axis=axis)
-    other = tuple(a for a in range(3) if a != axis)
-    prob = np.sum(np.abs(psi_k) ** 2, axis=other)
-    k = spec.wavenumbers(axis)
-    order = np.argsort(k)
-    p = spec.hbar * k[order]
-    prob = prob[order]
-    dp = spec.hbar * 2.0 * np.pi / (n * h)
-    prob = prob / (np.sum(prob) * dp)
-    return p, prob
-
-
-# ---------------------------------------------------------------------------
-# Flat binary dump: 3 int64 sizes, 3 float64 half-widths, float64 hbar,
-# then interleaved re/im float64 in row-major order (all little-endian).
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<3q4d")
-
-
-def save_grid_state(state: GridState, path) -> None:
-    spec = state.spec
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(*spec.points_per_axis, *spec.half_widths, spec.hbar))
-        inter = np.empty(state.amplitudes.size * 2)
-        inter[0::2] = state.amplitudes.real.ravel()
-        inter[1::2] = state.amplitudes.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def load_grid_state(path) -> GridState:
-    """Read a state written by `save_grid_state`; ValueError if corrupt."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        payload = fh.read()
-    if len(header) != _HEADER.size:
-        raise ValueError(f"grid state file has a {len(header)}-byte header, "
-                         f"expected {_HEADER.size}")
-    *sizes, l0, l1, l2, hbar = _HEADER.unpack(header)
-    spec = GridSpec(tuple(sizes), (l0, l1, l2), hbar)
-    nq, nqp, nx = spec.points_per_axis
-    expected = 16 * nq * nqp * nx
-    if len(payload) != expected:
-        raise ValueError(f"grid state file has {len(payload)} payload bytes, "
-                         f"expected {expected}")
-    inter = np.frombuffer(payload, dtype="<f8")
-    psi = (inter[0::2] + 1j * inter[1::2]).reshape(spec.points_per_axis)
-    return GridState(spec, psi)

@@ -107,7 +107,7 @@ class ScenarioConfig:
             raise ConfigError("a width is too small: its square underflows")
         # a coupling or total_time whose evolved moments overflow would
         # stop the run at a later sample; reject it before any grid
-        s = ga.symplectic_propagator(self.hamiltonian(), self.total_time).entries
+        s = ga.symplectic_propagator(self.hamiltonian(), self.total_time)
         with np.errstate(over="ignore", invalid="ignore"):
             final = (s @ gauss0.means, s @ gauss0.covariance @ s.T)
         if not all(np.isfinite(m).all() for m in final):
@@ -117,8 +117,8 @@ class ScenarioConfig:
     # -- derived pieces ---------------------------------------------------
 
     def hamiltonian(self) -> ga.QuadraticHamiltonian:
-        return ga.build_hamiltonian(self.g1, self.g2,
-                                    ga.HamiltonianVariant[self.variant])
+        return ga.QuadraticHamiltonian(self.g1, self.g2,
+                                       ga.HamiltonianVariant[self.variant])
 
     def mode_params(self):
         widths = (self.q_width, self.qprime_width, self.c_width)
@@ -287,6 +287,20 @@ def _write_output(path, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from None
 
 
+def _check_output(path: str | None) -> None:
+    """ConfigError unless path is unset or can be written.  Run before any
+    work, and creating no file, so that a run which fails later leaves none."""
+    import os
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output {path}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write output {path}: {folder} is not a "
+                          "writable directory")
+
+
 def _require_finite(columns: list[str], rows: list[list[float]]) -> None:
     """Raise NonFiniteResultError naming the first non-finite cell, in row
     order, then column order.  One vectorised test passes a finite table;
@@ -376,6 +390,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     is filled row by row from `_grid_moments`: each row is checked after
     at most one more propagation, which overlaps that row's moments.
     """
+    _check_output(config.output_path)
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
     # a variant the grid cannot run is a config error, found before any work
@@ -435,6 +450,7 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
     The inversion sees only the probe series (plus the couplings); the
     planted mediator moments are used solely for the comparison table.
     """
+    _check_output(config.output_path)
     if config.g1 == 0.0 or config.g2 == 0.0:
         raise ConfigError("tomography needs nonzero couplings")
     samples = [(t, gauss) for t, gauss in _trajectory(config) if t > 0]

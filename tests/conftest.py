@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from hybridlab.brackets import functional_gradients
+from hybridlab.gaussian import (
+    HamiltonianVariant,
+    PhaseSpaceState,
+    QuadraticHamiltonian,
+    evolve_gaussian,
+    logarithmic_negativity,
+)
 from hybridlab.grid import GridSpec, init_product_gaussian, split_step_evolve
 
 # Committed benchmark inputs, shared by module and acceptance tests:
@@ -16,6 +23,29 @@ BENCH_TIME = 1.0
 BENCH_BRACKET_PAIRS = ("Q[ sym(p'*p') ]|C[ u*u ]", "C[ x*x ]|C[ u*u ]",
                        "Q[ q*q ]|Q[ sym(q*p) ]",
                        "Q[ sym(q*p'*x) ]|Q[ sym(p*k) ]")
+
+
+def two_mode_squeezed_state(r: float, hbar: float = 1.0) -> PhaseSpaceState:
+    """Two-mode squeezed vacuum on (Q, Q'); mediator left in vacuum."""
+    c = 0.5 * hbar * np.cosh(2 * r)
+    s = 0.5 * hbar * np.sinh(2 * r)
+    cov = 0.5 * hbar * np.eye(6)
+    cov[0:2, 0:2] = c * np.eye(2)
+    cov[2:4, 2:4] = c * np.eye(2)
+    cov[0:2, 2:4] = cov[2:4, 0:2] = s * np.diag([1.0, -1.0])
+    return PhaseSpaceState(np.zeros(6), cov, hbar)
+
+
+def entangling_time_scan(state: PhaseSpaceState, g1: float, g2: float,
+                         times: np.ndarray,
+                         variant: HamiltonianVariant = HamiltonianVariant.EQ1,
+                         threshold: float = 1e-9) -> float | None:
+    """Smallest scanned time with E_N(Q|Q') above threshold, else None."""
+    h = QuadraticHamiltonian(g1, g2, variant)
+    for t in np.asarray(times, dtype=float):
+        if logarithmic_negativity(evolve_gaussian(state, h, t)) > threshold:
+            return float(t)
+    return None
 
 
 @pytest.fixture(scope="session")

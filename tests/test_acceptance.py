@@ -31,8 +31,7 @@ from hybridlab.gaussian import (
     OMEGA,
     PhaseSpaceState,
     ProbeMomentSeries,
-    build_hamiltonian,
-    entangling_time_scan,
+    QuadraticHamiltonian,
     evolve_gaussian,
     logarithmic_negativity,
     mediator_moment_inversion,
@@ -40,7 +39,6 @@ from hybridlab.gaussian import (
     optimize_chsh_many,
     product_state,
     symplectic_propagator,
-    two_mode_squeezed_state,
     vacuum_state,
     witness_expectation,
 )
@@ -64,7 +62,9 @@ from conftest import (
     BENCH_MEANS,
     BENCH_TILTS,
     BENCH_WIDTHS,
+    entangling_time_scan,
     half_resolution_estimates,
+    two_mode_squeezed_state,
 )
 
 from scipy.linalg import expm
@@ -83,8 +83,8 @@ def test_1_symplectic_suite():
     worst_closed = 0.0
     for _ in range(100):
         g1, g2, t = rng.uniform(-2.0, 2.0, 3)
-        h = build_hamiltonian(g1, g2)
-        s = symplectic_propagator(h, t).entries
+        h = QuadraticHamiltonian(g1, g2)
+        s = symplectic_propagator(h, t)
         worst_symp = max(worst_symp,
                          float(np.abs(s.T @ OMEGA @ s - OMEGA).max()))
         oracle = expm(OMEGA @ h.gmatrix * t)
@@ -109,7 +109,7 @@ def test_2_probe_probe_entanglement():
     g1 = g2 = 1.0
     widths = (0.5, 1.0, 0.5)
     st = product_state(widths=widths)
-    h = build_hamiltonian(g1, g2)
+    h = QuadraticHamiltonian(g1, g2)
     times = np.linspace(0.05, 2.5, 50)
     t_entangle = entangling_time_scan(st, g1, g2, times)
     var_p = st.covariance[IDX_P, IDX_P]
@@ -146,7 +146,7 @@ def test_3_cross_backend_agreement():
     spec = GridSpec((64, 64, 64), (14.0, 6.0, 10.0))
     gauss0 = product_state(widths=BENCH_WIDTHS, means=BENCH_MEANS,
                            tilts=BENCH_TILTS, chirps=BENCH_CHIRPS)
-    h = build_hamiltonian(g1, g2)
+    h = QuadraticHamiltonian(g1, g2)
     refs = [evolve_gaussian(gauss0, h, 0.25 * (j + 1)) for j in range(8)]
 
     def grid_samples(dt):
@@ -247,7 +247,7 @@ def test_6_mediator_tomography():
     st = product_state(widths=(0.7, 1.1, w), means=(0.3, -0.2, 0.5),
                        tilts=(0.1, 0.0, -0.3), chirps=(0.0, 0.0, chirp))
     times = np.linspace(0.25, 2.0, 8)
-    h = build_hamiltonian(g1, g2)
+    h = QuadraticHamiltonian(g1, g2)
     states = [evolve_gaussian(st, h, t) for t in times]
     series = ProbeMomentSeries.from_states(times, states)
     clean = mediator_moment_inversion(series, g1, g2)
@@ -265,7 +265,7 @@ def test_6_mediator_tomography():
 
 
 def test_7_witness_behavior():
-    h = build_hamiltonian(1.0, 1.0)
+    h = QuadraticHamiltonian(1.0, 1.0)
     worst_vac = max(abs(witness_expectation(evolve_gaussian(
         vacuum_state(), h, t))) for t in np.linspace(0.0, 2.0, 41))
     c = 0.2

@@ -25,7 +25,7 @@ from hybridlab.cli import main as cli_main
 from hybridlab.gaussian import (
     HamiltonianVariant,
     PhaseSpaceState,
-    build_hamiltonian,
+    QuadraticHamiltonian,
     evolve_gaussian,
     product_state,
     vacuum_state,
@@ -418,7 +418,7 @@ def evolved_gaussian(params, g1, g2, t, hbar=1.0,
     means, widths, tilts, chirps = params
     state = product_state(widths=widths, means=means, tilts=tilts,
                           chirps=chirps, hbar=hbar)
-    return evolve_gaussian(state, build_hamiltonian(g1, g2, variant), t)
+    return evolve_gaussian(state, QuadraticHamiltonian(g1, g2, variant), t)
 
 
 def closed_forms(state):

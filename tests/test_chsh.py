@@ -7,16 +7,16 @@ from hybridlab import gaussian
 from hybridlab.gaussian import (
     _CHSH_CHUNK,
     _ParityCorrelator,
-    build_hamiltonian,
+    QuadraticHamiltonian,
     chsh_displaced_parity,
     evolve_gaussian,
     optimize_chsh,
     optimize_chsh_many,
     product_state,
-    two_mode_squeezed_state,
     vacuum_state,
 )
 
+from conftest import two_mode_squeezed_state
 from test_acceptance import random_separable_two_mode
 
 
@@ -133,7 +133,7 @@ def exactness_cases():
     # at r = 0.7 the optimum moves by one ulp if np.exp replaces math.exp
     cases += [pytest.param(two_mode_squeezed_state(r), probes, id=f"squeezed_r{r}")
               for r in (0.3, 0.7, 0.9)]
-    h = build_hamiltonian(1.0, 1.0)
+    h = QuadraticHamiltonian(1.0, 1.0)
     for widths in [(None, None, None), (0.5, 1.0, 0.5)]:
         for t in (0.5, 1.0, 2.0):
             st = evolve_gaussian(product_state(widths=widths), h, t)
@@ -183,7 +183,7 @@ class TestOptimizer:
         assert val == pytest.approx(oracle, abs=1e-3)
 
     def test_evolved_probe_pair_never_violates(self):
-        h = build_hamiltonian(1.0, 1.0)
+        h = QuadraticHamiltonian(1.0, 1.0)
         for widths in [(None, None, None), (0.5, 1.0, 0.5)]:
             st = product_state(widths=widths)
             for t in (0.5, 1.0, 2.0):
@@ -195,7 +195,7 @@ class TestOptimizer:
         # second probe leaves a mixed pair whose parity correlations are
         # too weak for a violation.
         from hybridlab.gaussian import logarithmic_negativity
-        ev = evolve_gaussian(vacuum_state(), build_hamiltonian(1.0, 1.0), 1.0)
+        ev = evolve_gaussian(vacuum_state(), QuadraticHamiltonian(1.0, 1.0), 1.0)
         assert logarithmic_negativity(ev, (["Q"], ["C"])) > 0.5
         val, _ = optimize_chsh(ev, modes=("Q", "C"))
         assert val < 2.0

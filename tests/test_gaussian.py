@@ -11,24 +11,23 @@ from hybridlab.gaussian import (
     PhaseSpaceState,
     PhysicalityError,
     ProbeMomentSeries,
-    build_hamiltonian,
-    entangling_time_scan,
+    QuadraticHamiltonian,
     evolve_gaussian,
     logarithmic_negativity,
     mediator_moment_inversion,
     mode_covariance,
     product_state,
     symplectic_propagator,
-    two_mode_squeezed_state,
     vacuum_state,
     witness_expectation,
 )
 
+from conftest import entangling_time_scan, two_mode_squeezed_state
 from fock_oracle import tmsv_log_negativity, evolved_probe_log_negativity
 
 
 def expm_oracle(g1, g2, t, variant=HamiltonianVariant.EQ1):
-    return expm(OMEGA @ build_hamiltonian(g1, g2, variant).gmatrix * t)
+    return expm(OMEGA @ QuadraticHamiltonian(g1, g2, variant).gmatrix * t)
 
 
 each_variant = pytest.mark.parametrize("variant", list(HamiltonianVariant),
@@ -37,26 +36,26 @@ each_variant = pytest.mark.parametrize("variant", list(HamiltonianVariant),
 
 class TestBuildHamiltonian:
     def test_zero_couplings(self):
-        assert np.all(build_hamiltonian(0.0, 0.0).gmatrix == 0.0)
+        assert np.all(QuadraticHamiltonian(0.0, 0.0).gmatrix == 0.0)
 
     def test_single_term(self):
-        g = build_hamiltonian(1.0, 0.0).gmatrix
+        g = QuadraticHamiltonian(1.0, 0.0).gmatrix
         expected = np.zeros((6, 6))
         expected[1, 4] = expected[4, 1] = 1.0
         np.testing.assert_array_equal(g, expected)
 
     def test_pairwise_coupling_entries(self):
-        g = build_hamiltonian(1.0, 1.0).gmatrix
+        g = QuadraticHamiltonian(1.0, 1.0).gmatrix
         nonzero = set(zip(*np.nonzero(g)))
         assert nonzero == {(1, 4), (4, 1), (2, 5), (5, 2)}
 
     def test_heff_variant_couples_q(self):
-        g = build_hamiltonian(1.0, 1.0, HamiltonianVariant.PAPER_HEFF).gmatrix
+        g = QuadraticHamiltonian(1.0, 1.0, HamiltonianVariant.PAPER_HEFF).gmatrix
         nonzero = set(zip(*np.nonzero(g)))
         assert nonzero == {(1, 4), (4, 1), (0, 5), (5, 0)}
 
     def test_gmatrix_is_derived_from_the_couplings(self):
-        h = replace(build_hamiltonian(1.0, 1.0), g2=-1.5,
+        h = replace(QuadraticHamiltonian(1.0, 1.0), g2=-1.5,
                     variant=HamiltonianVariant.PAPER_HEFF)
         assert h.gmatrix[0, 5] == h.gmatrix[5, 0] == -1.5
         assert h.gmatrix[2, 5] == 0.0
@@ -65,7 +64,7 @@ class TestBuildHamiltonian:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            build_hamiltonian(1.0, 1.0, "EQ1")
+            QuadraticHamiltonian(1.0, 1.0, "EQ1")
 
     @each_variant
     def test_generator_cube_identity(self, variant):
@@ -74,18 +73,18 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(11)
         for _ in range(20):
             g1, g2 = rng.uniform(-2.0, 2.0, 2)
-            m = OMEGA @ build_hamiltonian(g1, g2, variant).gmatrix
+            m = OMEGA @ QuadraticHamiltonian(g1, g2, variant).gmatrix
             lam = g1 * g2 if variant is HamiltonianVariant.PAPER_HEFF else 0.0
             np.testing.assert_allclose(m @ m @ m, lam * m, atol=1e-14)
 
 
 class TestSymplecticPropagator:
     def test_zero_time_is_identity(self):
-        s = symplectic_propagator(build_hamiltonian(1.0, 1.0), 0.0).entries
+        s = symplectic_propagator(QuadraticHamiltonian(1.0, 1.0), 0.0)
         np.testing.assert_allclose(s, np.eye(6), atol=1e-15)
 
     def test_single_coupling_shear(self):
-        s = symplectic_propagator(build_hamiltonian(1.0, 0.0), 2.0).entries
+        s = symplectic_propagator(QuadraticHamiltonian(1.0, 0.0), 2.0)
         np.testing.assert_allclose(s, expm_oracle(1.0, 0.0, 2.0), atol=1e-13)
         off = s - np.eye(6)
         nonzero = set(zip(*np.nonzero(np.abs(off) > 1e-14)))
@@ -94,7 +93,7 @@ class TestSymplecticPropagator:
         assert off[5, 1] == pytest.approx(-2.0)
 
     def test_closed_form_matches_expm(self):
-        s = symplectic_propagator(build_hamiltonian(1.0, 1.0), 1.0).entries
+        s = symplectic_propagator(QuadraticHamiltonian(1.0, 1.0), 1.0)
         np.testing.assert_allclose(s, expm_oracle(1.0, 1.0, 1.0), atol=1e-13)
         assert s[0, 2] == pytest.approx(0.5)
         assert s[3, 1] == pytest.approx(0.5)
@@ -104,7 +103,7 @@ class TestSymplecticPropagator:
         rng = np.random.default_rng(seed)
         for _ in range(20):
             g1, g2, t = rng.uniform(-2.0, 2.0, 3)
-            s = symplectic_propagator(build_hamiltonian(g1, g2), t).entries
+            s = symplectic_propagator(QuadraticHamiltonian(g1, g2), t)
             assert np.abs(s.T @ OMEGA @ s - OMEGA).max() < 1e-10
             assert abs(np.linalg.det(s) - 1.0) < 1e-10
 
@@ -113,7 +112,7 @@ class TestSymplecticPropagator:
         # expm's own error on these draws is about 1.4e-13 of max|S|
         rng = np.random.default_rng(2024)
         for g1, g2, t in rng.uniform(-2.0, 2.0, (250, 3)):
-            s = symplectic_propagator(build_hamiltonian(g1, g2, variant), t).entries
+            s = symplectic_propagator(QuadraticHamiltonian(g1, g2, variant), t)
             oracle = expm_oracle(g1, g2, t, variant)
             assert np.abs(s - oracle).max() <= 1e-12 * np.abs(s).max()
 
@@ -129,7 +128,7 @@ class TestSymplecticPropagator:
         (1e-300, 1e-300, 2.0),  # g1 g2 underflows to 0
     ])
     def test_edge_couplings_against_expm(self, variant, g1, g2, t):
-        s = symplectic_propagator(build_hamiltonian(g1, g2, variant), t).entries
+        s = symplectic_propagator(QuadraticHamiltonian(g1, g2, variant), t)
         oracle = expm_oracle(g1, g2, t, variant)
         assert np.abs(s - oracle).max() <= 1e-12 * np.abs(s).max()
 
@@ -137,20 +136,20 @@ class TestSymplecticPropagator:
 class TestEvolveGaussian:
     def test_zero_time_unchanged(self):
         st = vacuum_state()
-        out = evolve_gaussian(st, build_hamiltonian(1.0, 1.0), 0.0)
+        out = evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0), 0.0)
         np.testing.assert_allclose(out.means, st.means, atol=1e-15)
         np.testing.assert_allclose(out.covariance, st.covariance, atol=1e-14)
 
     def test_displaced_mean_maps_through_propagator(self):
         st = PhaseSpaceState(np.array([1.0, 0, 0, 0, 0, 0]), 0.5 * np.eye(6))
-        out = evolve_gaussian(st, build_hamiltonian(1.0, 1.0), 1.0)
+        out = evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0), 1.0)
         expected = expm_oracle(1.0, 1.0, 1.0) @ st.means
         np.testing.assert_allclose(out.means, expected, atol=1e-14)
         # q-displacement alone is conserved: only x gains g2 t q' = 0 terms
         np.testing.assert_allclose(out.means, st.means, atol=1e-14)
 
     def test_vacuum_cross_covariance(self):
-        out = evolve_gaussian(vacuum_state(), build_hamiltonian(1.0, 1.0), 1.0)
+        out = evolve_gaussian(vacuum_state(), QuadraticHamiltonian(1.0, 1.0), 1.0)
         assert out.covariance[0, 2] == pytest.approx(0.25, abs=1e-14)
 
     def test_physicality_preserved(self):
@@ -158,14 +157,14 @@ class TestEvolveGaussian:
         st = product_state(widths=(0.4, 1.3, 0.8), chirps=(0.5, -0.2, 0.9))
         for _ in range(20):
             g1, g2, t = rng.uniform(-2.0, 2.0, 3)
-            out = evolve_gaussian(st, build_hamiltonian(g1, g2), t)
+            out = evolve_gaussian(st, QuadraticHamiltonian(g1, g2), t)
             m = out.covariance + 0.5j * out.hbar * OMEGA
             assert np.linalg.eigvalsh(m).min() >= -1e-10
 
     def test_rejects_nonphysical_input(self):
         bad = PhaseSpaceState(np.zeros(6), 0.01 * np.eye(6))
         with pytest.raises(PhysicalityError):
-            evolve_gaussian(bad, build_hamiltonian(1.0, 1.0), 1.0)
+            evolve_gaussian(bad, QuadraticHamiltonian(1.0, 1.0), 1.0)
 
 
 class TestStateInvariants:
@@ -212,7 +211,7 @@ class TestLogarithmicNegativity:
 
     def test_evolved_state_agrees_with_fock_oracle(self):
         st = product_state(widths=(0.5, 1.0, 0.5))
-        ev = evolve_gaussian(st, build_hamiltonian(1.0, 1.0), 1.5)
+        ev = evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0), 1.5)
         gauss = logarithmic_negativity(ev)
         fock = evolved_probe_log_negativity(1.0, 1.0, 1.5,
                                             widths=(0.5, 1.0, 0.5), cutoff=14)
@@ -221,12 +220,12 @@ class TestLogarithmicNegativity:
     def test_mediator_bipartition_is_entangled(self):
         # Entanglement does form across Q|C: the witnessed non-classical
         # correlations live between each probe and the mediator.
-        ev = evolve_gaussian(vacuum_state(), build_hamiltonian(1.0, 1.0), 1.5)
+        ev = evolve_gaussian(vacuum_state(), QuadraticHamiltonian(1.0, 1.0), 1.5)
         assert logarithmic_negativity(ev, (["Q"], ["C"])) > 0.1
 
     def test_invariant_under_local_symplectics(self):
         ev = evolve_gaussian(product_state(widths=(0.5, 1.0, 0.5)),
-                             build_hamiltonian(1.0, 1.0), 1.0)
+                             QuadraticHamiltonian(1.0, 1.0), 1.0)
         base = logarithmic_negativity(ev, (["Q"], ["Qprime", "C"]))
         assert base > 0.0
         theta, r = 0.7, 0.4
@@ -243,7 +242,7 @@ class TestLogarithmicNegativity:
 
     def test_sides_in_either_order(self):
         ev = evolve_gaussian(product_state(widths=(0.5, 1.0, 0.5)),
-                             build_hamiltonian(1.0, 1.0), 1.0)
+                             QuadraticHamiltonian(1.0, 1.0), 1.0)
         base = logarithmic_negativity(ev, (["Q"], ["Qprime", "C"]))
         assert logarithmic_negativity(ev, (["Qprime", "C"], ["Q"])) \
             == pytest.approx(base, abs=1e-12)
@@ -267,7 +266,7 @@ class TestWitness:
         assert witness_expectation(vacuum_state()) == 0.0
 
     def test_evolved_vacuum_zero(self):
-        ev = evolve_gaussian(vacuum_state(), build_hamiltonian(1.0, 1.0), 1.0)
+        ev = evolve_gaussian(vacuum_state(), QuadraticHamiltonian(1.0, 1.0), 1.0)
         assert witness_expectation(ev) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
@@ -276,14 +275,14 @@ class TestWitness:
         w = 0.8
         st = product_state(widths=(None, None, w), chirps=(0.0, 0.0, c / w**2))
         assert st.covariance[4, 5] == pytest.approx(c)
-        ev = evolve_gaussian(st, build_hamiltonian(1.0, 1.0), t)
+        ev = evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0), t)
         assert witness_expectation(ev) == pytest.approx(-t * t * c, abs=1e-12)
 
     @pytest.mark.parametrize("g1,g2", [(0.0, 1.3), (0.9, 0.0)])
     def test_invariant_without_both_couplings(self, g1, g2):
         st = product_state(widths=(0.6, 1.2, 0.9))
         for t in (0.5, 1.0, 2.0):
-            ev = evolve_gaussian(st, build_hamiltonian(g1, g2), t)
+            ev = evolve_gaussian(st, QuadraticHamiltonian(g1, g2), t)
             assert witness_expectation(ev) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -298,7 +297,7 @@ class TestMediatorMomentInversion:
             chirps=(0.0, 0.0, chirp))
         if times is None:
             times = np.linspace(0.25, 2.0, 8)
-        h = build_hamiltonian(g1, g2)
+        h = QuadraticHamiltonian(g1, g2)
         states = [evolve_gaussian(st, h, t) for t in times]
         series = ProbeMomentSeries.from_states(times, states)
         if noise:

@@ -641,18 +641,26 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "tomography"])
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command,
-                                       target):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       command, target):
         # a missing directory ended in a FileNotFoundError traceback, a
-        # directory in an IsADirectoryError one
+        # directory in an IsADirectoryError one.  Both are refused before
+        # any propagation (validate asks for the grid), leaving no file
+        def fail(*args, **kwargs):
+            pytest.fail("an unwritable output must be refused before any work")
+
+        monkeypatch.setattr(gr, "split_step_evolve", fail)
+        monkeypatch.setattr(ga, "evolve_gaussian", fail)
         cfg = tmp_path / "tomo.cfg"
         cfg.write_text("total_time = 2\ndt = 0.25\nsample_every = 1\n"
-                       "c_xk = 0.2\ndiagnostics = witness\n")
+                       "c_xk = 0.2\ndiagnostics = witness,validate\n"
+                       + FAST_GRID)
         out = (tmp_path / "nope" / "out.csv" if target == "missing_dir"
                else tmp_path)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: cannot write output {out}" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv_out,written", [
         ("run.csv", "run.csv"), (None, "elsewhere.csv")])
