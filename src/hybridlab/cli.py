@@ -35,6 +35,8 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
+    if args.command == "brackets" and not config.bracket_pairs:
+        raise ConfigError("brackets subcommand needs bracket_pairs in the config")
     report = run_scenario(config)
     print(f"wrote {len(report.rows)} rows to {config.output_path}")
     return 0
@@ -49,15 +51,6 @@ def _cmd_validate(args) -> int:
     # until the benchmark's output check stops parsing it.
     print(f"max cross-backend moment residual: {residual:.6e}")
     print(f"residual at dt/2:                  {residual:.6e}")
-    return 0
-
-
-def _cmd_brackets(args) -> int:
-    config = _load_config(args)
-    if not config.bracket_pairs:
-        raise ConfigError("brackets subcommand needs bracket_pairs in the config")
-    report = run_scenario(config)
-    print(f"wrote {len(report.rows)} rows to {config.output_path}")
     return 0
 
 
@@ -81,12 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, doc in (
             ("simulate", _cmd_simulate, "evolve and tabulate diagnostics"),
             ("validate", _cmd_validate, "cross-backend moment validation"),
-            ("brackets", _cmd_brackets, "hybrid Poisson bracket time series"),
+            ("brackets", _cmd_simulate, "hybrid Poisson bracket time series"),
             ("tomography", _cmd_tomography, "mediator moment reconstruction")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", default=None,
-                       help="output CSV path (default: config name with .csv)")
+        p.add_argument("--out", default=None, help=(
+            "accepted and ignored: validate writes no file" if name == "validate"
+            else "output CSV path (default: config name with .csv)"))
         p.set_defaults(func=fn)
     return parser
 

@@ -85,11 +85,6 @@ class PhaseSpaceState:
         return self.means[idx], self.covariance[np.ix_(idx, idx)]
 
 
-def vacuum_state(hbar: float = 1.0) -> PhaseSpaceState:
-    """Three-mode vacuum: zero means, covariance (hbar/2) I."""
-    return PhaseSpaceState(np.zeros(6), 0.5 * hbar * np.eye(6), hbar)
-
-
 def mode_covariance(width: float, chirp: float = 0.0,
                     hbar: float = 1.0) -> np.ndarray:
     """Single-mode pure-Gaussian covariance for position std `width`.

@@ -84,10 +84,6 @@ class GridState:
         if amp.shape != self.spec.points_per_axis:
             raise ValueError("amplitude shape does not match the grid spec")
 
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.cell_volume)
-
 
 @dataclass(frozen=True)
 class EnsembleRepresentation:
@@ -103,9 +99,6 @@ class EnsembleRepresentation:
     @property
     def spec(self) -> GridSpec:
         return self.state.spec
-
-    def total_probability(self) -> float:
-        return float(np.sum(self.density) * self.spec.cell_volume)
 
     def phase_gradient(self, axis: int) -> np.ndarray:
         """Gauge-safe hbar*Im(psi* dpsi/daxis)/P, set to 0 off the mask.

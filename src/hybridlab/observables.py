@@ -5,15 +5,17 @@ configuration and its phase gradient); quantum observables are real
 polynomials in the six canonical operators, Weyl-symmetrized before
 evaluation so every spec is Hermitian.
 
-Text grammar (round-trip guaranteed)::
+Text grammar (round-trip guaranteed), whitespace allowed between tokens::
 
     spec      := ('C' | 'Q') '[' expr ']'
     expr      := term (('+' | '-') term)*
-    term      := [number '*'] factors | number
-    factors   := primitive ('*' primitive)* | 'sym(' primitive ('*' primitive)* ')'
+    term      := ['+' | '-'] factor ('*' factor)*
+    factor    := number | primitive | 'sym(' primitive ('*' primitive)* ')'
+    number    := digits ['.' digits] [('e' | 'E') ['+' | '-'] digits]
     primitive := 'x' | 'u'                      (classical)
                | 'q' | 'p' | "q'" | "p'" | 'x' | 'k'   (quantum)
 
+A term's numbers multiply its coefficient in the order they appear.
 The sym(...) wrapper is cosmetic: quantum products are symmetrized
 either way.
 """
@@ -118,70 +120,39 @@ def quantum(expr: str) -> ObservableSpec:
     return parse_observable(f"Q[ {expr} ]")
 
 
-_TOKEN = re.compile(r"\s*(sym\(|[()\[\]+\-*]|[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?"
-                    r"|[a-z]'?|,)", re.IGNORECASE)
-
-
-def _tokenize(text: str) -> list[str]:
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character at {text[pos:pos+8]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_PRIMITIVE = r"[qp]'?|[xku]"
+_FACTOR = (rf"(?:{_NUMBER}|{_PRIMITIVE}"
+           rf"|sym\(\s*(?:{_PRIMITIVE})(?:\s*\*\s*(?:{_PRIMITIVE}))*\s*\))")
+_SPEC = re.compile(r"([CQ])\s*\[(.*)\]", re.DOTALL)
+# one term with the '+' or '-' before it, then its own optional sign
+_TERM = re.compile(rf"\s*([+-])\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+_ATOM = re.compile(rf"{_NUMBER}|{_PRIMITIVE}")
 
 
 def parse_observable(text: str) -> ObservableSpec:
     """Parse the canonical text form, e.g. C[ x*u ] or Q[ sym(q*p') ]."""
-    toks = _tokenize(text.strip())
-    if len(toks) < 3 or toks[0] not in ("C", "Q") or toks[1] != "[" or toks[-1] != "]":
+    spec = _SPEC.fullmatch(text.strip())
+    if not spec:
         raise ParseError("expected C[ ... ] or Q[ ... ]")
-    kind = ObservableKind.CLASSICAL if toks[0] == "C" else ObservableKind.QUANTUM
-    body = toks[2:-1]
+    kind = ObservableKind.CLASSICAL if spec[1] == "C" else ObservableKind.QUANTUM
+    # a leading '+' lets the first term match the same pattern as the rest
+    body = "+" + spec[2]
     terms: list[tuple[float, tuple[str, ...]]] = []
-    i = 0
-    sign = 1.0
-    while i < len(body):
-        tok = body[i]
-        if tok == "+":
-            sign = 1.0
-            i += 1
-            continue
-        if tok == "-":
-            sign = -1.0
-            i += 1
-            continue
-        coeff = sign
-        factors: list[str] = []
-        expect_factor = True
-        while i < len(body) and body[i] not in ("+", "-"):
-            tok = body[i]
-            if tok == "*":
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ParseError(f"missing '*' before {tok!r}")
-            if tok == "sym(":
-                i += 1
-                while i < len(body) and body[i] != ")":
-                    if body[i] != "*":
-                        factors.append(body[i])
-                    i += 1
-                if i == len(body):
-                    raise ParseError("unclosed sym(")
-                i += 1
-            elif re.fullmatch(r"[0-9.eE+-]+", tok) and tok[0].isdigit():
-                coeff *= float(tok)
-                i += 1
+    pos = 0
+    while pos < len(body):
+        term = _TERM.match(body, pos)
+        if not term:
+            raise ParseError(f"unexpected text at {body[pos or 1:].strip()!r}")
+        coeff = -1.0 if (term[1] == "-") != (term[2] == "-") else 1.0
+        factors = []
+        for atom in _ATOM.findall(term[3]):
+            if atom[0].isdigit():
+                coeff *= float(atom)
             else:
-                factors.append(tok)
-                i += 1
-            expect_factor = False
+                factors.append(atom)
         terms.append((coeff, tuple(factors)))
-        sign = 1.0
+        pos = term.end()
     return ObservableSpec(kind, tuple(terms))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import brackets as br
 from . import gaussian as ga
 from . import grid as gr
-from .observables import ParseError, parse_observable
+from .observables import parse_observable
 
 KNOWN_DIAGNOSTICS = ("negativity", "witness", "chsh", "validate")
 # a run keeps one Gaussian state and one CSV row per sample
@@ -90,7 +90,10 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown diagnostic {d!r}")
         for pair in self.bracket_pairs:
             a, b = _split_pair(pair)
-            parse_observable(a), parse_observable(b)
+            try:
+                parse_observable(a), parse_observable(b)
+            except ValueError as exc:
+                raise ConfigError(f"bracket pair {pair!r}: {exc}")
         if self.tomo_noise < 0:
             raise ConfigError("tomo_noise must be nonnegative")
         if self.seed < 0:
@@ -219,7 +222,7 @@ def parse_config(text: str, *, output_path: str | None = None,
         return ScenarioConfig(**values)
     except ConfigError:
         raise
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
 
 

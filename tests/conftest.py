@@ -9,7 +9,8 @@ from hybridlab.gaussian import (
     evolve_gaussian,
     logarithmic_negativity,
 )
-from hybridlab.grid import GridSpec, init_product_gaussian, split_step_evolve
+from hybridlab.grid import (GridSpec, GridState, init_product_gaussian,
+                            split_step_evolve)
 
 # Committed benchmark inputs, shared by module and acceptance tests:
 # squeezed/tilted probes plus a mediator with planted <xk> correlation.
@@ -23,6 +24,16 @@ BENCH_TIME = 1.0
 BENCH_BRACKET_PAIRS = ("Q[ sym(p'*p') ]|C[ u*u ]", "C[ x*x ]|C[ u*u ]",
                        "Q[ q*q ]|Q[ sym(q*p) ]",
                        "Q[ sym(q*p'*x) ]|Q[ sym(p*k) ]")
+
+
+def vacuum_state(hbar: float = 1.0) -> PhaseSpaceState:
+    """Three-mode vacuum: zero means, covariance (hbar/2) I."""
+    return PhaseSpaceState(np.zeros(6), 0.5 * hbar * np.eye(6), hbar)
+
+
+def grid_norm(state: GridState) -> float:
+    """Total probability of a grid state's amplitudes."""
+    return float(np.sum(np.abs(state.amplitudes) ** 2) * state.spec.cell_volume)
 
 
 def two_mode_squeezed_state(r: float, hbar: float = 1.0) -> PhaseSpaceState:

@@ -39,7 +39,6 @@ from hybridlab.gaussian import (
     optimize_chsh_many,
     product_state,
     symplectic_propagator,
-    vacuum_state,
     witness_expectation,
 )
 from hybridlab.grid import (
@@ -65,6 +64,7 @@ from conftest import (
     entangling_time_scan,
     half_resolution_estimates,
     two_mode_squeezed_state,
+    vacuum_state,
 )
 
 from scipy.linalg import expm

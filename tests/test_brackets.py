@@ -28,7 +28,6 @@ from hybridlab.gaussian import (
     QuadraticHamiltonian,
     evolve_gaussian,
     product_state,
-    vacuum_state,
 )
 from hybridlab.grid import (
     GridSpec,
@@ -52,7 +51,7 @@ from hybridlab.scenario import parse_config
 
 from conftest import (BENCH_BRACKET_PAIRS, BENCH_CHIRPS, BENCH_COUPLINGS,
                       BENCH_MEANS, BENCH_TILTS, BENCH_TIME, BENCH_WIDTHS,
-                      half_resolution_estimates)
+                      half_resolution_estimates, vacuum_state)
 
 
 @pytest.fixture(scope="module")

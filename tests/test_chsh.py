@@ -13,10 +13,9 @@ from hybridlab.gaussian import (
     optimize_chsh,
     optimize_chsh_many,
     product_state,
-    vacuum_state,
 )
 
-from conftest import two_mode_squeezed_state
+from conftest import two_mode_squeezed_state, vacuum_state
 from test_acceptance import random_separable_two_mode
 
 

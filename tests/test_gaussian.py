@@ -18,11 +18,11 @@ from hybridlab.gaussian import (
     mode_covariance,
     product_state,
     symplectic_propagator,
-    vacuum_state,
     witness_expectation,
 )
 
-from conftest import entangling_time_scan, two_mode_squeezed_state
+from conftest import (entangling_time_scan, two_mode_squeezed_state,
+                      vacuum_state)
 from fock_oracle import tmsv_log_negativity, evolved_probe_log_negativity
 
 

@@ -1,14 +1,24 @@
+import ast
 import itertools
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridlab.grid import (GridSpec, apply_operator, grid_moments,
                             init_product_gaussian)
 from hybridlab.observables import (
+    CLASSICAL_PRIMITIVES,
+    MAX_FACTORS_PER_MODE,
+    QUANTUM_PRIMITIVES,
     KindMismatchError,
     ObservableKind,
     ObservableSpec,
@@ -22,6 +32,10 @@ from hybridlab.observables import (
     quantum,
     quantum_commutator_over_ihbar,
 )
+
+from conftest import BENCH_BRACKET_PAIRS
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestParsing:
@@ -48,6 +62,17 @@ class TestParsing:
         spec = classical("1 - 2*x + x*u")
         assert spec.terms == ((1.0, ()), (-2.0, ("x",)), (1.0, ("x", "u")))
 
+    @pytest.mark.parametrize("expr,terms", [
+        # the second sign belongs to the term: q - (-2p), not q - 2p
+        ("x - -2*u", ((1.0, ("x",)), (2.0, ("u",)))),
+        ("x - +u", ((1.0, ("x",)), (-1.0, ("u",)))),
+        ("x + -u", ((1.0, ("x",)), (-1.0, ("u",)))),
+        ("-x", ((-1.0, ("x",)),)),
+        ("x*2*0.5e1 + 1E-3", ((10.0, ("x",)), (1e-3, ()))),
+    ])
+    def test_term_signs_and_numbers(self, expr, terms):
+        assert classical(expr).terms == terms
+
     def test_primed_symbols(self):
         spec = quantum("q'*p'")
         assert spec.terms == ((1.0, ("q'", "p'")),)
@@ -65,10 +90,113 @@ class TestParsing:
         with pytest.raises((ParseError, ValueError)):
             parse_observable(text)
 
+    # each of these used to parse to a wrong or empty spec
+    @pytest.mark.parametrize("text", [
+        "C[ 2*-x ]", "C[ x* ]", "C[ *x ]", "C[ x**u ]", "C[ x - ]",
+        "C[ --x ]", "C[ -+x ]", "Q[ sym() ]", "Q[ sym(q p) ]",
+        "Q[ sym(q*) ]", "C[ + ]", "C[ - ]", "Q[ ]",
+    ])
+    def test_rejects_malformed_terms(self, text):
+        with pytest.raises(ParseError, match="unexpected"):
+            parse_observable(text)
+
     def test_mode_support(self):
         assert quantum("sym(q*p')").mode_support == {"Q", "Qprime"}
         assert quantum("x*k").mode_support == {"C"}
         assert classical("x*u").mode_support == {"C"}
+
+
+def term_lists(primitives, max_factors):
+    coefficient = st.floats(allow_nan=False, allow_infinity=False)
+    factors = st.lists(st.sampled_from(primitives), max_size=max_factors)
+    return st.lists(st.tuples(coefficient, factors.map(tuple)), min_size=1,
+                    max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    term_lists(CLASSICAL_PRIMITIVES, MAX_FACTORS_PER_MODE).map(
+        lambda terms: ObservableSpec(ObservableKind.CLASSICAL, terms)),
+    term_lists(QUANTUM_PRIMITIVES, MAX_FACTORS_PER_MODE).map(
+        lambda terms: ObservableSpec(ObservableKind.QUANTUM, terms))))
+def test_canonical_form_round_trips(spec):
+    assert parse_observable(str(spec)) == spec
+
+
+VALUES = {"x": 1.3, "u": -0.7}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(["x", "u", "2", "0.5", "1e-3", "*", "+", "-",
+                                 "sym(", ")", " "]),
+                min_size=1, max_size=12).map("".join))
+@example("x - -2*u")            # once read as x - 2u
+def test_accepted_specs_read_as_python_does(text):
+    # '**' is a power in Python, where 22**22**22 would never finish; the
+    # parser rejects it (test_rejects_malformed_terms)
+    if "**" in text:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # "2(" warns, then fails
+            expected = eval(text.replace("sym(", "("), {"__builtins__": {}},
+                            dict(VALUES))
+    except (SyntaxError, NameError, TypeError):
+        return                                  # not Python: nothing to compare
+    if not isinstance(expected, (int, float)):
+        return                                  # "()" is a tuple
+    try:
+        spec = classical(text)
+    except ValueError:
+        return
+    terms = [c * math.prod(VALUES[f] for f in fs) for c, fs in spec.terms]
+    # the two may round differently where terms cancel
+    assert math.isclose(sum(terms), expected, rel_tol=1e-12,
+                        abs_tol=1e-12 * sum(map(abs, terms)))
+
+
+def workload_bracket_pairs() -> list[str]:
+    """PROBE_MEDIATOR and BRACKET_PAIRS of benchmarks/workloads.py, read
+    without importing it."""
+    tree = ast.parse((REPO / "benchmarks" / "workloads.py").read_text())
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            values[node.targets[0].id] = node.value
+    probe = values["PROBE_MEDIATOR"].value
+    return [probe] + [probe if isinstance(e, ast.Name) else e.value
+                      for e in values["BRACKET_PAIRS"].elts]
+
+
+def readme_specs() -> list[str]:
+    """The specs that README.md shows: its config's bracket_pairs, the
+    specs it quotes, and its quantum(...) and classical(...) calls."""
+    text = (REPO / "README.md").read_text()
+    specs = [side for pairs in re.findall(r"^bracket_pairs = (.*)$", text,
+                                          re.MULTILINE)
+             for pair in pairs.split(";") for side in pair.split("|")]
+    specs += [s for s in re.findall(r"`([CQ]\[[^`]*\])`", text)
+              if "..." not in s]
+    specs += [f"{'Q' if kind == 'quantum' else 'C'}[ {expr} ]" for kind, expr
+              in re.findall(r"(quantum|classical)\(\"([^\"]*)\"\)", text)]
+    return specs
+
+
+REPO_SPECS = sorted({side.strip()
+                     for pair in workload_bracket_pairs() + list(BENCH_BRACKET_PAIRS)
+                     for side in pair.split("|")} | set(readme_specs()))
+
+
+def test_repo_specs_found():
+    assert len(workload_bracket_pairs()) == 5 and len(readme_specs()) >= 6
+
+
+@pytest.mark.parametrize("text", REPO_SPECS)
+def test_repo_specs_parse_and_round_trip(text):
+    # a stricter grammar must not break the benchmark's or README's specs
+    spec = parse_observable(text)
+    assert parse_observable(str(spec)) == spec
 
 
 class TestClassicalCalculus:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -104,6 +105,8 @@ class TestParseConfig:
         ("diagnostics = negativity,bogus\n", "diagnostic"),
         ("bracket_pairs = Q[ q ]\n", "SPEC|SPEC"),
         ("bracket_pairs = Q[ ?? ]|C[ x ]\n", "unexpected"),
+        ("bracket_pairs = Q[ q ]|Q[ p ]; Q[ ?? ]|C[ x ]\n",
+         re.escape("bracket pair 'Q[ ?? ]|C[ x ]': unexpected")),
         ("g1 = abc\n", "bad value"),
         ("dt = none\n", "bad value"),
         ("q_width = 1e-200\n", "underflows"),
@@ -597,6 +600,43 @@ class TestCli:
         header = [l for l in out.read_text().splitlines()
                   if not l.startswith("#")][0]
         assert "bracket_0" in header
+
+    def test_brackets_without_pairs_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "br.csv"
+        assert main(["brackets", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "needs bracket_pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_help_says_out_is_ignored(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "accepted and ignored" in capsys.readouterr().out
+
+    def test_term_sign_read_as_written(self, tmp_path):
+        # q - (-2p) at <q> = <p> = 1: {q + 2p, qp} = <q> - 2<p> = -1; the
+        # second sign used to replace the first and give 3
+        cfg = self.write_config(tmp_path, (
+            "q_mean = 1\nq_tilt = 1\n"
+            "bracket_pairs = Q[ q - -2*p ]|Q[ sym(q*p) ]\n").replace(
+                "total_time = 0.5", "total_time = 0"))
+        out = tmp_path / "br.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0].endswith(",bracket_0")
+        assert float(rows[1].split(",")[-1]) == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        "Q[ 2*-q ]", "Q[ q* ]", "Q[ *q ]", "Q[ q**p ]", "Q[ q - ]",
+        "Q[ --q ]", "Q[ sym() ]", "Q[ + ]", "Q[ - ]", "Q[ ]"])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, no_grid, spec):
+        # each used to run and write a bracket of the wrong observable
+        cfg = self.write_config(tmp_path, f"bracket_pairs = {spec}|C[ u ]\n")
+        out = tmp_path / "br.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(r"bracket pair .*: unexpected",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "brackets"])
     def test_brackets_diagnostic_without_pairs_exits_2(self, tmp_path, capsys,
