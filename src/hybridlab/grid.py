@@ -11,6 +11,7 @@ any time.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +235,7 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
 
 
 def grid_moments(state: GridState, work: np.ndarray | None = None,
+                 d0_ready: Callable[[], None] | None = None,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Means and symmetrized 6x6 covariance in the canonical ordering.
 
@@ -251,7 +253,14 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
     The fields are built in `work`, a C-contiguous complex array of shape
     (3,) + points_per_axis, allocated here if not given.  A caller that
     takes the moments of many states can pass one buffer for all of
-    them: no full-size array is then allocated per call.
+    them: no full-size array is then allocated per call.  d_j psi is
+    built in work[j]; the density takes the first half of work[2]'s
+    place, before d_2 psi, so work[0] is neither read nor written before
+    d_0 psi is needed.  That lets another thread compute d_0 psi into
+    work[0] (with `_spectral_derivative(psi, spec, 0, out=work[0])`)
+    while this call builds the rest: `d0_ready`, if given, is called,
+    with no arguments, in place of computing d_0 psi here, and returns
+    once work[0] holds it, or raises.
     """
     spec = state.spec
     psi = state.amplitudes
@@ -266,9 +275,9 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
         second[i, j] = second[j, i] = value * dv
 
     # axis a's position has canonical index 2a, its momentum 2a + 1.  The
-    # density takes the first half of d_0 psi's place, and is not needed
+    # density takes the first half of d_2 psi's place, and is not needed
     # once its planes are summed
-    density = work[0].view(np.float64).reshape(-1)[:psi.size].reshape(psi.shape)
+    density = work[2].view(np.float64).reshape(-1)[:psi.size].reshape(psi.shape)
     np.abs(psi, out=density)
     density *= density
     planes = {(0, 1): density.sum(axis=2), (0, 2): density.sum(axis=1),
@@ -280,7 +289,13 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
         put(2 * a, 2 * a, (axes[a] * axes[a]) @ lines[a])
     for (a, b), plane in planes.items():
         put(2 * a, 2 * b, axes[a] @ plane @ axes[b])
-    derivs = [_spectral_derivative(psi, spec, a, out=work[a]) for a in range(3)]
+    for a in (1, 2):
+        _spectral_derivative(psi, spec, a, out=work[a])
+    if d0_ready is None:
+        _spectral_derivative(psi, spec, 0, out=work[0])
+    else:
+        d0_ready()
+    derivs = list(work)
     # Re<d_i psi|d_j psi> is the dot product of the (re, im) float views,
     # taken row by row with einsum and the rows summed pairwise.  BLAS
     # is avoided: its threaded zdotc (np.vdot) rounds differently with

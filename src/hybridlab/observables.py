@@ -16,6 +16,7 @@ Text grammar (round-trip guaranteed), whitespace allowed between tokens::
                | 'q' | 'p' | "q'" | "p'" | 'x' | 'k'   (quantum)
 
 A term's numbers multiply its coefficient in the order they appear.
+The zero observable has no terms and is written C[ 0 ] or Q[ 0 ].
 The sym(...) wrapper is cosmetic: quantum products are symmetrized
 either way.
 """
@@ -58,7 +59,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Sum of coefficient * product-of-primitives terms."""
+    """Sum of coefficient * product-of-primitives terms.  The zero
+    observable has no terms, whether given as none or as one zero
+    constant."""
 
     kind: ObservableKind
     terms: tuple[tuple[float, tuple[str, ...]], ...]
@@ -86,6 +89,9 @@ class ObservableSpec:
                         f"factors on mode {mode}; at most "
                         f"{MAX_FACTORS_PER_MODE} are allowed")
             norm.append((coeff, tuple(factors)))
+        # so that `C[ 0 ]`, the text of no terms, parses to an equal spec
+        if norm == [(0.0, ())]:
+            norm = []
         object.__setattr__(self, "terms", tuple(norm))
 
     @property

@@ -9,6 +9,7 @@ and all numbers are written with 17 significant digits.
 from __future__ import annotations
 
 import io
+import threading
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -332,19 +333,44 @@ def _moment_residual(moments: tuple[np.ndarray, np.ndarray],
                      np.abs(v - gauss.covariance).max()))
 
 
+class _Handoff:
+    """d_0 psi passed from the calling thread to the worker: `wait`
+    returns once `release(True)` says work[0] holds it, and raises once
+    `release(False)` says it never will."""
+
+    def __init__(self):
+        self._released = threading.Event()
+        self._written = False
+
+    def release(self, written: bool) -> None:
+        self._written = written
+        self._released.set()
+
+    def wait(self) -> None:
+        self._released.wait()
+        if not self._written:
+            raise RuntimeError("d_0 psi was not computed: the calling "
+                               "thread failed")
+
+
 def _grid_moments(config: ScenarioConfig):
     """An iterator over the grid moments (means, covariance) at the sample
     times.  The variant is checked on the call; the grid is built on the
     first step of the iterator.
 
-    One worker thread takes each state's moments while this thread
-    propagates to the next sample, so the moments of a sample come out
-    after at most one more propagation, and one extra grid state is
-    held.  Both threads only read the shared state, and numpy's FFTs and
-    ufuncs release the GIL, so the moments are the same doubles a serial
-    loop gives.  The worker is joined before the last moments are taken,
-    and before an exception from either thread, or a close, leaves the
-    iterator.
+    Each sample's moments are split across two threads.  This thread
+    computes d_0 psi, the strided and most costly derivative, into the
+    work buffer, hands it to one worker thread, and propagates to the
+    next sample; the worker builds the density and d_1 psi and d_2 psi
+    meanwhile, then takes d_0 psi and forms the cross terms and the
+    currents.  So the moments of a sample come out after at most one
+    more propagation, and one extra grid state is held.  Both threads
+    only read the shared state and write disjoint parts of the buffer,
+    and numpy's FFTs and ufuncs release the GIL, so the moments are the
+    same doubles a serial loop gives.  The worker is joined before the
+    last moments come out, and before an exception from either thread,
+    or a close, leaves the iterator; a failure on this thread releases a
+    worker waiting for d_0 psi.
     """
     if config.variant != "EQ1":
         raise ConfigError("grid diagnostics support only the EQ1 variant")
@@ -360,13 +386,29 @@ def _grid_moments(config: ScenarioConfig):
         # stayed in its own malloc arena, and in some runs raised the peak
         # RSS by 14 MiB
         work = np.empty((3,) + config.grid_points, dtype=complex)
+
+        def start(worker, state):
+            # submit state's moments and compute their d_0 psi here; the
+            # previous sample's moments are out, so work is free
+            handoff = _Handoff()
+            pending = worker.submit(gr.grid_moments, state, work, handoff.wait)
+            written = False
+            try:
+                gr._spectral_derivative(state.amplitudes, state.spec, 0,
+                                        out=work[0])
+                written = True
+            finally:
+                handoff.release(written)
+            return pending
+
         with ThreadPoolExecutor(max_workers=1) as worker:
             for prev, step in zip(samples, samples[1:]):
-                pending = worker.submit(gr.grid_moments, grid_state, work)
+                pending = start(worker, grid_state)
                 grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
                                                   config.dt, step - prev)
                 yield pending.result()
-        yield gr.grid_moments(grid_state, work)
+            last = start(worker, grid_state).result()
+        yield last
     return moments()
 
 

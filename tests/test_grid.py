@@ -9,6 +9,7 @@ from hybridlab.gaussian import (
     product_state,
 )
 from hybridlab.grid import (
+    _spectral_derivative,
     ConfigurationError,
     DomainTooSmallError,
     GridSpec,
@@ -311,6 +312,29 @@ class TestGridMoments:
             np.testing.assert_array_equal(means, want[0])
             np.testing.assert_array_equal(cov, want[1])
         assert peak < psi.nbytes // 4
+
+    def test_d0_from_the_caller(self, evolved_grid_state):
+        # with d0_ready, work[0] is left untouched until d0_ready returns
+        # with d_0 psi in it, and the moments are the same doubles
+        psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
+        work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
+        calls = []
+
+        def d0_ready():
+            calls.append(np.isnan(work[0]).all())
+            _spectral_derivative(psi, spec, 0, out=work[0])
+
+        means, cov = grid_moments(evolved_grid_state, work, d0_ready)
+        want = grid_moments(evolved_grid_state)
+        assert calls == [True]
+        np.testing.assert_array_equal(means, want[0])
+        np.testing.assert_array_equal(cov, want[1])
+
+        def failed():
+            raise RuntimeError("no d_0 psi")
+
+        with pytest.raises(RuntimeError, match="no d_0 psi"):
+            grid_moments(evolved_grid_state, work, failed)
 
 
 class TestEnsembleRepresentation:

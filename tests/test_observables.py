@@ -54,6 +54,18 @@ class TestParsing:
         again = parse_observable(str(spec))
         assert again == spec
 
+    @pytest.mark.parametrize("spec", [
+        classical_partial(classical("u"), "x"),
+        ObservableSpec(ObservableKind.QUANTUM, ()),
+        ObservableSpec(ObservableKind.CLASSICAL, ((-0.0, ()),)),
+    ])
+    def test_zero_observable_round_trips(self, spec):
+        # the zero observable has no terms, whether built empty or from
+        # one zero constant; it is written as its one zero constant
+        assert spec.terms == ()
+        assert str(spec) == f"{spec.kind.value}[ 0 ]"
+        assert parse_observable(str(spec)) == spec
+
     def test_shorthand_helpers(self):
         assert classical("x*u") == parse_observable("C[ x*u ]")
         assert quantum("sym(q*p')") == parse_observable("Q[ sym(q*p') ]")
@@ -109,7 +121,7 @@ class TestParsing:
 def term_lists(primitives, max_factors):
     coefficient = st.floats(allow_nan=False, allow_infinity=False)
     factors = st.lists(st.sampled_from(primitives), max_size=max_factors)
-    return st.lists(st.tuples(coefficient, factors.map(tuple)), min_size=1,
+    return st.lists(st.tuples(coefficient, factors.map(tuple)),
                     max_size=4).map(tuple)
 
 

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
     _grid_moments,
+    _Handoff,
     _moment_residual,
     _num,
     _require_finite,
@@ -312,9 +314,10 @@ def serial_moments(config):
     return out
 
 
+# and, at the README's 64^3, the first three samples of its trajectory
 ORACLE_CONFIGS = dict(REPLAY_CONFIGS, every_step=dict(
     README_CONFIG, grid_points="32,32,32", total_time="0.25",
-    sample_every="1"))
+    sample_every="1"), readme_64=dict(README_CONFIG, total_time="0.5"))
 
 
 @pytest.fixture
@@ -341,27 +344,30 @@ class TestGridMoments:
 
     def test_one_buffer_for_the_trajectory(self, monkeypatch):
         # the worker allocates no full-size field: every call builds its
-        # fields in the one buffer the calling thread allocated
-        buffers = []
+        # fields in the one buffer the calling thread allocated, and every
+        # sample's moments, the last too, are taken on the worker, with
+        # d_0 psi handed over from the calling thread
+        calls = []
         grid_moments = gr.grid_moments
 
-        def recorded(state, work):
-            buffers.append((work, threading.current_thread()))
-            return grid_moments(state, work)
+        def recorded(state, work, d0_ready):
+            calls.append((work, d0_ready, threading.current_thread()))
+            return grid_moments(state, work, d0_ready)
 
         monkeypatch.setattr(gr, "grid_moments", recorded)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
-        assert len(list(_grid_moments(config))) == len(buffers) == 9
-        work = buffers[0][0]
+        assert len(list(_grid_moments(config))) == len(calls) == 9
+        work = calls[0][0]
         assert work.shape == (3, 32, 32, 32) and work.dtype == complex
-        assert all(w is work for w, _ in buffers)
+        assert all(w is work and callable(ready) for w, ready, _ in calls)
         caller = threading.current_thread()
-        assert [t is caller for _, t in buffers] == [False] * 8 + [True]
+        assert not any(t is caller for _, _, t in calls)
+        assert len({t for _, _, t in calls}) == 1
 
     def test_one_worker_joined_before_last_moments(self):
-        # the worker starts on the first step and is joined before the
-        # last moments come out, so an iterator that is never run to its
-        # end leaves no thread behind
+        # the worker starts on the first step and, though it takes the
+        # last sample's moments too, is joined before they come out, so
+        # an iterator that is never run to its end leaves no thread behind
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         n = len(config.sample_steps()[1])
         start = threading.active_count()
@@ -380,6 +386,81 @@ class TestGridMoments:
         assert threading.active_count() == start + 1
         moments.close()
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("where", ["d0", "propagation"])
+    def test_caller_error_releases_worker(self, monkeypatch, where):
+        # the calling thread fails at the second sample, while the worker
+        # waits for d_0 psi or after it has it: the iterator raises that
+        # error as itself, leaves no thread and does not hang
+        error = MemoryError(f"{where} at the second sample")
+        waits, waiting = [], threading.Event()
+        wait = _Handoff.wait
+
+        def signalled_wait(handoff):
+            waits.append(handoff)
+            if len(waits) == 2:
+                waiting.set()
+            return wait(handoff)
+
+        derivative, evolve = gr._spectral_derivative, gr.split_step_evolve
+        calls = []
+
+        def failing_derivative(psi, spec, axis, out=None):
+            if threading.current_thread() is runner:
+                calls.append(axis)
+                if len(calls) == 2:
+                    # the worker is blocked until this thread releases it
+                    assert waiting.wait(10)
+                    raise error
+            return derivative(psi, spec, axis, out=out)
+
+        def failing_evolve(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error
+            return evolve(*args)
+
+        monkeypatch.setattr(_Handoff, "wait", signalled_wait)
+        if where == "d0":
+            monkeypatch.setattr(gr, "_spectral_derivative", failing_derivative)
+        else:
+            monkeypatch.setattr(gr, "split_step_evolve", failing_evolve)
+        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
+        raised, got = [], []
+
+        def run():
+            try:
+                for moments in _grid_moments(config):
+                    got.append(moments)
+            except BaseException as exc:
+                raised.append(exc)
+
+        start = threading.active_count()
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(30)
+        assert not runner.is_alive()
+        assert len(raised) == 1 and raised[0] is error
+        assert len(got) == 1
+        assert threading.active_count() == start
+
+    def test_peak_memory(self):
+        # the split allocates no full-size field: the peak is the work
+        # buffer, two grid states (the one the worker reads and the one
+        # the propagation builds) and an allowance for two FFT buffers of
+        # numpy's 8192 complex values, one per thread, and the slabs and
+        # planes; a full-size field, 256 KiB real or 512 KiB complex at
+        # 32^3, would not fit in it
+        config = parse_config(config_text(REPLAY_CONFIGS["readme_short"]))
+        list(_grid_moments(config))
+        tracemalloc.start()
+        try:
+            assert len(list(_grid_moments(config))) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = 16 * 32 ** 3
+        assert peak <= 3 * state + 2 * state + 3 * 2 ** 17
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_run_leaves_no_thread(self, tmp_path, command):
