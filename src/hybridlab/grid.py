@@ -5,13 +5,12 @@ its two terms generates an exact shear: the g1 term is diagonal after
 an FFT along the q axis, the g2 term after an FFT along the x axis.
 Their commutator [g1 p x, g2 q' k] = i hbar g1 g2 p q' commutes with
 both, so the propagator factors exactly into the two shears and one
-central phase, diagonal after the same FFT along q.  Four FFTs reach
-any time.
+central phase, diagonal after the same FFT along q.  Four FFTs take any
+state to any time, and one takes a product state (`product_pieces`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,12 +115,10 @@ class EnsembleRepresentation:
         return self._gradients[axis]
 
 
-def init_product_gaussian(spec: GridSpec,
-                          means=(0.0, 0.0, 0.0),
-                          widths=(None, None, None),
-                          tilts=(0.0, 0.0, 0.0),
-                          chirps=(0.0, 0.0, 0.0)) -> GridState:
-    """Normalized product of Gaussians with optional plane-wave tilts.
+def gaussian_factors(spec: GridSpec, means=(0.0, 0.0, 0.0),
+                     widths=(None, None, None), tilts=(0.0, 0.0, 0.0),
+                     chirps=(0.0, 0.0, 0.0)) -> list[np.ndarray]:
+    """The three normalized 1-D Gaussian factors along q, q' and x.
 
     A width of None means the vacuum width sqrt(hbar/2).  The tilt k0
     multiplies by exp(i k0 coordinate), centering the conjugate-variable
@@ -129,7 +126,8 @@ def init_product_gaussian(spec: GridSpec,
     exp(i gamma coordinate^2 / (2 hbar)), planting a symmetrized
     position-momentum correlation gamma*width^2.  A non-finite
     parameter raises ValueError; a mean outside the axis range [-L, L)
-    raises DomainTooSmallError, since the periodic box would wrap it.
+    raises DomainTooSmallError, since the periodic box would wrap it,
+    and so does a half-width below 8 widths.
     """
     factors = []
     for i in range(3):
@@ -151,10 +149,28 @@ def init_product_gaussian(spec: GridSpec,
         amp = np.exp(-u * u / (4.0 * w * w)
                      + 1j * tilts[i] * spec.axis(i)
                      + 0.5j * chirps[i] * u * u / spec.hbar)
+        amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * spec.steps()[i])
         factors.append(amp)
-    psi = factors[0][:, None, None] * factors[1][None, :, None] * factors[2][None, None, :]
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume)
+    return factors
+
+
+def init_product_gaussian(spec: GridSpec, **params) -> GridState:
+    """The product of `gaussian_factors(spec, **params)`, built one q slab
+    at a time (numpy buffers a broadcast product of the whole grid)."""
+    a, b, c = gaussian_factors(spec, **params)
+    psi = np.empty(spec.points_per_axis, dtype=complex)
+    for i, a_i in enumerate(a):
+        np.multiply.outer(a_i * b, c, out=psi[i])
     return GridState(spec, psi)
+
+
+def check_shear(spec: GridSpec, g1: float, g2: float, dt: float) -> None:
+    """ConfigurationError unless each shear of one dt step displaces by
+    less than the box size."""
+    if abs(dt * g1) * spec.half_widths[2] > spec.half_widths[0] or \
+       abs(dt * g2) * spec.half_widths[1] > spec.half_widths[2]:
+        raise ConfigurationError("per-step shear exceeds the domain size; "
+                                 "reduce dt or enlarge the box")
 
 
 def split_step_evolve(state: GridState, g1: float, g2: float,
@@ -172,11 +188,7 @@ def split_step_evolve(state: GridState, g1: float, g2: float,
     if steps == 0:
         return state
     spec = state.spec
-    # per-step shear displacement must stay below the box size
-    if abs(dt * g1) * spec.half_widths[2] > spec.half_widths[0] or \
-       abs(dt * g2) * spec.half_widths[1] > spec.half_widths[2]:
-        raise ConfigurationError("per-step shear exceeds the domain size; "
-                                 "reduce dt or enlarge the box")
+    check_shear(spec, g1, g2, dt)
     t = dt * steps
     kq = spec.wavenumbers(0)[:, None, None]
     kx = spec.wavenumbers(2)[None, None, :]
@@ -192,6 +204,39 @@ def split_step_evolve(state: GridState, g1: float, g2: float,
     psi *= np.exp(-1j * g1 * t * kq * x)
     psi *= np.exp(0.5j * g1 * g2 * t * t * kq * qp)
     return GridState(spec, np.fft.ifft(psi, axis=0, out=psi))
+
+
+def product_pieces(spec: GridSpec, factors, g1: float, g2: float,
+                   t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product psi_Q(q) psi_Q'(q') phi(x) of `factors` at time t, as
+    2-D pieces: L(k_q, q') = F[psi_Q] exp(i g1 g2 t^2 k_q q'/2), f(q', x)
+    the x-shear of psi_Q' phi, and S(k_q, x) = exp(-i g1 t k_q x), the
+    three shears of `split_step_evolve`.  In the (p, q', x) representation
+    the state is L[:, :, None] f[None] S[:, None, :].  Apply no guard."""
+    a, b, c = factors
+    kq, qp = spec.wavenumbers(0)[:, None], spec.axis(1)[:, None]
+    kx, x = spec.wavenumbers(2)[None, :], spec.axis(2)[None, :]
+    lq = np.fft.fft(a)[:, None] * np.exp(0.5j * g1 * g2 * t * t * kq * qp.T)
+    f = np.fft.fft(c)[None, :] * np.exp(-1j * g2 * t * qp * kx)
+    f *= b[:, None]
+    np.fft.ifft(f, axis=1, out=f)
+    return lq, f, np.exp(-1j * g1 * t * kq * x)
+
+
+def assemble_product(spec: GridSpec, pieces, out: np.ndarray | None = None,
+                     derivative: bool = False) -> np.ndarray:
+    """psi(t), or with `derivative` d_0 psi(t), from `product_pieces`: one
+    inverse FFT along q of their product (times i k_q), built in `out`
+    (allocated if not given), the only full-size array."""
+    lq, f, s = pieces
+    if derivative:
+        lq = lq * (1j * spec.wavenumbers(0))[:, None]
+    if out is None:
+        out = np.empty(spec.points_per_axis, dtype=complex)
+    np.copyto(out, f[None])
+    out *= lq[:, :, None]
+    out *= s[:, None, :]
+    return np.fft.ifft(out, axis=0, out=out)
 
 
 def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int,
@@ -235,7 +280,7 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
 
 
 def grid_moments(state: GridState, work: np.ndarray | None = None,
-                 d0_ready: Callable[[], None] | None = None,
+                 pool=None, d0_given: bool = False,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Means and symmetrized 6x6 covariance in the canonical ordering.
 
@@ -250,24 +295,44 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
       integral of x_i J_j;
     - momentum-momentum moments: hbar^2 Re<d_i psi|d_j psi>.
 
-    The fields are built in `work`, a C-contiguous complex array of shape
-    (3,) + points_per_axis, allocated here if not given.  A caller that
-    takes the moments of many states can pass one buffer for all of
-    them: no full-size array is then allocated per call.  d_j psi is
-    built in work[j]; the density takes the first half of work[2]'s
-    place, before d_2 psi, so work[0] is neither read nor written before
-    d_0 psi is needed.  That lets another thread compute d_0 psi into
-    work[0] (with `_spectral_derivative(psi, spec, 0, out=work[0])`)
-    while this call builds the rest: `d0_ready`, if given, is called,
-    with no arguments, in place of computing d_0 psi here, and returns
-    once work[0] holds it, or raises.
+    d_j psi is built in work[j] of `work`, a C-contiguous complex array
+    of shape (3,) + points_per_axis (allocated if not given; one buffer
+    may serve many calls), unless `d0_given` says work[0] holds d_0 psi.
+    The rest is summed over two q halves, on disjoint slabs of `work`;
+    with `pool`, an executor, the second runs on it, and the call returns
+    or raises once both are done.  The halves' sums are added in a fixed
+    order, so the moments are the same doubles with or without a pool.
     """
-    spec = state.spec
-    psi = state.amplitudes
+    spec, psi = state.spec, state.amplitudes
     if work is None:
         work = np.empty((3,) + psi.shape, dtype=complex)
+    if not d0_given:
+        _spectral_derivative(psi, spec, 0, out=work[0])
+    n, q = psi.shape[0] // 2, spec.axis(0)
+    halves = [(psi[h], work[:, h], spec, q[h])
+              for h in (slice(n), slice(n, None))]
+    if pool is None:
+        parts = [_slab_moments(*half) for half in halves]
+    else:
+        pending = pool.submit(_slab_moments, *halves[1])
+        try:
+            parts = [_slab_moments(*halves[0])]
+        finally:
+            # the worker writes into work: wait for it, even if this raised
+            pending.exception()
+        parts.append(pending.result())
+    (means, second), (means_2, second_2) = parts
+    means, second = means + means_2, second + second_2
+    return means, second - np.outer(means, means)
+
+
+def _slab_moments(psi: np.ndarray, work: np.ndarray, spec: GridSpec,
+                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The means and raw second moments of a q slab at coordinates q,
+    given d_0 psi in work[0]: the slab's share of `grid_moments`' sums.
+    Only the slab of `work` is written."""
     dv, hbar = spec.cell_volume, spec.hbar
-    axes = [spec.axis(a) for a in range(3)]
+    axes = [q, spec.axis(1), spec.axis(2)]
     means = np.empty(6)
     second = np.empty((6, 6))
 
@@ -291,32 +356,26 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
         put(2 * a, 2 * b, axes[a] @ plane @ axes[b])
     for a in (1, 2):
         _spectral_derivative(psi, spec, a, out=work[a])
-    if d0_ready is None:
-        _spectral_derivative(psi, spec, 0, out=work[0])
-    else:
-        d0_ready()
-    derivs = list(work)
     # Re<d_i psi|d_j psi> is the dot product of the (re, im) float views,
-    # taken row by row with einsum and the rows summed pairwise.  BLAS
-    # is avoided: its threaded zdotc (np.vdot) rounds differently with
-    # the thread count, and took 5-8 ms instead of 0.2 ms per call on a
-    # loaded 2-core host.
-    rows = [d.view(np.float64).reshape(-1, 2 * psi.shape[2]) for d in derivs]
+    # row by row with einsum, the rows summed pairwise: BLAS zdotc rounds
+    # with the thread count, and took 5-8 ms, not 0.2, on 2 loaded cores
+    rows = [d.view(np.float64).reshape(-1, 2 * psi.shape[2]) for d in work]
     for j in range(3):
         for i in range(j + 1):
             put(2 * i + 1, 2 * j + 1,
                 hbar * hbar * np.einsum("ij,ij->i", rows[i], rows[j]).sum())
-    for j, d in enumerate(derivs):
-        # d_j psi is not needed again, so psi* d_j psi takes its place, one
-        # q slab at a time: no full-size conj(psi) is built.  Keep this
-        # operand order: the equal -Im(conj(d_j psi) psi) rounds differently
-        for s in range(psi.shape[0]):
-            np.multiply(np.conj(psi[s]), d[s], out=d[s])
-        current = d.imag
+    # d_j psi is not needed again, so the current Im(psi* d_j psi) =
+    # Re psi Im d_j psi - Im psi Re d_j psi is formed in its imaginary
+    # part, with no conj(psi) and no Python loop (a loop over q slabs
+    # beside the other thread waited on the GIL)
+    for j, d in enumerate(work):
+        np.multiply(d.real, psi.imag, out=d.real)
+        np.multiply(d.imag, psi.real, out=d.imag)
+        current = np.subtract(d.imag, d.real, out=d.imag)
         plane = current.sum(axis=2)
         current_lines = [hbar * line for line in (
             plane.sum(axis=1), plane.sum(axis=0), current.sum(axis=(0, 1)))]
         means[2 * j + 1] = current_lines[0].sum() * dv
         for a in range(3):
             put(2 * a, 2 * j + 1, axes[a] @ current_lines[a])
-    return means, second - np.outer(means, means)
+    return means, second

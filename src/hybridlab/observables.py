@@ -190,25 +190,9 @@ def classical_partial(spec: ObservableSpec, wrt: str) -> ObservableSpec:
     return ObservableSpec(ObservableKind.CLASSICAL, tuple(terms))
 
 
-def classical_poisson(a: ObservableSpec, b: ObservableSpec) -> ObservableSpec:
-    """{f, g} in the (x, u) pair: f_x g_u - f_u g_x."""
-    return _spec_sum(
-        _spec_product(classical_partial(a, "x"), classical_partial(b, "u")),
-        _spec_scale(_spec_product(classical_partial(a, "u"),
-                                  classical_partial(b, "x")), -1.0))
-
-
 def _spec_product(a: ObservableSpec, b: ObservableSpec) -> ObservableSpec:
     terms = tuple((ca * cb, fa + fb) for ca, fa in a.terms for cb, fb in b.terms)
     return ObservableSpec(a.kind, terms)
-
-
-def _spec_sum(a: ObservableSpec, b: ObservableSpec) -> ObservableSpec:
-    return ObservableSpec(a.kind, a.terms + b.terms)
-
-
-def _spec_scale(a: ObservableSpec, s: float) -> ObservableSpec:
-    return ObservableSpec(a.kind, tuple((s * c, f) for c, f in a.terms))
 
 
 def quantum_product(a: ObservableSpec, b: ObservableSpec) -> ObservableSpec:
@@ -293,13 +277,3 @@ def _order_sum(psi: np.ndarray, spec: GridSpec,
         else:
             total += term
     return total
-
-
-def quantum_commutator_over_ihbar(a: ObservableSpec, b: ObservableSpec,
-                                  state: GridState) -> np.ndarray:
-    """([A, B]/(i hbar)) psi with A, B Weyl-symmetrized."""
-    psi_b = apply_quantum(b, state)
-    psi_a = apply_quantum(a, state)
-    ab = apply_quantum(a, GridState(state.spec, psi_b))
-    ba = apply_quantum(b, GridState(state.spec, psi_a))
-    return (ab - ba) / (1j * state.spec.hbar)

@@ -9,7 +9,6 @@ and all numbers are written with 17 significant digits.
 from __future__ import annotations
 
 import io
-import threading
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -136,12 +135,6 @@ class ScenarioConfig:
         means, widths, tilts, chirps = self.mode_params()
         return ga.product_state(widths=widths, means=means, tilts=tilts,
                                 chirps=chirps, hbar=self.hbar)
-
-    def initial_grid(self) -> gr.GridState:
-        means, widths, tilts, chirps = self.mode_params()
-        spec = gr.GridSpec(self.grid_points, self.grid_half_widths, self.hbar)
-        return gr.init_product_gaussian(spec, means=means, widths=widths,
-                                        tilts=tilts, chirps=chirps)
 
     def sample_steps(self) -> tuple[int, list[int]]:
         """The step count and the sampled steps: every sample_every-th
@@ -333,81 +326,54 @@ def _moment_residual(moments: tuple[np.ndarray, np.ndarray],
                      np.abs(v - gauss.covariance).max()))
 
 
-class _Handoff:
-    """d_0 psi passed from the calling thread to the worker: `wait`
-    returns once `release(True)` says work[0] holds it, and raises once
-    `release(False)` says it never will."""
-
-    def __init__(self):
-        self._released = threading.Event()
-        self._written = False
-
-    def release(self, written: bool) -> None:
-        self._written = written
-        self._released.set()
-
-    def wait(self) -> None:
-        self._released.wait()
-        if not self._written:
-            raise RuntimeError("d_0 psi was not computed: the calling "
-                               "thread failed")
-
-
 def _grid_moments(config: ScenarioConfig):
     """An iterator over the grid moments (means, covariance) at the sample
     times.  The variant is checked on the call; the grid is built on the
     first step of the iterator.
 
-    Each sample's moments are split across two threads.  This thread
-    computes d_0 psi, the strided and most costly derivative, into the
-    work buffer, hands it to one worker thread, and propagates to the
-    next sample; the worker builds the density and d_1 psi and d_2 psi
-    meanwhile, then takes d_0 psi and forms the cross terms and the
-    currents.  So the moments of a sample come out after at most one
-    more propagation, and one extra grid state is held.  Both threads
-    only read the shared state and write disjoint parts of the buffer,
-    and numpy's FFTs and ufuncs release the GIL, so the moments are the
-    same doubles a serial loop gives.  The worker is joined before the
-    last moments come out, and before an exception from either thread,
-    or a close, leaves the iterator; a failure on this thread releases a
-    worker waiting for d_0 psi.
+    The initial state is a product and the propagator exact, so each
+    sample is built directly at t = step * dt from the 1-D initial
+    factors: this thread assembles psi while one worker thread assembles
+    d_0 psi, and `grid_moments` gives the worker the second q half of
+    the rest.  The guards come before any full-size array; psi and the
+    work buffer are the only ones.  The threads write disjoint parts of
+    them, so the moments are the doubles a serial loop gives.  The
+    worker is joined before the last moments come out, and before an
+    exception or a close leaves the iterator.
     """
     if config.variant != "EQ1":
         raise ConfigError("grid diagnostics support only the EQ1 variant")
-    _, samples = config.sample_steps()
+    n_steps, samples = config.sample_steps()
 
     def moments():
         # imported here: importing the package should not pay for it
         from concurrent.futures import ThreadPoolExecutor
 
-        grid_state = config.initial_grid()
-        # the fields of every sample's moments, allocated on this thread:
-        # full-size arrays that the worker allocated and freed itself
-        # stayed in its own malloc arena, and in some runs raised the peak
-        # RSS by 14 MiB
-        work = np.empty((3,) + config.grid_points, dtype=complex)
+        spec = gr.GridSpec(config.grid_points, config.grid_half_widths,
+                           config.hbar)
+        factors = gr.gaussian_factors(spec, *config.mode_params())
+        if n_steps > 0:
+            gr.check_shear(spec, config.g1, config.g2, config.dt)
+        # allocated on this thread: full-size arrays that the worker
+        # allocated and freed itself stayed in its own malloc arena, and
+        # in some runs raised the peak RSS by 14 MiB
+        state = gr.GridState(spec, np.empty(spec.points_per_axis, complex))
+        work = np.empty((3,) + spec.points_per_axis, dtype=complex)
 
-        def start(worker, state):
-            # submit state's moments and compute their d_0 psi here; the
-            # previous sample's moments are out, so work is free
-            handoff = _Handoff()
-            pending = worker.submit(gr.grid_moments, state, work, handoff.wait)
-            written = False
-            try:
-                gr._spectral_derivative(state.amplitudes, state.spec, 0,
-                                        out=work[0])
-                written = True
-            finally:
-                handoff.release(written)
-            return pending
+        def sample(pool, step):
+            pieces = gr.product_pieces(spec, factors, config.g1, config.g2,
+                                       step * config.dt)
+            # an error on this thread leaves through the pool's exit,
+            # which waits for the worker
+            d0 = pool.submit(gr.assemble_product, spec, pieces, work[0], True)
+            gr.assemble_product(spec, pieces, state.amplitudes)
+            d0.result()
+            return gr.grid_moments(state, work, pool, d0_given=True)
 
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            for prev, step in zip(samples, samples[1:]):
-                pending = start(worker, grid_state)
-                grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
-                                                  config.dt, step - prev)
-                yield pending.result()
-            last = start(worker, grid_state).result()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for step in samples[:-1]:
+                yield sample(pool, step)
+            last = sample(pool, samples[-1])
         yield last
     return moments()
 
@@ -430,10 +396,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     from `gaussian_brackets` in closed form, exact at any grid size, since
     every sampled state is a pure Gaussian.  Every Gaussian cell is
     checked, in row order, before any grid is built: a non-finite cell
-    stops the run with NonFiniteResultError.  The grid is built and
-    propagated only for the `validate` diagnostic, whose residual column
-    is filled row by row from `_grid_moments`: each row is checked after
-    at most one more propagation, which overlaps that row's moments.
+    stops the run with NonFiniteResultError.  The grid is built only
+    for the `validate` diagnostic, whose residual column is filled row
+    by row from `_grid_moments`: each row is checked as soon as its
+    sample's moments are out.
     """
     _check_output(config.output_path)
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
@@ -470,14 +436,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 def validate_backends(config: ScenarioConfig) -> float:
     """Max cross-backend moment discrepancy over the sampled trajectory.
 
-    The grid propagator is exact in closed form and sees dt only through
-    t = dt * steps, so what remains is the grid's band-limit floor.  A
-    dt/2 pass with sample_every doubled needs no run of its own: config
-    checking makes total_time a whole number n of dt steps, so that pass
-    samples steps 2s for each step s of this one, (dt/2) * 2s is dt * s
-    bit for bit, and its per-step shear guard is weaker.  It replays this
-    trajectory exactly; the CLI still prints its residual, which the
-    benchmark's output check parses.
+    The grid propagator is exact in closed form and each sample is built
+    directly at t = dt * steps, so what remains is the grid's band-limit
+    floor.  A dt/2 pass with sample_every doubled needs no run of its
+    own: config checking makes total_time a whole number n of dt steps,
+    so that pass samples steps 2s for each step s of this one, (dt/2) *
+    2s is dt * s bit for bit, and its per-step shear guard is weaker.  It
+    replays this trajectory exactly; the CLI still prints its residual,
+    which the benchmark's output check parses.
     """
     return max(_moment_residual(moments, gauss) for (_, gauss), moments
                in zip(_trajectory(config), _grid_moments(config), strict=True))

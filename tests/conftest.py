@@ -11,6 +11,8 @@ from hybridlab.gaussian import (
 )
 from hybridlab.grid import (GridSpec, GridState, init_product_gaussian,
                             split_step_evolve)
+from hybridlab.observables import (ObservableKind, ObservableSpec,
+                                   apply_quantum, classical_partial)
 
 # Committed benchmark inputs, shared by module and acceptance tests:
 # squeezed/tilted probes plus a mediator with planted <xk> correlation.
@@ -45,6 +47,35 @@ def two_mode_squeezed_state(r: float, hbar: float = 1.0) -> PhaseSpaceState:
     cov[2:4, 2:4] = c * np.eye(2)
     cov[0:2, 2:4] = cov[2:4, 0:2] = s * np.diag([1.0, -1.0])
     return PhaseSpaceState(np.zeros(6), cov, hbar)
+
+
+def classical_poisson(a: ObservableSpec, b: ObservableSpec) -> ObservableSpec:
+    """{f, g} in the (x, u) pair: f_x g_u - f_u g_x."""
+    def product(f, g, sign):
+        return tuple((sign * cf * cg, ff + fg)
+                     for cf, ff in f.terms for cg, fg in g.terms)
+
+    return ObservableSpec(ObservableKind.CLASSICAL, product(
+        classical_partial(a, "x"), classical_partial(b, "u"), 1.0) + product(
+        classical_partial(a, "u"), classical_partial(b, "x"), -1.0))
+
+
+def quantum_commutator_over_ihbar(a: ObservableSpec, b: ObservableSpec,
+                                  state: GridState) -> np.ndarray:
+    """([A, B]/(i hbar)) psi with A, B Weyl-symmetrized."""
+    psi_b = apply_quantum(b, state)
+    psi_a = apply_quantum(a, state)
+    ab = apply_quantum(a, GridState(state.spec, psi_b))
+    ba = apply_quantum(b, GridState(state.spec, psi_a))
+    return (ab - ba) / (1j * state.spec.hbar)
+
+
+def initial_grid(config) -> GridState:
+    """A scenario config's initial product state on its grid."""
+    means, widths, tilts, chirps = config.mode_params()
+    spec = GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
+    return init_product_gaussian(spec, means=means, widths=widths,
+                                 tilts=tilts, chirps=chirps)
 
 
 def entangling_time_scan(state: PhaseSpaceState, g1: float, g2: float,

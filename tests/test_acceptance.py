@@ -50,9 +50,7 @@ from hybridlab.grid import (
 )
 from hybridlab.observables import (
     classical,
-    classical_poisson,
     quantum,
-    quantum_commutator_over_ihbar,
 )
 
 from fock_oracle import evolved_probe_log_negativity
@@ -61,8 +59,10 @@ from conftest import (
     BENCH_MEANS,
     BENCH_TILTS,
     BENCH_WIDTHS,
+    classical_poisson,
     entangling_time_scan,
     half_resolution_estimates,
+    quantum_commutator_over_ihbar,
     two_mode_squeezed_state,
     vacuum_state,
 )

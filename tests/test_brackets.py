@@ -40,18 +40,17 @@ from hybridlab.grid import (
 from hybridlab.observables import (
     MAX_FACTORS_PER_MODE,
     classical,
-    classical_poisson,
     classical_value,
     parse_observable,
     quantum,
-    quantum_commutator_over_ihbar,
 )
 
 from hybridlab.scenario import parse_config
 
 from conftest import (BENCH_BRACKET_PAIRS, BENCH_CHIRPS, BENCH_COUPLINGS,
                       BENCH_MEANS, BENCH_TILTS, BENCH_TIME, BENCH_WIDTHS,
-                      half_resolution_estimates, vacuum_state)
+                      classical_poisson, half_resolution_estimates,
+                      quantum_commutator_over_ihbar, vacuum_state)
 
 
 @pytest.fixture(scope="module")

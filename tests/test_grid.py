@@ -1,7 +1,14 @@
+import sys
+import threading
+import time
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from hybridlab import grid as gr
 
 from hybridlab.gaussian import (
     QuadraticHamiltonian,
@@ -15,8 +22,11 @@ from hybridlab.grid import (
     GridSpec,
     GridState,
     apply_operator,
+    assemble_product,
+    gaussian_factors,
     grid_moments,
     init_product_gaussian,
+    product_pieces,
     split_step_evolve,
     to_ensemble,
 )
@@ -30,6 +40,33 @@ from conftest import (
     BENCH_WIDTHS,
     grid_norm,
 )
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture
+def fft_points(monkeypatch):
+    """Points transformed while the test runs, per (name, axis)."""
+    points = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args, axis=-1, **kwargs):
+            points[name, axis % a.ndim] += a.size
+            return fn(a, *args, axis=axis, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return points
 
 
 class TestGridSpec:
@@ -101,6 +138,28 @@ class TestInitProductGaussian:
     def test_accepts_mean_at_lower_edge(self):
         spec = GridSpec((32, 32, 32), (8.0, 8.0, 8.0))
         init_product_gaussian(spec, means=(0.0, -8.0, 0.0))
+
+    def test_product_of_normalized_factors(self):
+        spec = GridSpec((32, 64, 32), (8.0, 6.0, 8.0), hbar=0.7)
+        params = dict(means=(0.5, -0.3, 0.2), widths=(0.9, 0.6, None),
+                      tilts=(0.4, 0.0, -0.2), chirps=(0.3, -0.2, 0.4))
+        factors = gaussian_factors(spec, **params)
+        for f, h in zip(factors, spec.steps()):
+            assert np.sum(np.abs(f) ** 2) * h == pytest.approx(1.0, abs=1e-14)
+        a, b, c = factors
+        np.testing.assert_array_equal(
+            init_product_gaussian(spec, **params).amplitudes,
+            a[:, None, None] * b[None, :, None] * c[None, None, :])
+
+    def test_peak_is_one_state(self):
+        # only the product is built at full size: normalizing the product
+        # as a whole held two states (1051648 bytes at 32^3)
+        spec = GridSpec((32, 32, 32), (8.0, 8.0, 8.0))
+        params = dict(means=(0.5, -0.3, 0.2), widths=(0.9, 0.6, 0.8),
+                      tilts=(0.4, 0.0, -0.2), chirps=(0.3, -0.2, 0.4))
+        init_product_gaussian(spec, **params)
+        peak = traced_peak(lambda: init_product_gaussian(spec, **params))
+        assert peak <= 16 * 32 ** 3 + 2 ** 16
 
 
 class TestSplitStepEvolve:
@@ -186,6 +245,55 @@ class TestSplitStepEvolve:
                           axis=(1, 2))
             marginals.append(prob / (np.sum(prob) * dp))
         np.testing.assert_allclose(marginals[0], marginals[1], atol=1e-9)
+
+
+# (spec, initial-state parameters, couplings): the bench state at 64^3,
+# an uneven grid at hbar = 2, and 32^3 at hbar = 0.7 with a negative g2
+PRODUCT_CASES = {
+    "bench_64": (GridSpec((64, 64, 64), (12.0, 8.0, 10.0)),
+                 dict(means=BENCH_MEANS, widths=BENCH_WIDTHS,
+                      tilts=BENCH_TILTS, chirps=BENCH_CHIRPS),
+                 BENCH_COUPLINGS),
+    "uneven_hbar2": (GridSpec((32, 64, 128), (10.0, 8.0, 12.0), hbar=2.0),
+                     dict(means=(0.5, -0.4, 0.3), widths=(None, 0.9, 1.1),
+                          tilts=(0.3, 0.1, -0.2), chirps=(0.1, 0.2, 0.3)),
+                     (1.0, 0.8)),
+    "hbar07_negative_g2": (GridSpec((32, 32, 32), (8.0, 8.0, 8.0), hbar=0.7),
+                           dict(means=(0.5, -0.3, 0.2), widths=(None,) * 3,
+                                tilts=(0.4, 0.2, -0.2),
+                                chirps=(0.3, -0.2, 0.4)),
+                           (1.0, -1.3)),
+}
+
+
+class TestProductBuild:
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+    def test_equals_split_step_evolve(self, case, t):
+        # the pieces are split_step_evolve's three shears applied to the
+        # factors they act on, so psi(t) and d_0 psi(t) agree with it to
+        # rounding, resolved or not
+        spec, params, (g1, g2) = PRODUCT_CASES[case]
+        pieces = product_pieces(spec, gaussian_factors(spec, **params),
+                                g1, g2, t)
+        want = split_step_evolve(init_product_gaussian(spec, **params),
+                                 g1, g2, t / 8, 8).amplitudes
+        got = assemble_product(spec, pieces)
+        assert np.abs(got - want).max() <= 1e-13
+        d0 = assemble_product(spec, pieces, derivative=True)
+        assert np.abs(d0 - _spectral_derivative(want, spec, 0)).max() <= 1e-13
+
+    def test_one_full_size_transform(self, fft_points):
+        # psi(t) is one inverse FFT along q; the rest are 1-D and 2-D
+        spec, params, (g1, g2) = PRODUCT_CASES["uneven_hbar2"]
+        factors = gaussian_factors(spec, **params)
+        pieces = product_pieces(spec, factors, g1, g2, 1.0)
+        assert fft_points == {("fft", 0): 32 + 128, ("ifft", 1): 64 * 128}
+        fft_points.clear()
+        out = np.empty(spec.points_per_axis, dtype=complex)
+        peak = traced_peak(lambda: assemble_product(spec, pieces, out))
+        assert fft_points == {("ifft", 0): out.size}
+        assert peak < out.nbytes // 4
 
 
 def out_of_place_evolve(state, g1, g2, t):
@@ -275,19 +383,13 @@ class TestGridMoments:
         assert np.abs(means - ref.means).max() < 1e-6
         assert np.abs(cov - ref.covariance).max() < 1e-6
 
-    def test_three_fft_pairs(self, evolved_grid_state, fft_calls):
+    def test_three_fft_pairs(self, evolved_grid_state, fft_points):
+        # one forward and one inverse transform of every point along each
+        # axis; along q' and x each half of the q axis is transformed apart
         grid_moments(evolved_grid_state)
-        assert sorted(fft_calls) == ["fft"] * 3 + ["ifft"] * 3
-
-    @staticmethod
-    def traced_peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
+        size = evolved_grid_state.amplitudes.size
+        assert fft_points == {(name, axis): size for name in ("fft", "ifft")
+                              for axis in range(3)}
 
     def test_peak_is_the_three_derivatives(self, evolved_grid_state):
         # the density shares the derivatives' buffer, and psi* d_j psi is
@@ -295,7 +397,7 @@ class TestGridMoments:
         # derivatives is ever held: at 64^3 the peak fell from 19047456
         # bytes (density, derivatives and conj(psi)) to about 12.8e6
         grid_moments(evolved_grid_state)
-        peak = self.traced_peak(lambda: grid_moments(evolved_grid_state))
+        peak = traced_peak(lambda: grid_moments(evolved_grid_state))
         assert peak <= 3 * evolved_grid_state.amplitudes.nbytes + 2 ** 19
 
     def test_work_buffer(self, evolved_grid_state):
@@ -305,7 +407,7 @@ class TestGridMoments:
         work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
         want = grid_moments(evolved_grid_state)
         got = []
-        peak = self.traced_peak(
+        peak = traced_peak(
             lambda: got.append(grid_moments(evolved_grid_state, work)))
         got.append(grid_moments(evolved_grid_state, work))
         for means, cov in got:
@@ -313,28 +415,64 @@ class TestGridMoments:
             np.testing.assert_array_equal(cov, want[1])
         assert peak < psi.nbytes // 4
 
-    def test_d0_from_the_caller(self, evolved_grid_state):
-        # with d0_ready, work[0] is left untouched until d0_ready returns
-        # with d_0 psi in it, and the moments are the same doubles
+    def test_d0_from_the_caller(self, evolved_grid_state, fft_points):
+        # with d0_given, work[0] is read as d_0 psi: no transform runs
+        # along q, and the moments are those of the d_0 psi given, the
+        # same doubles as when the call computes it
         psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
         work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
-        calls = []
-
-        def d0_ready():
-            calls.append(np.isnan(work[0]).all())
-            _spectral_derivative(psi, spec, 0, out=work[0])
-
-        means, cov = grid_moments(evolved_grid_state, work, d0_ready)
         want = grid_moments(evolved_grid_state)
-        assert calls == [True]
+        _spectral_derivative(psi, spec, 0, out=work[0])
+        fft_points.clear()
+        means, cov = grid_moments(evolved_grid_state, work, d0_given=True)
+        assert {axis for _, axis in fft_points} == {1, 2}
         np.testing.assert_array_equal(means, want[0])
         np.testing.assert_array_equal(cov, want[1])
+        work[0] = np.nan
+        means, cov = grid_moments(evolved_grid_state, work, d0_given=True)
+        assert np.isnan(means[1]) and not np.isnan(means[0])
 
-        def failed():
-            raise RuntimeError("no d_0 psi")
+    def test_pool_gives_the_same_doubles(self, evolved_grid_state):
+        psi = evolved_grid_state.amplitudes
+        work = np.empty((3,) + psi.shape, dtype=complex)
+        want = grid_moments(evolved_grid_state)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                got = [grid_moments(evolved_grid_state, work, pool)
+                       for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for means, cov in got:
+            np.testing.assert_array_equal(means, want[0])
+            np.testing.assert_array_equal(cov, want[1])
 
-        with pytest.raises(RuntimeError, match="no d_0 psi"):
-            grid_moments(evolved_grid_state, work, failed)
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_half_error_raised_after_both_halves(self, evolved_grid_state,
+                                                 monkeypatch, failing):
+        # an error in either half leaves the call as itself, and only
+        # once the worker's half is done, so it writes into no buffer
+        # that the caller has taken back
+        error = MemoryError(f"{failing} half")
+        slab_moments, caller = gr._slab_moments, threading.current_thread()
+        finished = []
+
+        def half(*args):
+            on_caller = threading.current_thread() is caller
+            if on_caller == (failing == "caller"):
+                raise error
+            time.sleep(0.05)
+            result = slab_moments(*args)
+            finished.append(on_caller)
+            return result
+
+        monkeypatch.setattr(gr, "_slab_moments", half)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(MemoryError) as info:
+                grid_moments(evolved_grid_state, pool=pool)
+            assert info.value is error
+            assert finished == [failing == "worker"]
 
 
 class TestEnsembleRepresentation:

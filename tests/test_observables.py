@@ -26,14 +26,13 @@ from hybridlab.observables import (
     apply_quantum,
     classical,
     classical_partial,
-    classical_poisson,
     classical_value,
     parse_observable,
     quantum,
-    quantum_commutator_over_ihbar,
 )
 
-from conftest import BENCH_BRACKET_PAIRS
+from conftest import (BENCH_BRACKET_PAIRS, classical_poisson,
+                      quantum_commutator_over_ihbar)
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,7 +19,6 @@ from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
     _grid_moments,
-    _Handoff,
     _moment_residual,
     _num,
     _require_finite,
@@ -34,7 +34,7 @@ from hybridlab.scenario import (
     validate_backends,
 )
 
-from conftest import BENCH_BRACKET_PAIRS
+from conftest import BENCH_BRACKET_PAIRS, initial_grid
 
 FAST_GRID = "grid_points = 32,32,32\ngrid_half_widths = 10,6,8\n"
 # 21 factors on mode Q: enumerating their 21! orders never finished
@@ -222,8 +222,8 @@ class TestRunScenario:
         def fail(*args, **kwargs):
             pytest.fail("a bracket-only run must build no grid")
 
-        for name in ("init_product_gaussian", "split_step_evolve",
-                     "to_ensemble"):
+        for name in ("gaussian_factors", "init_product_gaussian",
+                     "product_pieces", "split_step_evolve", "to_ensemble"):
             monkeypatch.setattr(gr, name, fail)
         config = fast_config(f"diagnostics = {diagnostics}\nbracket_pairs = "
                              + ";".join(BENCH_BRACKET_PAIRS) + "\n")
@@ -300,11 +300,29 @@ REPLAY_CONFIGS = {
 
 
 def serial_moments(config):
-    """The grid moments at the sample times from a serial propagate-then-
-    measure loop: the oracle for `_grid_moments`, which takes each
-    sample's moments on a worker thread during the next propagation."""
+    """The grid moments at the sample times from a serial loop of the same
+    per-sample build and `grid_moments` without a pool: the oracle for
+    `_grid_moments`, which splits each sample across two threads."""
+    spec = GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
+    means, widths, tilts, chirps = config.mode_params()
+    factors = gr.gaussian_factors(spec, means, widths, tilts, chirps)
+    out = []
+    for step in config.sample_steps()[1]:
+        pieces = gr.product_pieces(spec, factors, config.g1, config.g2,
+                                   step * config.dt)
+        work = np.empty((3,) + spec.points_per_axis, dtype=complex)
+        gr.assemble_product(spec, pieces, work[0], derivative=True)
+        state = gr.GridState(spec, gr.assemble_product(spec, pieces))
+        out.append(gr.grid_moments(state, work, d0_given=True))
+    return out
+
+
+def chained_moments(config):
+    """The grid moments at the sample times from propagating the initial
+    grid state from sample to sample, and taking each sample's moments
+    with `grid_moments` alone."""
     _, samples = config.sample_steps()
-    grid_state, prev, out = config.initial_grid(), 0, []
+    grid_state, prev, out = initial_grid(config), 0, []
     for step in samples:
         if step > prev:
             grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
@@ -342,32 +360,62 @@ class TestGridMoments:
             assert np.array_equal(means, ref_means)
             assert np.array_equal(cov, ref_cov)
 
-    def test_one_buffer_for_the_trajectory(self, monkeypatch):
-        # the worker allocates no full-size field: every call builds its
-        # fields in the one buffer the calling thread allocated, and every
-        # sample's moments, the last too, are taken on the worker, with
-        # d_0 psi handed over from the calling thread
-        calls = []
-        grid_moments = gr.grid_moments
+    def test_residuals_match_chained_propagation(self):
+        # building each sample directly at its time, rather than
+        # propagating from the last sample, moves the README trajectory's
+        # residuals only by the grid's band-limit floor: they agree to
+        # 1e-14 up to t = 1.5 and to 2e-10 at t = 2
+        config = parse_config(config_text(README_CONFIG))
+        times, got = residuals(config)
+        want = [_moment_residual(moments, gauss) for (_, gauss), moments
+                in zip(_trajectory(config), chained_moments(config),
+                       strict=True)]
+        assert times[-1] == 2.0 and len(got) == len(want) == 9
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
 
-        def recorded(state, work, d0_ready):
-            calls.append((work, d0_ready, threading.current_thread()))
-            return grid_moments(state, work, d0_ready)
+    def test_one_buffer_for_the_trajectory(self, monkeypatch):
+        # every sample is built in the one psi buffer and the one work
+        # buffer that the calling thread allocated, so the worker
+        # allocates no full-size field: it assembles d_0 psi into work[0]
+        # and takes the second q half of every call's moments, while each
+        # grid_moments call is made on the calling thread
+        calls, assembled = [], []
+        grid_moments, assemble = gr.grid_moments, gr.assemble_product
+
+        def recorded(state, work, pool, d0_given):
+            calls.append((state.amplitudes, work, pool, d0_given,
+                          threading.current_thread()))
+            return grid_moments(state, work, pool, d0_given)
+
+        def recorded_assemble(spec, pieces, out, derivative=False):
+            assembled.append((out, derivative, threading.current_thread()))
+            return assemble(spec, pieces, out, derivative)
 
         monkeypatch.setattr(gr, "grid_moments", recorded)
+        monkeypatch.setattr(gr, "assemble_product", recorded_assemble)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         assert len(list(_grid_moments(config))) == len(calls) == 9
-        work = calls[0][0]
+        psi, work, pool = calls[0][:3]
+        assert psi.shape == (32, 32, 32) and psi.dtype == complex
         assert work.shape == (3, 32, 32, 32) and work.dtype == complex
-        assert all(w is work and callable(ready) for w, ready, _ in calls)
         caller = threading.current_thread()
-        assert not any(t is caller for _, _, t in calls)
-        assert len({t for _, _, t in calls}) == 1
+        assert all(a is psi and w is work and p is pool and d0_given
+                   and t is caller for a, w, p, d0_given, t in calls)
+        d0 = [(out, thread) for out, derivative, thread in assembled
+              if derivative]
+        own = [(out, thread) for out, derivative, thread in assembled
+               if not derivative]
+        assert len(d0) == len(own) == 9
+        assert all(out is psi and thread is caller for out, thread in own)
+        assert all(np.shares_memory(out, work[0]) and out.shape == psi.shape
+                   and thread is not caller for out, thread in d0)
+        assert len({thread for _, thread in d0}) == 1
 
     def test_one_worker_joined_before_last_moments(self):
-        # the worker starts on the first step and, though it takes the
-        # last sample's moments too, is joined before they come out, so
-        # an iterator that is never run to its end leaves no thread behind
+        # the worker starts on the first step and, though it takes half
+        # of the last sample's moments too, is joined before they come
+        # out, so an iterator that is never run to its end leaves no
+        # thread behind
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         n = len(config.sample_steps()[1])
         start = threading.active_count()
@@ -387,44 +435,30 @@ class TestGridMoments:
         moments.close()
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("where", ["d0", "propagation"])
-    def test_caller_error_releases_worker(self, monkeypatch, where):
-        # the calling thread fails at the second sample, while the worker
-        # waits for d_0 psi or after it has it: the iterator raises that
-        # error as itself, leaves no thread and does not hang
-        error = MemoryError(f"{where} at the second sample")
-        waits, waiting = [], threading.Event()
-        wait = _Handoff.wait
+    @pytest.mark.parametrize("thread", ["caller", "worker"])
+    @pytest.mark.parametrize("stage", ["build", "half"])
+    def test_error_in_either_thread(self, monkeypatch, stage, thread):
+        # one thread fails at the second sample, in its build of psi or
+        # d_0 psi, or in its q half of the moments, while the other is
+        # still at work: the iterator raises that error as itself, after
+        # the other thread is done, leaves no thread and does not hang
+        error = MemoryError(f"{thread} {stage} at the second sample")
+        target = {"build": "assemble_product", "half": "_slab_moments"}[stage]
+        original = getattr(gr, target)
+        calls, finished = [], []
 
-        def signalled_wait(handoff):
-            waits.append(handoff)
-            if len(waits) == 2:
-                waiting.set()
-            return wait(handoff)
-
-        derivative, evolve = gr._spectral_derivative, gr.split_step_evolve
-        calls = []
-
-        def failing_derivative(psi, spec, axis, out=None):
-            if threading.current_thread() is runner:
-                calls.append(axis)
-                if len(calls) == 2:
-                    # the worker is blocked until this thread releases it
-                    assert waiting.wait(10)
-                    raise error
-            return derivative(psi, spec, axis, out=out)
-
-        def failing_evolve(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        def failing(*args, **kwargs):
+            on_caller = threading.current_thread() is runner
+            calls.append(on_caller)
+            if on_caller == (thread == "caller") and len(calls) > 2:
                 raise error
-            return evolve(*args)
+            if on_caller != (thread == "caller") and len(calls) > 2:
+                time.sleep(0.05)
+            result = original(*args, **kwargs)
+            finished.append(on_caller)
+            return result
 
-        monkeypatch.setattr(_Handoff, "wait", signalled_wait)
-        if where == "d0":
-            monkeypatch.setattr(gr, "_spectral_derivative", failing_derivative)
-        else:
-            monkeypatch.setattr(gr, "split_step_evolve", failing_evolve)
+        monkeypatch.setattr(gr, target, failing)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         raised, got = [], []
 
@@ -442,12 +476,39 @@ class TestGridMoments:
         assert not runner.is_alive()
         assert len(raised) == 1 and raised[0] is error
         assert len(got) == 1
+        # the other thread finished its part of the second sample
+        assert len(calls) == 4 and len(finished) == 3
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("overrides,exception", [
+        ({"total_time": "3", "dt": "1.5"}, gr.ConfigurationError),
+        ({"c_mean": "30"}, gr.DomainTooSmallError),
+        ({"c_width": "4"}, gr.DomainTooSmallError),
+    ], ids=["shear", "mean_outside_box", "narrow_box"])
+    def test_guards_before_any_grid(self, overrides, exception):
+        # the guards of the initial state and of the per-step shear stop
+        # the trajectory before any full-size array is allocated
+        config = parse_config(config_text(dict(README_CONFIG, **overrides)))
+        moments = _grid_moments(config)
+        tracemalloc.start()
+        try:
+            with pytest.raises(exception):
+                next(moments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 ** 3 // 4
+
+    def test_no_shear_guard_without_steps(self):
+        # a run of no steps never propagates, so a dt whose shear would
+        # exceed the box is no error, as it was not with split_step_evolve
+        config = parse_config(config_text(dict(README_CONFIG, total_time="0",
+                                               dt="1.5", grid_points="32,32,32")))
+        assert len(list(_grid_moments(config))) == 1
 
     def test_peak_memory(self):
         # the split allocates no full-size field: the peak is the work
-        # buffer, two grid states (the one the worker reads and the one
-        # the propagation builds) and an allowance for two FFT buffers of
+        # buffer, one grid state and an allowance for two FFT buffers of
         # numpy's 8192 complex values, one per thread, and the slabs and
         # planes; a full-size field, 256 KiB real or 512 KiB complex at
         # 32^3, would not fit in it
@@ -460,7 +521,7 @@ class TestGridMoments:
         finally:
             tracemalloc.stop()
         state = 16 * 32 ** 3
-        assert peak <= 3 * state + 2 * state + 3 * 2 ** 17
+        assert peak <= 3 * state + state + 3 * 2 ** 17
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_run_leaves_no_thread(self, tmp_path, command):
@@ -474,18 +535,19 @@ class TestGridMoments:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_worker_error_reaches_cli(self, tmp_path, capsys, monkeypatch,
                                       command):
-        # a guard raised while the worker takes the second sample's moments
-        # reaches cli.main as itself: exit 3, as on the calling thread
+        # a guard raised while the worker takes its half of the second
+        # sample's moments reaches cli.main as itself: exit 3, as on the
+        # calling thread
         threads = []
-        grid_moments = gr.grid_moments
+        slab_sums = gr._slab_moments
 
-        def failing(state, *args):
+        def failing(*args):
             threads.append(threading.current_thread())
-            if len(threads) == 2:
+            if len(threads) > 2 and threads[-1] is not threading.main_thread():
                 raise gr.ConfigurationError("second sample")
-            return grid_moments(state, *args)
+            return slab_sums(*args)
 
-        monkeypatch.setattr(gr, "grid_moments", failing)
+        monkeypatch.setattr(gr, "_slab_moments", failing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
         start = threading.active_count()
@@ -493,21 +555,24 @@ class TestGridMoments:
                      "--out", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "numerical guard violation: second sample"
-        assert len(threads) == 2
-        assert threads[1] is not threading.current_thread()
+        assert len(threads) == 4
+        assert threads[0] is threads[2] is threading.current_thread()
+        assert threads[1] is threads[3] is not threading.current_thread()
         assert threading.active_count() == start
 
     def test_unexpected_worker_error_propagates(self, tmp_path, monkeypatch):
+        # an error of the worker's build of d_0 psi reaches cli.main as
+        # itself
         calls = []
-        grid_moments = gr.grid_moments
+        assemble = gr.assemble_product
 
-        def failing(state, *args):
-            calls.append(state)
-            if len(calls) == 2:
+        def failing(spec, pieces, out, derivative=False):
+            calls.append(derivative)
+            if derivative and len(calls) > 2:
                 raise RuntimeError("second sample")
-            return grid_moments(state, *args)
+            return assemble(spec, pieces, out, derivative)
 
-        monkeypatch.setattr(gr, "grid_moments", failing)
+        monkeypatch.setattr(gr, "assemble_product", failing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
         start = threading.active_count()
@@ -589,7 +654,9 @@ class TestValidateBackends:
         config = parse_config(config_text(REPLAY_CONFIGS["appended_sample"]))
         _, samples = config.sample_steps()
         assert samples == [0, 3, 6, 8]
-        calls = {"grid_moments": 0, "split_step_evolve": 0}
+        calls = {"gaussian_factors": 0, "product_pieces": 0,
+                 "assemble_product": 0, "grid_moments": 0,
+                 "split_step_evolve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -600,8 +667,13 @@ class TestValidateBackends:
         for name in calls:
             monkeypatch.setattr(gr, name, counted(name, getattr(gr, name)))
         validate_backends(config)
-        assert calls == {"grid_moments": len(samples),
-                         "split_step_evolve": len(samples) - 1}
+        # each sample is built once from the one set of initial factors,
+        # psi and d_0 psi from the same pieces, and never propagated
+        assert calls == {"gaussian_factors": 1,
+                         "product_pieces": len(samples),
+                         "assemble_product": 2 * len(samples),
+                         "grid_moments": len(samples),
+                         "split_step_evolve": 0}
 
     def test_cli_prints_replayed_lines(self, tmp_path, capsys):
         values = REPLAY_CONFIGS["readme_short"]
@@ -642,7 +714,8 @@ def no_grid(monkeypatch):
     def fail(*args, **kwargs):
         pytest.fail("the config must be rejected before any grid")
 
-    monkeypatch.setattr(gr, "init_product_gaussian", fail)
+    for name in ("gaussian_factors", "init_product_gaussian"):
+        monkeypatch.setattr(gr, name, fail)
 
 
 class TestCli:
@@ -770,7 +843,7 @@ class TestCli:
         def fail(*args, **kwargs):
             pytest.fail("an unwritable output must be refused before any work")
 
-        monkeypatch.setattr(gr, "split_step_evolve", fail)
+        monkeypatch.setattr(gr, "product_pieces", fail)
         monkeypatch.setattr(ga, "evolve_gaussian", fail)
         cfg = tmp_path / "tomo.cfg"
         cfg.write_text("total_time = 2\ndt = 0.25\nsample_every = 1\n"
@@ -962,15 +1035,15 @@ class TestCli:
     def test_nonfinite_row_stops_before_propagating(self, tmp_path, capsys,
                                                     monkeypatch):
         # each row is checked as it is built: a non-finite bracket at t = 0
-        # ends a validate run before its first grid propagation
+        # ends a validate run before its first grid sample is built
         steps = []
-        split_step_evolve = gr.split_step_evolve
+        product_pieces = gr.product_pieces
 
         def counted(*args, **kwargs):
             steps.append(args)
-            return split_step_evolve(*args, **kwargs)
+            return product_pieces(*args, **kwargs)
 
-        monkeypatch.setattr(gr, "split_step_evolve", counted)
+        monkeypatch.setattr(gr, "product_pieces", counted)
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(config_text(dict(
             README_CONFIG, grid_points="32,32,32", q_mean="0.5",
@@ -989,15 +1062,15 @@ class TestCli:
                                                        monkeypatch):
         # every Gaussian cell is checked before the grid is built: a
         # bracket that overflows only at t = 0.5 ends a validate run
-        # before its first propagation, where row by row it took two
+        # before its first grid sample, where row by row it took two
         steps = []
-        split_step_evolve = gr.split_step_evolve
+        product_pieces = gr.product_pieces
 
         def counted(*args, **kwargs):
             steps.append(args)
-            return split_step_evolve(*args, **kwargs)
+            return product_pieces(*args, **kwargs)
 
-        monkeypatch.setattr(gr, "split_step_evolve", counted)
+        monkeypatch.setattr(gr, "product_pieces", counted)
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(config_text(dict(
             README_CONFIG, grid_points="32,32,32",
@@ -1031,6 +1104,32 @@ class TestCli:
                                 "bracket_pairs = C[ x ]|C[ u ]\n")
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_narrow_box_exits_3_on_validate(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "c_width = 4.0\n")
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert ("half-width 8.0 < 8 x initial std 4.0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_shear_guard_exits_3(self, tmp_path, capsys, command):
+        # samples are built at their times, not propagated, but a dt whose
+        # per-step shear exceeds the box is still refused, before any grid
+        cfg = tmp_path / "shear.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, total_time="3",
+                                        dt="1.5")))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical guard violation: per-step shear exceeds the domain "
+            "size; reduce dt or enlarge the box")
+        assert not out.exists()
+
+    def test_validate_rejects_heff_variant(self, tmp_path, capsys, no_grid):
+        cfg = tmp_path / "heff.cfg"
+        cfg.write_text(config_text(dict(README_CONFIG, variant="PAPER_HEFF")))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "EQ1 variant" in capsys.readouterr().err
 
 
 def test_brackets_csv_independent_of_hash_seed(tmp_path):

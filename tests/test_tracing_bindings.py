@@ -41,8 +41,8 @@ def test_install_restores_originals():
 
 
 def test_traced_validate_counts_repeat(tmp_path):
-    # validate takes grid moments on a worker thread, so the tracer is
-    # entered from two threads; the traced benchmark flags any count that
+    # validate builds d_0 psi and half of every sample's moments on a
+    # worker thread, so the tracer counts FFTs from two threads; the traced benchmark flags any count that
     # differs between rounds
     cfg = tmp_path / "validate.cfg"
     cfg.write_text("total_time = 0.5\ndt = 0.03125\nsample_every = 8\n"
@@ -57,9 +57,13 @@ def test_traced_validate_counts_repeat(tmp_path):
         counts.append({k: v for k, v in tracer.summary().items()
                        if k.startswith("grid.")
                        and k.rsplit(".", 1)[1] not in ("s", "self_s")})
-    # samples at steps 0, 8 and 16: two propagations of 4 FFTs each and
-    # three sets of moments of 6 FFTs each
+    # samples at steps 0, 8 and 16, each built directly at its time: no
+    # split_step_evolve span and no Strang step.  A sample's pieces take
+    # two 1-D FFTs of 32 points and one 2-D inverse FFT of 32^2; psi and
+    # d_0 psi one inverse FFT of 32^3 each; the moments one FFT pair
+    # along q' and one along x for each q half, 8 transforms of 32^3 / 2
+    per_sample = 3 + 2 + 8
+    points = 2 * 32 + 32 ** 2 + 2 * 32 ** 3 + 8 * 32 ** 3 // 2
     assert counts[0] == counts[1] == {
-        "grid.split_step_evolve.calls": 2, "grid.strang_steps": 16,
-        "grid.grid_moments.calls": 3, "grid.fft_calls": 2 * 4 + 3 * 6,
-        "grid.fft_points": (2 * 4 + 3 * 6) * 32 ** 3}
+        "grid.grid_moments.calls": 3, "grid.fft_calls": 3 * per_sample,
+        "grid.fft_points": 3 * points}
