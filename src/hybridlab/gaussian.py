@@ -169,16 +169,17 @@ def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> np.ndarray:
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
                     t: float) -> PhaseSpaceState:
-    """Propagate means and covariance: m -> Sm, V -> S V S^T.
-
-    S V S^T is symmetric only up to rounding, which at large couplings
-    exceeds PhaseSpaceState's 1e-12 guard, so its symmetric part is
-    returned.
-    """
+    """Propagate means and covariance: m -> Sm, V -> S V S^T."""
     state.require_physical()
-    s = symplectic_propagator(h, t)
+    return PhaseSpaceState(*evolved_moments(state, symplectic_propagator(h, t)),
+                           state.hbar)
+
+
+def evolved_moments(state: PhaseSpaceState, s: np.ndarray):
+    """S m and the symmetric part of S V S^T, which rounding leaves
+    asymmetric beyond PhaseSpaceState's 1e-12 guard at large couplings."""
     v = s @ state.covariance @ s.T
-    return PhaseSpaceState(s @ state.means, 0.5 * (v + v.T), state.hbar)
+    return s @ state.means, 0.5 * (v + v.T)
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -240,44 +241,64 @@ def witness_expectation(state: PhaseSpaceState) -> float:
 # Displaced-parity CHSH
 # ---------------------------------------------------------------------------
 
-class _ParityCorrelator:
-    """Precomputed two-mode displaced-parity correlation E(alpha, beta).
+# The quadratic form's terms in the scalar order, diagonal first: term t
+# is (c_t * d[I_t]) * d[J_t], with I the first ten entries, J the last ten.
+_TERMS = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2,
+                   0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
-    E is proportional to the Wigner function at the displacement point,
-    normalized so the two-mode vacuum at zero displacement gives 1.
-    """
 
-    def __init__(self, means: np.ndarray, cov: np.ndarray, hbar: float):
-        self.means = means
-        self.inv = np.linalg.inv(cov)
-        self.scale = np.sqrt(2.0 * hbar)
-        self.norm = (np.pi * hbar) ** 2 / (
-            (2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(cov)))
+def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
+    """The 16 numbers a two-mode parity correlator reads: the inverse
+    covariance entries c_t, the 4 means, the displacement scale and norm."""
+    means, cov = state.reduced(modes)
+    norm = (np.pi * state.hbar) ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(cov)))
+    return np.concatenate([np.linalg.inv(cov)[_TERMS[:10], _TERMS[10:]], means,
+                           [np.sqrt(2.0 * state.hbar), norm]])
 
-    def __call__(self, alpha: complex, beta: complex) -> float:
-        delta = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
-        delta = self.scale * delta - self.means
-        return float(self.norm * np.exp(-0.5 * delta @ self.inv @ delta))
+
+def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray:
+    """The displaced-parity correlation E (the Wigner function, scaled to
+    1 for the two-mode vacuum at zero displacement) at the scaled, offset
+    displacements d, shape (4, ...), for the term constants c, shape
+    (10, ...), and the norm, each broadcast against d.  Each term is
+    (c_t * d_i) * d_j and numpy reduces the leading axis row after row,
+    so the sums run left to right as in the unrolled scalar form, and
+    math.exp, which differs from np.exp in the last bit for some
+    arguments, keeps every descent start on its scalar path."""
+    g = d[_TERMS]
+    t = np.multiply(g[:10], c, out=g[:10])
+    t *= g[10:]
+    arg = -0.5 * (np.add.reduce(t[:4]) + 2.0 * np.add.reduce(t[4:]))
+    e = np.fromiter(map(exp, memoryview(arg.ravel())), float, arg.size)
+    return np.multiply(norm, e.reshape(arg.shape), out=out)
 
 
 def chsh_displaced_parity(state: PhaseSpaceState,
                           settings: tuple[complex, complex, complex, complex],
                           modes: tuple[str, str] = ("Q", "Qprime")) -> float:
-    """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations."""
+    """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations,
+    in the operations of `optimize_chsh`: its value at its settings."""
     modes = _check_modes([m] for m in modes)
     state.require_physical()
-    means, cov = state.reduced(modes)
-    e = _ParityCorrelator(means, cov, state.hbar)
-    a1, a2, b1, b2 = settings
-    return e(a1, b1) + e(a2, b1) + e(a1, b2) - e(a2, b2)
+    p = _chsh_constants(state, modes)
+    x = np.array([[a.real, a.imag, b.real, b.imag]
+                  for b in settings[2:] for a in settings[:2]])
+    e = _chsh_correlator(p[:10, None], p[15], p[14] * x.T - p[10:14, None])
+    return float(e[0] + e[1] + e[2] - e[3])
 
 
-# The most states one CHSH descent batches.  On 64 states of a t <= 4
-# run, descents of 1, 8, 16, 32 and 64 states took 10.3, 3.7, 3.0, 2.6
-# and 2.2 s: past 32 the gain flattens, and the bound keeps a run of up
+# The most states one CHSH descent batches.  On the 64 states of a t < 4
+# run, descents of 1, 8, 16, 32 and 64 states took 3.1, 1.3, 1.1, 1.1
+# and 1.0 s: past 32 the gain flattens, and the bound keeps a run of up
 # to 10**6 samples at 800 starts per descent.
 _CHSH_CHUNK = 32
 _CHSH_GRID = np.linspace(-0.6, 0.6, 5)
+# One side's moves j = 2s + k (setting s, component k) in correlator
+# rounds: the settings whose component-k trials a round evaluates, k, and
+# the moves it decides, in the scalar order.  Setting 1's first component
+# does not wait for setting 0's moves, so one round serves both.
+_CHSH_ROUNDS = ((slice(0, 2), 0, (0,)), (slice(0, 1), 1, (1, 2)),
+                (slice(1, 2), 1, (3,)))
 _Settings = tuple[complex, complex, complex, complex]
 
 
@@ -295,15 +316,10 @@ def optimize_chsh(state: PhaseSpaceState,
     start, in grid order, with the largest B wins.
 
     This is the one-state case of `optimize_chsh_many`, which runs the
-    starts of up to 32 states in one lockstep descent, as arrays, each
-    start with its own step; a start leaves the batch once its step is
-    spent.  Across states, each state's constants (its inverse
-    covariance, means, scale and norm) are per-start arrays.  A lone
-    state keeps them as floats: numpy broadcasts a float at no cost,
-    and per-start arrays made one-state calls about 10% slower.  Either
-    way each start follows the path of its own scalar descent, in the
-    same floating-point operations, so the result is deterministic and
-    does not depend on which states share its batch.
+    starts of up to 32 states in one lockstep descent, each with its own
+    step, until its step is spent.  Each start takes the floating-point
+    steps of its own scalar descent, so the result does not depend on
+    which states share its batch.
     """
     return optimize_chsh_many([state], modes)[0]
 
@@ -324,110 +340,95 @@ def optimize_chsh_many(states: list[PhaseSpaceState],
     return out
 
 
-def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> tuple[float, ...]:
-    """The 16 floats the descent reads: the upper triangle of the inverse
-    covariance, row by row, then the 4 means, scale and norm."""
-    means, cov = state.reduced(modes)
-    corr = _ParityCorrelator(means, cov, state.hbar)
-    return tuple(float(v) for v in (*corr.inv[np.triu_indices(4)], *means,
-                                    corr.scale, corr.norm))
-
-
-def _chsh_descent(consts: list[tuple[float, ...]]) -> list[tuple[float, _Settings]]:
+def _chsh_descent(consts: list[np.ndarray]) -> list[tuple[float, _Settings]]:
     """The lockstep descent of `optimize_chsh` over the 25 starts of each
     state whose `_chsh_constants` are listed, one result per state."""
     per_state = _CHSH_GRID.size ** 2
     n = len(consts) * per_state
-    batched = len(consts) > 1
-    # k: the constants as floats for one state, else as per-start rows
-    k = (tuple(np.repeat(np.array(consts).T, per_state, axis=1)) if batched
-         else consts[0])
-    c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, *mean, scale, norm = k
-
-    def correlator(d0, d1, d2, d3):
-        # E at the scaled, offset displacements d, elementwise.  The
-        # quadratic form keeps its unrolled operation order, and math.exp,
-        # which differs from np.exp in the last bit for some arguments,
-        # keeps every start on its scalar path.
-        quad = (c00 * d0 * d0 + c11 * d1 * d1 + c22 * d2 * d2 + c33 * d3 * d3
-                + 2.0 * (c01 * d0 * d1 + c02 * d0 * d2 + c03 * d0 * d3
-                         + c12 * d1 * d2 + c13 * d1 * d3 + c23 * d2 * d3))
-        arg = -0.5 * quad
-        return norm * np.fromiter(map(exp, arg.ravel().tolist()), float,
-                                  arg.size).reshape(arg.shape)
-
-    # x[g, s, c] is component c (Re, Im) of setting s of side g (alpha,
-    # beta), over the starts; coordinate 4g + 2s + c of the scalar descent.
-    # d = scale * x - mean is what the correlator reads, and e[b, a] caches
-    # E(alpha_a, beta_b), term 2b + a of B = E11 + E21 + E12 - E22.
-    x = np.zeros((2, 2, 2, n))
-    x[0, 1, 1] = np.tile(np.repeat(_CHSH_GRID, _CHSH_GRID.size), len(consts))
-    x[1, 1, 1] = np.tile(_CHSH_GRID, _CHSH_GRID.size * len(consts))
-    d = scale * x - np.reshape(mean, (2, 1, 2, -1))
-    e = correlator(d[0, :, 0], d[0, :, 1], d[1, :, 0, None], d[1, :, 1, None])
-    cur = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
-    step = np.full(n, 0.25)
-    live = np.arange(n)
-    best_x, best_val = np.empty((8, n)), np.empty(n)
+    # p: the constants as rows over the starts, of length 1 for one state
+    p = np.repeat(np.array(consts).T, 1 if len(consts) == 1 else per_state, axis=1)
+    # Row i < 8 of z is coordinate i = 4g + 2s + k of the scalar descent,
+    # component k (Re, Im) of setting s of side g (alpha, beta), over the
+    # starts; row 8 + i is d_i = scale * x_i - mean, what the correlator
+    # reads; row 16 + 2b + a caches E(alpha_a, beta_b), term 2b + a of
+    # B = E11 + E21 + E12 - E22; and row 20 is B.
+    z = np.zeros((21, n))
+    z[3] = np.tile(np.repeat(_CHSH_GRID, _CHSH_GRID.size), len(consts))
+    z[7] = np.tile(_CHSH_GRID, _CHSH_GRID.size * len(consts))
+    z[8:16] = p[14] * z[:8] - p[[10, 11, 10, 11, 12, 13, 12, 13]]
+    sides = z[8:16].reshape(2, 2, 2, n).transpose(0, 2, 1, 3)
+    d = np.empty((4, 2, 2, n))
+    d[:2], d[2:] = sides[0, :, None], sides[1, :, :, None]
+    z[16:20] = _chsh_correlator(p[:10, None, None], p[15], d).reshape(4, n)
+    z[20] = z[16] + z[17] + z[18] - z[19]
+    step, live, m, best = np.full(n, 0.25), np.arange(n), 0, np.empty((21, n))
     while live.size:
-        improved = np.zeros(live.size, dtype=bool)
-        # +step; -step from the old point; -step from the +step point,
-        # which rounding need not bring back to the old point
-        trial = np.empty((3, live.size))
-        # the correlator's arguments for the 2 changed terms x 3 trials,
-        # contiguous, since numpy broadcasts strided operands more slowly
-        args = np.empty((4, 2, 3, live.size))
-        for g, s, c in np.ndindex(2, 2, 2):
-            xi = x[g, s, c]
-            np.add(xi, step, out=trial[0])
-            np.subtract(xi, step, out=trial[1])
-            np.subtract(trial[0], step, out=trial[2])
-            d_trial = scale * trial - mean[2 * g + c]
-            # a move of side g's setting s changes only the two terms that
-            # pair it with either setting of the other side: `cached`
-            same, other = (args[:2], args[2:]) if g == 0 else (args[2:], args[:2])
-            same[c] = d_trial
-            same[1 - c] = d[g, s, 1 - c]
-            other[0] = d[1 - g, :, 0, None]
-            other[1] = d[1 - g, :, 1, None]
-            new = correlator(*args)
-            cached = e[:, s] if g == 0 else e[s]
-            terms = [e[0, 0], e[0, 1], e[1, 0], e[1, 1]]
-            changed = (s, 2 + s) if g == 0 else (2 * s, 2 * s + 1)
-            terms[changed[0]], terms[changed[1]] = new
-            val = terms[0] + terms[1] + terms[2] - terms[3]
-            take_up = val[0] > cur + 1e-15
-            after_up = np.where(take_up, val[0], cur)
-            take_down = np.where(take_up, val[2], val[1]) > after_up + 1e-15
-            pick = np.where(take_down, np.where(take_up, 2, 1),
-                            np.where(take_up, 0, -1))
-            cols = (pick >= 0).nonzero()[0]
-            if cols.size:
-                p = pick[cols]
-                xi[cols] = trial[p, cols]
-                d[g, s, c, cols] = d_trial[p, cols]
-                cached[:, cols] = new[:, p, cols]
-                cur[cols] = val[p, cols]
-                improved[cols] = True
-        step = np.where(improved, step, 0.5 * step)
+        if live.size != m:
+            # Views for the starts left.  w[s, f, 0] gathers field f of a
+            # move of setting s from z: x_i, d_i, the two terms it changes
+            # and B; w[s, f, 1:] holds it at the trials +step, -step from the
+            # old point and -step from the +step point, which rounding need
+            # not bring back to the old point.  args holds, per setting of
+            # the side that moves, the correlator's arguments of the 3 trials
+            # x the 2 terms pairing it with either setting of the other side.
+            m = live.size
+            w = np.empty((2, 5, 4, m))
+            args = np.empty((4, 2, 3, 2, m))
+            c = p[:10, None, None, None]
+            sides = z[8:16].reshape(2, 2, 2, m).transpose(0, 2, 1, 3)
+            starts = np.arange(m)
+            sweep = []
+            for g in (0, 1):
+                for ss, k, moves in _CHSH_ROUNDS:
+                    decide = []
+                    for j in moves:
+                        s, i = j // 2, 4 * g + j
+                        # the terms pairing setting s with either setting o
+                        e = [2 * o + s if g == 0 else 2 * s + o for o in (0, 1)]
+                        terms = [z[16 + t] for t in range(4)]
+                        terms[e[0]], terms[e[1]] = w[s, 2, 1:], w[s, 3, 1:]
+                        decide.append((w[s], terms, np.array(
+                            [i, 8 + i, 16 + e[0], 16 + e[1], 20])))
+                    x, d_other = z[4 * g + k:4 * g + 4:2], z[9 + 4 * g - k:12 + 4 * g:2]
+                    sweep.append((g, k, x[ss, None], w[ss, 0, 1:], w[ss, 1, 1:],
+                                  p[10 + 2 * g + k], d_other[ss, None, None],
+                                  args[:, ss], w[ss, 2:4, 1:].transpose(0, 2, 1, 3),
+                                  decide))
+        pm = step * np.array([[1.0], [-1.0]])
+        start = z[20].copy()
+        for g, k, x, trial, d_trial, mean, d_other, a, new, decide in sweep:
+            if k == 0:
+                # the other side stays put while side g moves
+                args[2 - 2 * g:4 - 2 * g] = sides[1 - g, :, None, None]
+            np.add(x, pm, out=trial[:, :2])
+            np.subtract(trial[:, 0], step, out=trial[:, 2])
+            np.multiply(p[14], trial, out=d_trial)
+            np.subtract(d_trial, mean, out=d_trial)
+            a[2 * g + k] = d_trial[:, :, None]
+            a[2 * g + 1 - k] = d_other
+            _chsh_correlator(c, p[15], a, out=new)
+            for ws, terms, rows in decide:
+                val = ws[4, 1:]
+                np.add(terms[0], terms[1], out=val)
+                np.add(val, terms[2], out=val)
+                np.subtract(val, terms[3], out=val)
+                np.take(z, rows, axis=0, out=ws[:, 0])
+                up = ws[4, 1] > ws[4, 0] + 1e-15
+                after, alt = np.where(up, ws[4, 1::2], ws[4, 0::2])
+                z[rows] = ws[:, up + 2 * (alt > after + 1e-15), starts]
+        # a sweep that took a trial raised B, each take by more than 1e-15
+        step = np.where(z[20] > start, step, 0.5 * step)
         done = step <= 1e-6
         if done.any():
-            best_x[:, live[done]] = x[..., done].reshape(8, -1)
-            best_val[live[done]] = cur[done]
+            best[:, live[done]] = z[:, done]
             keep = ~done
-            live, x, d, e, cur, step = (live[keep], x[..., keep], d[..., keep],
-                                        e[..., keep], cur[keep], step[keep])
-            if batched:
-                k = tuple(v[keep] for v in k)
-                c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, *mean, scale, norm = k
-    out = []
-    for first, k_best in zip(range(0, n, per_state),
-                             best_val.reshape(-1, per_state).argmax(axis=1)):
-        bx = best_x[:, first + k_best]
-        out.append((float(best_val[first + k_best]),
-                    (complex(bx[0], bx[1]), complex(bx[2], bx[3]),
-                     complex(bx[4], bx[5]), complex(bx[6], bx[7]))))
-    return out
+            live, z, step = live[keep], np.compress(keep, z, axis=1), step[keep]
+            if p.shape[1] > 1:
+                p = np.compress(keep, p, axis=1)
+    # the first start of each state with its largest B
+    wins = np.arange(0, n, per_state) + best[20].reshape(-1, per_state).argmax(axis=1)
+    return [(float(best[20, b]), tuple(map(complex, best[0:8:2, b], best[1:8:2, b])))
+            for b in wins]
 
 
 # ---------------------------------------------------------------------------

@@ -105,17 +105,25 @@ class ScenarioConfig:
         # GridSpec checks the tuple lengths, the grid sizes and hbar
         gr.GridSpec(self.grid_points, self.grid_half_widths, self.hbar)
         try:
-            gauss0 = self.initial_gaussian()
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                gauss0 = self.initial_gaussian()
         except ZeroDivisionError:
             raise ConfigError("a width is too small: its square underflows")
-        # a coupling or total_time whose evolved moments overflow would
-        # stop the run at a later sample; reject it before any grid
-        s = ga.symplectic_propagator(self.hamiltonian(), self.total_time)
-        with np.errstate(over="ignore", invalid="ignore"):
-            final = (s @ gauss0.means, s @ gauss0.covariance @ s.T)
-        if not all(np.isfinite(m).all() for m in final):
-            raise ConfigError("the Gaussian moments at total_time overflow: "
-                              "lower g1, g2 or total_time")
+        except (FloatingPointError, ValueError):
+            # numpy scalars raise here; a Python float overflows to inf,
+            # which PhaseSpaceState refuses
+            raise ConfigError("the initial Gaussian moments are not finite: "
+                              "hbar, a width, a tilt or c_xk is out of range")
+        # moments that overflow when evolve_gaussian takes them at t = 0 or
+        # at total_time would stop the run at a sample; reject them first
+        for t, when, knobs in ((0.0, "t = 0", "c_xk or the widths"),
+                               (self.total_time, "total_time", "g1, g2 or total_time")):
+            s = ga.symplectic_propagator(self.hamiltonian(), t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                moments = ga.evolved_moments(gauss0, s)
+            if not all(np.isfinite(m).all() for m in moments):
+                raise ConfigError(f"the Gaussian moments at {when} overflow: "
+                                  f"lower {knobs}")
 
     # -- derived pieces ---------------------------------------------------
 

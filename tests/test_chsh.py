@@ -6,7 +6,9 @@ import pytest
 from hybridlab import gaussian
 from hybridlab.gaussian import (
     _CHSH_CHUNK,
-    _ParityCorrelator,
+    _chsh_constants,
+    _chsh_correlator,
+    PhaseSpaceState,
     QuadraticHamiltonian,
     chsh_displaced_parity,
     evolve_gaussian,
@@ -60,6 +62,29 @@ def brute_force_chsh(state, modes=("Q", "Qprime"), span=0.9, coarse=7):
     return best
 
 
+def scalar_correlator(c, norm, d0, d1, d2, d3):
+    """E at the scaled, offset displacements d, in the unrolled operation
+    order optimize_chsh keeps; c lists the quadratic form's constants
+    c00, c11, c22, c33, c01, c02, c03, c12, c13, c23."""
+    c00, c11, c22, c33, c01, c02, c03, c12, c13, c23 = c
+    quad = (c00 * d0 * d0 + c11 * d1 * d1 + c22 * d2 * d2 + c33 * d3 * d3
+            + 2.0 * (c01 * d0 * d1 + c02 * d0 * d2 + c03 * d0 * d3
+                     + c12 * d1 * d2 + c13 * d1 * d3 + c23 * d2 * d3))
+    return norm * math.exp(-0.5 * quad)
+
+
+def scalar_constants(state, modes=("Q", "Qprime")):
+    """The correlator's constants as floats: c in scalar_correlator's
+    order, the 4 means, the displacement scale and the norm."""
+    means, cov = state.reduced(list(modes))
+    inv = np.linalg.inv(cov)
+    c = [float(inv[i, j]) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1),
+                                       (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    norm = (np.pi * state.hbar) ** 2 / (
+        (2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(cov)))
+    return c, [float(v) for v in means], float(np.sqrt(2.0 * state.hbar)), float(norm)
+
+
 def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
     """Reference: the 25 starts of optimize_chsh as scalar descents.
 
@@ -67,23 +92,11 @@ def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
     in the operation order optimize_chsh keeps.
     """
     grid = np.linspace(-0.6, 0.6, 5)
-    means, cov = state.reduced(list(modes))
-    corr = _ParityCorrelator(means, cov, state.hbar)
-    c00, c01, c02, c03 = (float(v) for v in corr.inv[0])
-    _, c11, c12, c13 = (float(v) for v in corr.inv[1])
-    c22, c23, c33 = float(corr.inv[2, 2]), float(corr.inv[2, 3]), float(corr.inv[3, 3])
-    m0, m1, m2, m3 = (float(v) for v in means)
-    scale, norm = float(corr.scale), float(corr.norm)
+    c, (m0, m1, m2, m3), scale, norm = scalar_constants(state, modes)
 
     def efun(ar, ai, br, bi):
-        d0 = scale * ar - m0
-        d1 = scale * ai - m1
-        d2 = scale * br - m2
-        d3 = scale * bi - m3
-        quad = (c00 * d0 * d0 + c11 * d1 * d1 + c22 * d2 * d2 + c33 * d3 * d3
-                + 2.0 * (c01 * d0 * d1 + c02 * d0 * d2 + c03 * d0 * d3
-                         + c12 * d1 * d2 + c13 * d1 * d3 + c23 * d2 * d3))
-        return norm * math.exp(-0.5 * quad)
+        return scalar_correlator(c, norm, scale * ar - m0, scale * ai - m1,
+                                 scale * br - m2, scale * bi - m3)
 
     def value(x):
         return (efun(x[0], x[1], x[4], x[5]) + efun(x[2], x[3], x[4], x[5])
@@ -129,9 +142,10 @@ def exactness_cases():
     """(state, modes) on which optimize_chsh must equal the reference."""
     probes = ("Q", "Qprime")
     cases = [pytest.param(vacuum_state(), probes, id="vacuum")]
-    # at r = 0.7 the optimum moves by one ulp if np.exp replaces math.exp
+    # the squeezings of the benchmark; at r = 0.7 the optimum moves by one
+    # ulp if np.exp replaces math.exp
     cases += [pytest.param(two_mode_squeezed_state(r), probes, id=f"squeezed_r{r}")
-              for r in (0.3, 0.7, 0.9)]
+              for r in (0.3, 0.5, 0.7, 0.9)]
     h = QuadraticHamiltonian(1.0, 1.0)
     for widths in [(None, None, None), (0.5, 1.0, 0.5)]:
         for t in (0.5, 1.0, 2.0):
@@ -224,6 +238,61 @@ def test_batched_descent_equals_scalar_reference():
     reps = _CHSH_CHUNK // len(states) + 1
     assert len(states) * reps > _CHSH_CHUNK
     assert optimize_chsh_many(states * reps) == refs * reps
+
+
+def test_batched_descent_equals_scalar_reference_on_probe_and_mediator():
+    # the (Q, C) pair of every state of the probe-pair cases that is not a
+    # product of (Q, Q') and a vacuum mediator, and of the mixed case
+    states = [case.values[0] for case in exactness_cases()
+              if case.id.startswith(("evolved", "mixed"))]
+    refs = [cached_reference(st, ("Q", "C")) for st in states]
+    assert optimize_chsh_many(states, ("Q", "C")) == refs
+
+
+@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 2, 5, 1)],
+                         ids=["flat", "last_axis_1", "descent_like"])
+@pytest.mark.parametrize("per_start", [False, True], ids=["lone", "per_start"])
+def test_correlator_keeps_scalar_operation_order(per_start, shape):
+    # The sums of the quadratic form come from numpy's reduction order: a
+    # numpy that reordered them would fail here.  10**4 displacements of
+    # either sign, magnitudes from 1e-150 to 1e150.  Per-start constants
+    # scale each term c_ij d_i d_j to order one, so that the sums round at
+    # every magnitude; the lone state, with every mode correlated, has
+    # constants of order one, so half of its points are drawn of order one
+    # too.
+    rng = np.random.default_rng(11)
+    n = 10_000
+    u = rng.uniform(-150.0, 150.0, (4, n))
+    if per_start:
+        i, j = np.array([[0, 1, 2, 3, 0, 0, 0, 1, 1, 2],
+                         [0, 1, 2, 3, 1, 2, 3, 2, 3, 3]])
+        c = rng.normal(size=(10, n)) * 10.0 ** -(u[i] + u[j])
+        c[:4] = np.abs(c[:4])
+        norm = rng.uniform(0.5, 2.0, n)
+        c_in, norm_in = c.reshape(10, *shape), norm.reshape(shape)
+    else:
+        u[:, ::2] = rng.uniform(-3.0, 0.5, (4, n // 2))
+        a = rng.normal(scale=0.5, size=(6, 6))
+        st = PhaseSpaceState(np.zeros(6), 0.5 * np.eye(6) + a @ a.T)
+        p = _chsh_constants(st, ["Q", "Qprime"])
+        ref_c, _, _, ref_norm = scalar_constants(st)
+        assert p[:10].tolist() == ref_c and p[15] == ref_norm
+        c, norm = np.repeat(p[:10, None], n, axis=1), np.full(n, ref_norm)
+        c_in, norm_in = p[:10].reshape(10, *[1] * len(shape)), p[15]
+    d = rng.choice([-1.0, 1.0], (4, n)) * 10.0 ** u
+    ref = np.array([scalar_correlator(c[:, k].tolist(), norm[k], *d[:, k].tolist())
+                    for k in range(n)])
+    # most points of order one have an exp argument that rounding moves
+    assert np.isfinite(ref).all() and np.mean((ref > 0) & (ref != norm)) > 0.3
+    got = _chsh_correlator(c_in, norm_in, d.reshape(4, *shape))
+    assert np.array_equal(got.ravel(), ref)
+
+
+def test_displaced_parity_gives_the_optimum_bit_for_bit():
+    # a separate matrix form of E was one ulp off at r = 0.7 and 0.9
+    for st in (vacuum_state(), two_mode_squeezed_state(0.7), two_mode_squeezed_state(0.9)):
+        val, settings = optimize_chsh(st)
+        assert chsh_displaced_parity(st, settings) == val
 
 
 def test_empty_batch():

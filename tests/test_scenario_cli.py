@@ -122,6 +122,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "c_xk = 1e154\n",                 # the vacuum width's p variance overflows
+        "hbar = 5e-324\nc_xk = 1\n",      # the vacuum width is 0: c_xk / 0
+        "hbar = 5e-324\n",                # 0 / 0
+    ])
+    def test_nonfinite_initial_moments_rejected_without_warning(self, text):
+        # each used to leak a RuntimeWarning from numpy scalar arithmetic
+        with pytest.raises(ConfigError, match="initial Gaussian moments are not finite"):
+            parse_config(text)
+
     def test_step_count_just_below_2_to_53_accepted(self):
         # 2**52 steps of 2**-52: the step list is never built here
         config = parse_config("total_time = 1\ndt = 2.220446049250313e-16\n")
@@ -1007,6 +1018,27 @@ class TestCli:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert "moments at total_time overflow" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "validate", "tomography"])
+    @pytest.mark.parametrize("extra,message", [
+        # S V S^T is finite, but its symmetric part overflows in the add:
+        # the run used to end in a ValueError traceback
+        ("c_width = 1.0\n", "moments at t = 0 overflow"),
+        # with the vacuum width the momentum variance itself overflows:
+        # the run used to warn before it exited 2
+        ("", "initial Gaussian moments are not finite"),
+    ], ids=["symmetric_part", "vacuum_width"])
+    def test_overflowing_mediator_moments_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                 no_grid, command, extra, message):
+        monkeypatch.setattr(ga, "evolve_gaussian", lambda *args: pytest.fail(
+            "the config must be rejected before any evolution"))
+        cfg = tmp_path / "c_xk.cfg"
+        cfg.write_text("c_xk = 1e154\ntotal_time = 0.5\ndt = 0.25\n"
+                       "diagnostics = negativity\n" + extra)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides,cell", [
         ({"hbar": "1e-300", "c_xk": "0", "diagnostics": "negativity",
