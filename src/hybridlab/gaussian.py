@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, sin, sinh, sqrt
+from math import sin, sinh, sqrt
 
 import numpy as np
 
@@ -249,11 +249,15 @@ _TERMS = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2,
 
 def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
     """The 16 numbers a two-mode parity correlator reads: the inverse
-    covariance entries c_t, the 4 means, the displacement scale and norm."""
+    covariance entries c_t, the 4 means, the displacement scale and norm.
+    E does not depend on hbar, so they are taken in its units (V/hbar,
+    means/sqrt(hbar)): an extreme hbar cannot overflow the norm or
+    underflow the determinant."""
     means, cov = state.reduced(modes)
-    norm = (np.pi * state.hbar) ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(cov)))
-    return np.concatenate([np.linalg.inv(cov)[_TERMS[:10], _TERMS[10:]], means,
-                           [np.sqrt(2.0 * state.hbar), norm]])
+    v = cov / state.hbar
+    norm = np.pi ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(v)))
+    return np.concatenate([np.linalg.inv(v)[_TERMS[:10], _TERMS[10:]],
+                           means / np.sqrt(state.hbar), [np.sqrt(2.0), norm]])
 
 
 def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray:
@@ -262,15 +266,15 @@ def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray
     displacements d, shape (4, ...), for the term constants c, shape
     (10, ...), and the norm, each broadcast against d.  Each term is
     (c_t * d_i) * d_j and numpy reduces the leading axis row after row,
-    so the sums run left to right as in the unrolled scalar form, and
-    math.exp, which differs from np.exp in the last bit for some
-    arguments, keeps every descent start on its scalar path."""
+    so the sums run left to right as in the unrolled scalar form.  np.exp
+    gives each element the bits it gives that element alone, whatever
+    the array's length, stride or shape, so every descent start stays on
+    the path of its scalar descent with np.exp as its exponential."""
     g = d[_TERMS]
     t = np.multiply(g[:10], c, out=g[:10])
     t *= g[10:]
     arg = -0.5 * (np.add.reduce(t[:4]) + 2.0 * np.add.reduce(t[4:]))
-    e = np.fromiter(map(exp, memoryview(arg.ravel())), float, arg.size)
-    return np.multiply(norm, e.reshape(arg.shape), out=out)
+    return np.multiply(norm, np.exp(arg, out=arg), out=out)
 
 
 def chsh_displaced_parity(state: PhaseSpaceState,
@@ -288,9 +292,10 @@ def chsh_displaced_parity(state: PhaseSpaceState,
 
 
 # The most states one CHSH descent batches.  On the 64 states of a t < 4
-# run, descents of 1, 8, 16, 32 and 64 states took 3.1, 1.3, 1.1, 1.1
-# and 1.0 s: past 32 the gain flattens, and the bound keeps a run of up
-# to 10**6 samples at 800 starts per descent.
+# run, descents of 1, 8, 16, 32 and 64 states took 2.5, 0.72, 0.59, 0.54
+# and 0.44 s; on 256 states of t < 4, chunks of 16, 32, 64 and 128 took
+# 3.4, 3.3, 3.3 and 3.3 s: past 32 the gain flattens, and the bound keeps
+# a run of up to 10**6 samples at 800 starts per descent.
 _CHSH_CHUNK = 32
 _CHSH_GRID = np.linspace(-0.6, 0.6, 5)
 # One side's moves j = 2s + k (setting s, component k) in correlator

@@ -9,6 +9,7 @@ and all numbers are written with 17 significant digits.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -114,11 +115,24 @@ class ScenarioConfig:
             # which PhaseSpaceState refuses
             raise ConfigError("the initial Gaussian moments are not finite: "
                               "hbar, a width, a tilt or c_xk is out of range")
+        # the variances are built from hbar**2 / (4 width**2): where that
+        # product or a variance underflows to a subnormal or to zero, the
+        # state loses its digits or turns singular, which the absolute
+        # physicality tolerance does not see
+        tiny = sys.float_info.min
+        if self.hbar * self.hbar < tiny or np.diag(gauss0.covariance).min() < tiny:
+            raise ConfigError("an initial variance underflows: hbar is too "
+                              "small or a width out of range")
         # moments that overflow when evolve_gaussian takes them at t = 0 or
         # at total_time would stop the run at a sample; reject them first
         for t, when, knobs in ((0.0, "t = 0", "c_xk or the widths"),
                                (self.total_time, "total_time", "g1, g2 or total_time")):
-            s = ga.symplectic_propagator(self.hamiltonian(), t)
+            try:
+                s = ga.symplectic_propagator(self.hamiltonian(), t)
+            except OverflowError:
+                # sinh overflows for PAPER_HEFF; at t = 0 S is the identity
+                raise ConfigError("the propagator overflows at total_time: "
+                                  "lower g1, g2 or total_time")
             with np.errstate(over="ignore", invalid="ignore"):
                 moments = ga.evolved_moments(gauss0, s)
             if not all(np.isfinite(m).all() for m in moments):

@@ -1040,8 +1040,65 @@ class TestCli:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hbar,total_time", [
+        ("1e154", "0"),  # (pi hbar)**2 raised OverflowError: exit 1
+        # det V underflowed to 0 and chsh_opt was nan: exit 3
+        ("1e-150", "0.5"), ("1e-100", "0.5")])
+    def test_chsh_does_not_depend_on_hbar(self, tmp_path, capsys, hbar,
+                                          total_time):
+        def chsh_column(hbar):
+            cfg = tmp_path / "hbar.cfg"
+            cfg.write_text(f"hbar = {hbar}\ntotal_time = {total_time}\n"
+                           "dt = 0.125\nsample_every = 1\ndiagnostics = chsh\n")
+            out = tmp_path / "out.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            assert rows[0] == "t,chsh_opt"
+            return [float(r.split(",")[1]) for r in rows[1:]]
+
+        column = chsh_column(hbar)
+        assert column[0] == pytest.approx(2.0, abs=1e-12)
+        assert column == pytest.approx(chsh_column("1"), rel=1e-12, abs=0)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "tomography"])
+    @pytest.mark.parametrize("extra", [
+        # hbar**2 / (4 width**2) is 0: the run ended in LinAlgError (exit 1)
+        "hbar = 1e-200\n", "hbar = 1e-300\n",
+        # hbar**2 is subnormal: unrefused, the t = 0 vacuum's chsh_opt reads
+        # 2.0000223 at 1e-160 and 2.0000000000000067 at 1e-155, where it is 2
+        "hbar = 1e-160\n", "hbar = 1e-155\n",
+        # the momentum variance 2.5e-309 is subnormal
+        "q_width = 1e154\n"])
+    def test_underflowing_initial_variance_exits_2(self, tmp_path, capsys, no_grid,
+                                                   command, extra):
+        cfg = tmp_path / "underflow.cfg"
+        cfg.write_text("total_time = 0.5\ndt = 0.25\ndiagnostics = chsh\n" + extra)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == ("config error: an initial variance "
+                                           "underflows: hbar is too small or a "
+                                           "width out of range\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "tomography"])
+    def test_overflowing_heff_propagator_exits_2(self, tmp_path, capsys, no_grid,
+                                                 command):
+        # sinh(sqrt(g1 g2) t) overflowed while the config built S at
+        # total_time: the run ended in an OverflowError traceback (exit 1)
+        cfg = tmp_path / "heff.cfg"
+        cfg.write_text("variant = PAPER_HEFF\ng2 = 1e154\ntotal_time = 0.5\n"
+                       "dt = 0.25\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == ("config error: the propagator overflows "
+                                           "at total_time: lower g1, g2 or "
+                                           "total_time\n")
+
     @pytest.mark.parametrize("overrides,cell", [
-        ({"hbar": "1e-300", "c_xk": "0", "diagnostics": "negativity",
+        # the probe variances 1e300 and 2.5e-301 come out of eigvals as a
+        # zero symplectic eigenvalue (hbar = 1e-300, which did the same,
+        # now underflows a variance and exits 2)
+        ({"q_width": "1e150", "c_xk": "0", "diagnostics": "negativity",
           "bracket_pairs": ""}, "logneg_q_qprime is inf at t = 0"),
         # {q^2, p} = 2 q: 1e616 q overflows at the nonzero mean of q
         ({"diagnostics": "", "grid_points": "32,32,32", "q_mean": "0.5",
