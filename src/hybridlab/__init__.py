@@ -13,7 +13,6 @@ from .gaussian import (
     HamiltonianVariant,
     MediatorEstimate,
     PhaseSpaceState,
-    ProbeMomentSeries,
     QuadraticHamiltonian,
     chsh_displaced_parity,
     evolve_gaussian,
@@ -21,6 +20,7 @@ from .gaussian import (
     mediator_moment_inversion,
     optimize_chsh,
     optimize_chsh_many,
+    probe_moments,
     symplectic_form,
     symplectic_propagator,
     witness_expectation,

@@ -236,9 +236,7 @@ class _PureGaussian:
     moment, which lost up to 1e7 eps cond(Sigma) of a bracket's scale.
     """
 
-    def __init__(self, state: PhaseSpaceState):
-        hbar = state.hbar
-        v = state.covariance
+    def __init__(self, means: np.ndarray, v: np.ndarray, hbar: float):
         pos, mom = [0, 2, 4], [1, 3, 5]
         sigma = v[np.ix_(pos, pos)]
         scale = 1.0 / np.sqrt(np.diag(sigma))
@@ -265,8 +263,8 @@ class _PureGaussian:
         self.hbar = hbar
         self.l = l.tolist()
         self.l_inv_t = l_inv_t.tolist()
-        self.rbar = state.means[pos].tolist()
-        pbar = state.means[mom].tolist()
+        self.rbar = means[pos].tolist()
+        pbar = means[mom].tolist()
         # u = pbar_x + (B delta)_x
         self.u = _linear(pbar[2], b_l[2].tolist())
         # -i hbar d_j ln psi = pbar_j + i hbar (A delta)_j, and A L z is
@@ -370,9 +368,11 @@ class _PureGaussian:
 
 def gaussian_brackets(state: PhaseSpaceState,
                       pairs: Sequence[tuple[ObservableSpec, ObservableSpec]],
-                      ) -> list[float]:
+                      ) -> list:
     """{A, B} for each (A, B) in pairs, in closed form, for a pure
-    Gaussian state.
+    Gaussian state; for a stack of states, one such list per state, in
+    order, each state checked before its brackets are taken.  No pairs
+    give [].
 
     For psi = sqrt(P) exp(iS/hbar) Gaussian, dA/dP and (dA/dS)/P are
     polynomials in the configuration r = (q, q', x) (see `_PureGaussian`),
@@ -382,7 +382,7 @@ def gaussian_brackets(state: PhaseSpaceState,
     the same exponent parities, and only those pairs are summed.
     Quantum products are ordered as
     `apply_quantum` orders them.  Each distinct observable's derivatives
-    are built once.  A bracket keeps a relative accuracy of about
+    are built once per state.  A bracket keeps a relative accuracy of about
     eps cond(R), R the correlation matrix of the position covariance;
     above MAX_LOST_PRECISION the state raises GaussianBracketError, as
     does a mixed covariance (a symplectic eigenvalue above hbar/2 beyond
@@ -390,17 +390,19 @@ def gaussian_brackets(state: PhaseSpaceState,
     """
     if not pairs:
         return []
-    psi = _PureGaussian(state)
-    kept = {}
-    results = []
-    for a, b in pairs:
-        for obs in (a, b):
-            if obs not in kept:
-                kept[obs] = psi.gradients(obs)
-        (a_p, a_s), (b_p, b_s) = kept[a], kept[b]
-        results.append(float(psi.expect_product(a_p, b_s)
-                             - psi.expect_product(a_s, b_p)))
-    return results
+    rows = []
+    for means, cov in zip(state.means.reshape(-1, 6), state.covariance.reshape(-1, 6, 6)):
+        psi = _PureGaussian(means, cov, state.hbar)
+        kept, results = {}, []
+        for a, b in pairs:
+            for obs in (a, b):
+                if obs not in kept:
+                    kept[obs] = psi.gradients(obs)
+            (a_p, a_s), (b_p, b_s) = kept[a], kept[b]
+            results.append(float(psi.expect_product(a_p, b_s)
+                                 - psi.expect_product(a_s, b_p)))
+        rows.append(results)
+    return rows if state.means.ndim == 2 else rows[0]
 
 
 def ensemble_hamiltonian_value(ens: EnsembleRepresentation,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import sin, sinh, sqrt
 
 import numpy as np
@@ -51,7 +52,8 @@ class HamiltonianVariant(Enum):
 
 @dataclass(frozen=True)
 class PhaseSpaceState:
-    """Gaussian state: means, symmetrized covariance, and hbar."""
+    """Gaussian state: means, symmetrized covariance, and hbar; means of
+    shape (n, 6) and covariance (n, 6, 6) stack n states of one hbar."""
 
     means: np.ndarray
     covariance: np.ndarray
@@ -60,29 +62,42 @@ class PhaseSpaceState:
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-        if self.means.shape != (6,) or self.covariance.shape != (6, 6):
-            raise ValueError("expected a 6-vector of means and a 6x6 covariance")
+        m, v = self.means, self.covariance
+        if m.ndim not in (1, 2) or m.shape[-1:] != (6,) or v.shape != m.shape + (6,):
+            raise ValueError("expected a 6-vector of means and a 6x6 covariance, "
+                             "or a stack of n of each")
         if not 0 < self.hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
-        if not (np.isfinite(self.means).all()
-                and np.isfinite(self.covariance).all()):
+        if not (np.isfinite(m).all() and np.isfinite(v).all()):
             raise ValueError("means and covariance must be finite")
-        if np.abs(self.covariance - self.covariance.T).max() > 1e-12:
+        i, j = np.triu_indices(6, 1)
+        if not (np.abs(v[..., i, j] - v[..., j, i]) <= 1e-12).all():
             raise ValueError("covariance must be symmetric to 1e-12")
 
-    def require_physical(self) -> None:
-        """Raise unless covariance + i(hbar/2)Omega is PSD (to PHYSICALITY_TOL)."""
+    @cached_property
+    def _min_eig(self) -> np.ndarray:
+        """Least eigenvalue of covariance + i(hbar/2)Omega, per state."""
         m = self.covariance + 0.5j * self.hbar * OMEGA
-        min_eig = np.linalg.eigvalsh(m).min()
-        if min_eig < -PHYSICALITY_TOL:
-            raise PhysicalityError(
-                f"covariance violates uncertainty relation (min eig {min_eig:.3e})"
-            )
+        return np.linalg.eigvalsh(m).min(axis=-1)
+
+    def require_physical(self) -> None:
+        """Raise unless covariance + i(hbar/2)Omega is PSD (to
+        PHYSICALITY_TOL), naming the min eig of the first state that is not."""
+        min_eig = np.ravel(self._min_eig)
+        bad = min_eig[min_eig < -PHYSICALITY_TOL]
+        if bad.size:
+            raise PhysicalityError("covariance violates uncertainty relation "
+                                   f"(min eig {bad[0]:.3e})")
 
     def reduced(self, modes: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Means and covariance of the listed modes (others traced out)."""
         idx = np.concatenate([np.arange(6)[MODE_SLICES[m]] for m in modes])
-        return self.means[idx], self.covariance[np.ix_(idx, idx)]
+        return self.means[..., idx], self.covariance[..., idx[:, None], idx]
+
+
+def _per_state(x):
+    """A diagnostic's value: a float for one state, an array for a stack."""
+    return x if np.ndim(x) else float(x)
 
 
 def mode_covariance(width: float, chirp: float = 0.0,
@@ -148,46 +163,63 @@ def _sinhc(z: float) -> float:
     return 1.0 if y == 0.0 else (sinh(y) if z > 0.0 else sin(y)) / y
 
 
-def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> np.ndarray:
+def _shear_coefficients(lam: float, t: float) -> tuple[float, float]:
+    z = lam * t * t
+    return t * _sinhc(z), 0.5 * t * t * _sinhc(0.25 * z) ** 2
+
+
+def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
     """exp(M t) = I + f M + g M^2 for M = Omega G, as M^3 = lam M.
 
     lam = 0 for EQ1 and g1*g2 for PAPER_HEFF.  f = sinh(sqrt(lam) t)/sqrt(lam)
     = t sinhc(lam t^2) and g = 2 sinh^2(sqrt(lam) t/2)/lam = (t^2/2)
-    sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.  A result S
-    with |S^T Omega S - Omega| above 1e-10 raises ValueError.
+    sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.  For an array
+    of times S has t's shape plus (6, 6), with f and g taken per time
+    from the scalar `_sinhc`.  A result S with |S^T Omega S - Omega|
+    above 1e-10 raises ValueError.
     """
     lam = h.g1 * h.g2 if h.variant is HamiltonianVariant.PAPER_HEFF else 0.0
-    z = lam * t * t
+    t = np.asarray(t, dtype=float)
     m = OMEGA @ h.gmatrix
-    f = t * _sinhc(z)
-    g = 0.5 * t * t * _sinhc(0.25 * z) ** 2
-    s = np.eye(6) + f * m + g * (m @ m)
-    if np.abs(s.T @ OMEGA @ s - OMEGA).max() > 1e-10:
+    # f and g per time, shaped to scale the 6x6 matrices
+    fg = np.array([_shear_coefficients(lam, x) for x in t.ravel().tolist()])
+    f, g = fg.T.reshape((2,) + t.shape + (1, 1))
+    # I + f M + g M^2 in place, in that order, holding few stack-sized arrays
+    s = f * m
+    s += np.eye(6)
+    s += g * (m @ m)
+    deviation = np.swapaxes(s, -1, -2) @ OMEGA @ s
+    deviation -= OMEGA
+    if (np.abs(deviation, out=deviation).max(axis=(-2, -1)) > 1e-10).any():
         raise ValueError("matrix is not symplectic to 1e-10")
     return s
 
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
-                    t: float) -> PhaseSpaceState:
-    """Propagate means and covariance: m -> Sm, V -> S V S^T."""
+                    t) -> PhaseSpaceState:
+    """Propagate means and covariance, m -> Sm and V -> S V S^T, to the
+    time t; for an array of times, the stack of states at those times."""
     state.require_physical()
     return PhaseSpaceState(*evolved_moments(state, symplectic_propagator(h, t)),
                            state.hbar)
 
 
 def evolved_moments(state: PhaseSpaceState, s: np.ndarray):
-    """S m and the symmetric part of S V S^T, which rounding leaves
-    asymmetric beyond PhaseSpaceState's 1e-12 guard at large couplings."""
-    v = s @ state.covariance @ s.T
-    return s @ state.means, 0.5 * (v + v.T)
+    """S m and the symmetric part of S V S^T (of each S of a stack), which
+    rounding leaves asymmetric beyond PhaseSpaceState's 1e-12 guard at
+    large couplings."""
+    v = s @ state.covariance @ np.swapaxes(s, -1, -2)
+    v += np.swapaxes(v, -1, -2)
+    v *= 0.5
+    return s @ state.means, v
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     om = symplectic_form(n)
     ev = np.abs(np.linalg.eigvals(1j * om @ cov))
     # eigenvalues come in +/- pairs; average each pair
-    return np.sort(ev).reshape(n, 2).mean(axis=1)
+    return np.sort(ev).reshape(ev.shape[:-1] + (n, 2)).mean(axis=-1)
 
 
 def _check_modes(sides) -> list[str]:
@@ -204,25 +236,25 @@ def _check_modes(sides) -> list[str]:
 
 def logarithmic_negativity(state: PhaseSpaceState,
                            bipartition: tuple[list[str], list[str]] = (["Q"], ["Qprime"]),
-                           ) -> float:
+                           ):
     """PPT log-negativity of a Gaussian bipartition, natural-log units.
 
     Modes outside the bipartition are traced out; the partial transpose
-    flips the momentum rows/columns of the second side.
+    flips the momentum rows/columns of the second side.  The sum over
+    nu < hbar/2 adds 0 for each other nu, and is +0.0 if there is none.
     """
     modes = _check_modes(bipartition)
     state.require_physical()
-    _, cov = state.reduced(modes)
     flip = np.ones(2 * len(modes))
     flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
-    cov_pt = np.diag(flip) @ cov @ np.diag(flip)
-    nu = _symplectic_eigenvalues(cov_pt)
+    nu = _symplectic_eigenvalues(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip))
     half = 0.5 * state.hbar
-    neg = -sum(np.log(v / half) for v in nu if v < half)
-    return max(0.0, float(neg))
+    neg = -sum(np.log(np.where(v < half, v, half) / half)
+               for v in np.moveaxis(nu, -1, 0))
+    return _per_state(np.where(neg > 0.0, neg, 0.0))
 
 
-def witness_expectation(state: PhaseSpaceState) -> float:
+def witness_expectation(state: PhaseSpaceState):
     """The symmetrized probe cross-correlation <q p' + q' p>: covariance
     entries plus mean products.
 
@@ -233,8 +265,8 @@ def witness_expectation(state: PhaseSpaceState) -> float:
     """
     state.require_physical()
     m, v = state.means, state.covariance
-    return float(v[IDX_Q, IDX_PP] + m[IDX_Q] * m[IDX_PP]
-                 + v[IDX_QP, IDX_P] + m[IDX_QP] * m[IDX_P])
+    return _per_state(v[..., IDX_Q, IDX_PP] + m[..., IDX_Q] * m[..., IDX_PP]
+                      + v[..., IDX_QP, IDX_P] + m[..., IDX_QP] * m[..., IDX_P])
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +280,19 @@ _TERMS = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2,
 
 
 def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
-    """The 16 numbers a two-mode parity correlator reads: the inverse
-    covariance entries c_t, the 4 means, the displacement scale and norm.
+    """The 16 numbers a two-mode parity correlator reads, along the last
+    axis, per state of a stack: the inverse covariance entries c_t, the
+    4 means, the displacement scale and norm.
     E does not depend on hbar, so they are taken in its units (V/hbar,
     means/sqrt(hbar)): an extreme hbar cannot overflow the norm or
     underflow the determinant."""
     means, cov = state.reduced(modes)
     v = cov / state.hbar
     norm = np.pi ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(v)))
-    return np.concatenate([np.linalg.inv(v)[_TERMS[:10], _TERMS[10:]],
-                           means / np.sqrt(state.hbar), [np.sqrt(2.0), norm]])
+    return np.concatenate([np.linalg.inv(v)[..., _TERMS[:10], _TERMS[10:]],
+                           means / np.sqrt(state.hbar),
+                           np.stack([np.full_like(norm, np.sqrt(2.0)), norm], axis=-1)],
+                          axis=-1)
 
 
 def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray:
@@ -326,23 +361,20 @@ def optimize_chsh(state: PhaseSpaceState,
     steps of its own scalar descent, so the result does not depend on
     which states share its batch.
     """
-    return optimize_chsh_many([state], modes)[0]
+    return optimize_chsh_many(state, modes)[0]
 
 
-def optimize_chsh_many(states: list[PhaseSpaceState],
+def optimize_chsh_many(state: PhaseSpaceState,
                        modes: tuple[str, str] = ("Q", "Qprime"),
                        ) -> list[tuple[float, _Settings]]:
-    """`optimize_chsh` of each state, from one lockstep descent per chunk
-    of at most _CHSH_CHUNK states.  Modes and physicality are checked
-    for every state before any descent."""
+    """`optimize_chsh` of each state of a stack, from one lockstep descent
+    per chunk of at most _CHSH_CHUNK states.  Modes and physicality are
+    checked for every state before any descent."""
     modes = _check_modes([m] for m in modes)
-    for state in states:
-        state.require_physical()
-    out = []
-    for i in range(0, len(states), _CHSH_CHUNK):
-        out += _chsh_descent([_chsh_constants(s, modes)
-                              for s in states[i:i + _CHSH_CHUNK]])
-    return out
+    state.require_physical()
+    consts = _chsh_constants(state, modes).reshape(-1, 16)
+    return [best for i in range(0, len(consts), _CHSH_CHUNK)
+            for best in _chsh_descent(consts[i:i + _CHSH_CHUNK])]
 
 
 def _chsh_descent(consts: list[np.ndarray]) -> list[tuple[float, _Settings]]:
@@ -458,50 +490,15 @@ class MediatorEstimate:
             raise PhysicalityError("fitted second moments are inconsistent")
 
 
-@dataclass
-class ProbeMomentSeries:
-    """First and second moments of the probe variables at sample times.
-
-    Suffix 2 marks the second probe Q'; within-probe covariances are
-    symmetrized.  All arrays share the shape of `times`.
-    """
-
-    times: np.ndarray
-    mean_q: np.ndarray
-    mean_p: np.ndarray
-    mean_q2: np.ndarray
-    mean_p2: np.ndarray
-    var_q: np.ndarray
-    var_p: np.ndarray
-    var_q2: np.ndarray
-    var_p2: np.ndarray
-    cov_qp: np.ndarray
-    cov_q2p2: np.ndarray
-    cov_q_p2: np.ndarray
-
-    @staticmethod
-    def from_states(times, states: list[PhaseSpaceState]) -> "ProbeMomentSeries":
-        m = np.array([s.means for s in states])
-        v = np.array([s.covariance for s in states])
-        return ProbeMomentSeries(
-            times=np.asarray(times, dtype=float),
-            mean_q=m[:, IDX_Q], mean_p=m[:, IDX_P],
-            mean_q2=m[:, IDX_QP], mean_p2=m[:, IDX_PP],
-            var_q=v[:, IDX_Q, IDX_Q], var_p=v[:, IDX_P, IDX_P],
-            var_q2=v[:, IDX_QP, IDX_QP], var_p2=v[:, IDX_PP, IDX_PP],
-            cov_qp=v[:, IDX_Q, IDX_P], cov_q2p2=v[:, IDX_QP, IDX_PP],
-            cov_q_p2=v[:, IDX_Q, IDX_PP],
-        )
-
-    def with_noise(self, sigma: float, seed: int = 0) -> "ProbeMomentSeries":
-        rng = np.random.default_rng(seed)
-        kwargs = {"times": self.times}
-        for name in ("mean_q", "mean_p", "mean_q2", "mean_p2", "var_q",
-                     "var_p", "var_q2", "var_p2", "cov_qp", "cov_q2p2",
-                     "cov_q_p2"):
-            arr = getattr(self, name)
-            kwargs[name] = arr + rng.normal(0.0, sigma, size=arr.shape)
-        return ProbeMomentSeries(**kwargs)
+def probe_moments(state: PhaseSpaceState) -> np.ndarray:
+    """The probe moments tomography reads, one row each over a stack: the
+    means and variances of q, p, q', p', then cov(q, p), (q', p'), (q, p')."""
+    m, v = state.means, state.covariance
+    return np.array([m[..., IDX_Q], m[..., IDX_P], m[..., IDX_QP], m[..., IDX_PP],
+                     v[..., IDX_Q, IDX_Q], v[..., IDX_P, IDX_P],
+                     v[..., IDX_QP, IDX_QP], v[..., IDX_PP, IDX_PP],
+                     v[..., IDX_Q, IDX_P], v[..., IDX_QP, IDX_PP],
+                     v[..., IDX_Q, IDX_PP]])
 
 
 def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -513,9 +510,10 @@ def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return sol, resid
 
 
-def mediator_moment_inversion(series: ProbeMomentSeries, g1: float, g2: float,
+def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
                               ) -> MediatorEstimate:
-    """Recover the mediator's moments from probe moment time series.
+    """Recover the mediator's moments from probe moment time series: the
+    rows of `probe_moments`, measured at the sample times.
 
     Assumes the initial state is a product of (Q, Q', C) so all
     cross-subsystem covariances vanish at t=0; the closed-form EQ1
@@ -524,30 +522,28 @@ def mediator_moment_inversion(series: ProbeMomentSeries, g1: float, g2: float,
     """
     if g1 == 0.0 or g2 == 0.0:
         raise ValueError("tomography needs both couplings nonzero")
-    t = np.asarray(series.times, dtype=float)
+    t = np.asarray(times, dtype=float)
     if np.unique(t).size < 3:
         raise DegenerateDesignError("need at least 3 distinct sample times")
     a = 0.5 * g1 * g2
     ones = np.ones_like(t)
 
+    (mean_q, mean_p, mean_q2, mean_p2, var_q, var_p, var_q2, var_p2,
+     cov_qp, cov_q2p2, cov_q_p2) = moments
     # Conserved probe quantities, read off the series directly.
-    q2bar = series.mean_q2.mean()
-    pbar = series.mean_p.mean()
-    var_q2bar = series.var_q2.mean()
-    var_pbar = series.var_p.mean()
-    cov_qpbar = series.cov_qp.mean()
-    cov_q2p2bar = series.cov_q2p2.mean()
+    q2bar, pbar, var_q2bar, var_pbar, cov_qpbar, cov_q2p2bar = (
+        x.mean() for x in (mean_q2, mean_p, var_q2, var_p, cov_qp, cov_q2p2))
 
     (_, mean_x), r1 = _lstsq(np.column_stack([ones, g1 * t]),
-                             series.mean_q - a * t * t * q2bar)
+                             mean_q - a * t * t * q2bar)
     (_, mean_k), r2 = _lstsq(np.column_stack([ones, -g2 * t]),
-                             series.mean_p2 - a * t * t * pbar)
+                             mean_p2 - a * t * t * pbar)
     (_, var_x), r3 = _lstsq(np.column_stack([ones, g1 * g1 * t * t]),
-                            series.var_q - a * a * t ** 4 * var_q2bar)
+                            var_q - a * a * t ** 4 * var_q2bar)
     (_, var_k), r4 = _lstsq(np.column_stack([ones, g2 * g2 * t * t]),
-                            series.var_p2 - a * a * t ** 4 * var_pbar)
+                            var_p2 - a * a * t ** 4 * var_pbar)
     (_, cov_xk), r5 = _lstsq(np.column_stack([ones, -g1 * g2 * t * t]),
-                             series.cov_q_p2 - a * t * t * (cov_qpbar + cov_q2p2bar))
+                             cov_q_p2 - a * t * t * (cov_qpbar + cov_q2p2bar))
     total = float(np.sqrt(r1 ** 2 + r2 ** 2 + r3 ** 2 + r4 ** 2 + r5 ** 2))
     return MediatorEstimate(mean_x=float(mean_x), mean_k=float(mean_k),
                             var_x=float(var_x), var_k=float(var_k),

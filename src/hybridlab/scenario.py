@@ -21,7 +21,7 @@ from . import grid as gr
 from .observables import parse_observable
 
 KNOWN_DIAGNOSTICS = ("negativity", "witness", "chsh", "validate")
-# a run keeps one Gaussian state and one CSV row per sample
+# a run keeps one row of the Gaussian stack and one CSV row per sample
 MAX_SAMPLES = 10 ** 6
 
 
@@ -341,11 +341,10 @@ def _report_header(config: ScenarioConfig) -> list[str]:
     return lines
 
 
-def _moment_residual(moments: tuple[np.ndarray, np.ndarray],
-                     gauss: ga.PhaseSpaceState) -> float:
-    m, v = moments
-    return float(max(np.abs(m - gauss.means).max(),
-                     np.abs(v - gauss.covariance).max()))
+def _moment_residual(grid: tuple[np.ndarray, np.ndarray],
+                     gauss: tuple[np.ndarray, np.ndarray]) -> float:
+    (m, v), (gm, gv) = grid, gauss
+    return float(max(np.abs(m - gm).max(), np.abs(v - gv).max()))
 
 
 def _grid_moments(config: ScenarioConfig):
@@ -400,53 +399,49 @@ def _grid_moments(config: ScenarioConfig):
     return moments()
 
 
-def _trajectory(config: ScenarioConfig):
-    """Yield (t, Gaussian state) at each sample time."""
-    _, samples = config.sample_steps()
-    h = config.hamiltonian()
-    gauss0 = config.initial_gaussian()
-    for step in samples:
-        t = step * config.dt
-        yield t, ga.evolve_gaussian(gauss0, h, t)
+def _evolved(config: ScenarioConfig) -> tuple[np.ndarray, ga.PhaseSpaceState]:
+    """The sample times and the Gaussian state at each, as one stack."""
+    times = np.array(config.sample_steps()[1]) * config.dt
+    return times, ga.evolve_gaussian(config.initial_gaussian(),
+                                     config.hamiltonian(), times)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Evolve the Gaussian state over the time grid and tabulate diagnostics.
 
-    The table is built column by column over the sampled Gaussian states:
-    `chsh_opt` from one `optimize_chsh_many` call, and the bracket columns
-    from `gaussian_brackets` in closed form, exact at any grid size, since
-    every sampled state is a pure Gaussian.  Every Gaussian cell is
-    checked, in row order, before any grid is built: a non-finite cell
-    stops the run with NonFiniteResultError.  The grid is built only
-    for the `validate` diagnostic, whose residual column is filled row
-    by row from `_grid_moments`: each row is checked as soon as its
-    sample's moments are out.
+    The table is built column by column from one stack of the sampled
+    Gaussian states: `chsh_opt` from one `optimize_chsh_many` call, and
+    the bracket columns from `gaussian_brackets` in closed form, exact
+    at any grid size, since every sampled state is a pure Gaussian.
+    Every Gaussian cell is checked, in row order, before any grid is
+    built: a non-finite cell stops the run with NonFiniteResultError.
+    The grid is built only for the `validate` diagnostic, whose residual
+    column is filled row by row from `_grid_moments`: each row is checked
+    as soon as its sample's moments are out.
     """
     _check_output(config.output_path)
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
     # a variant the grid cannot run is a config error, found before any work
     grids = _grid_moments(config) if "validate" in config.diagnostics else None
-    samples = list(_trajectory(config))
-    states = [gauss for _, gauss in samples]
-    table = {"t": [t for t, _ in samples]}
+    times, gauss = _evolved(config)
+    table = {"t": times.tolist()}
     if "negativity" in config.diagnostics:
-        table["logneg_q_qprime"] = [ga.logarithmic_negativity(g) for g in states]
+        table["logneg_q_qprime"] = ga.logarithmic_negativity(gauss).tolist()
     if "witness" in config.diagnostics:
-        table["witness"] = [ga.witness_expectation(g) for g in states]
+        table["witness"] = ga.witness_expectation(gauss).tolist()
     if "chsh" in config.diagnostics:
-        table["chsh_opt"] = [v for v, _ in ga.optimize_chsh_many(states)]
-    brackets = [br.gaussian_brackets(g, pair_specs) for g in states]
-    for i, column in enumerate(zip(*brackets)):
+        table["chsh_opt"] = [v for v, _ in ga.optimize_chsh_many(gauss)]
+    for i, column in enumerate(zip(*br.gaussian_brackets(gauss, pair_specs))):
         table[f"bracket_{i}"] = column
     columns = list(table)
     rows = [list(row) for row in zip(*table.values())]
     _require_finite(columns, rows)
     if grids is not None:
         columns.append("backend_residual")
-        for row, gauss, moments in zip(rows, states, grids, strict=True):
-            row.append(_moment_residual(moments, gauss))
+        for row, sample, moments in zip(rows, zip(gauss.means, gauss.covariance),
+                                        grids, strict=True):
+            row.append(_moment_residual(moments, sample))
             _require_finite(columns, [row])
 
     report = ScenarioReport(_report_header(config), columns, rows)
@@ -467,8 +462,10 @@ def validate_backends(config: ScenarioConfig) -> float:
     replays this trajectory exactly; the CLI still prints its residual,
     which the benchmark's output check parses.
     """
-    return max(_moment_residual(moments, gauss) for (_, gauss), moments
-               in zip(_trajectory(config), _grid_moments(config), strict=True))
+    grids = _grid_moments(config)
+    _, gauss = _evolved(config)
+    return max(_moment_residual(moments, sample) for sample, moments
+               in zip(zip(gauss.means, gauss.covariance), grids, strict=True))
 
 
 @dataclass(frozen=True)
@@ -482,18 +479,22 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
 
     The inversion sees only the probe series (plus the couplings); the
     planted mediator moments are used solely for the comparison table.
+    The fit is of the EQ1 propagator's moments.
     """
     _check_output(config.output_path)
     if config.g1 == 0.0 or config.g2 == 0.0:
         raise ConfigError("tomography needs nonzero couplings")
-    samples = [(t, gauss) for t, gauss in _trajectory(config) if t > 0]
-    times = np.array([t for t, _ in samples])
+    if config.variant != "EQ1":
+        raise ConfigError("tomography fits only the EQ1 variant")
+    times, gauss = _evolved(config)
+    moments = ga.probe_moments(gauss)[:, times > 0]
+    times = times[times > 0]
     if np.unique(times).size < 3:
         raise ConfigError("tomography needs at least 3 distinct sample times")
-    series = ga.ProbeMomentSeries.from_states(times, [g for _, g in samples])
     if config.tomo_noise > 0:
-        series = series.with_noise(config.tomo_noise, config.seed)
-    est = ga.mediator_moment_inversion(series, config.g1, config.g2)
+        rng = np.random.default_rng(config.seed)
+        moments = moments + rng.normal(0.0, config.tomo_noise, moments.shape)
+    est = ga.mediator_moment_inversion(times, moments, config.g1, config.g2)
     state0 = config.initial_gaussian()
     m, v = state0.means, state0.covariance
     planted = ga.MediatorEstimate(

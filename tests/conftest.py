@@ -33,6 +33,14 @@ def vacuum_state(hbar: float = 1.0) -> PhaseSpaceState:
     return PhaseSpaceState(np.zeros(6), 0.5 * hbar * np.eye(6), hbar)
 
 
+def stack(states) -> PhaseSpaceState:
+    """The listed states, of one hbar, as one stacked PhaseSpaceState."""
+    states = list(states)
+    return PhaseSpaceState(np.reshape([s.means for s in states], (-1, 6)),
+                           np.reshape([s.covariance for s in states], (-1, 6, 6)),
+                           states[0].hbar if states else 1.0)
+
+
 def grid_norm(state: GridState) -> float:
     """Total probability of a grid state's amplitudes."""
     return float(np.sum(np.abs(state.amplitudes) ** 2) * state.spec.cell_volume)

@@ -30,13 +30,13 @@ from hybridlab.gaussian import (
     MODE_SLICES,
     OMEGA,
     PhaseSpaceState,
-    ProbeMomentSeries,
     QuadraticHamiltonian,
     evolve_gaussian,
     logarithmic_negativity,
     mediator_moment_inversion,
     optimize_chsh,
     optimize_chsh_many,
+    probe_moments,
     product_state,
     symplectic_propagator,
     witness_expectation,
@@ -63,6 +63,7 @@ from conftest import (
     entangling_time_scan,
     half_resolution_estimates,
     quantum_commutator_over_ihbar,
+    stack,
     two_mode_squeezed_state,
     vacuum_state,
 )
@@ -248,11 +249,10 @@ def test_6_mediator_tomography():
                        tilts=(0.1, 0.0, -0.3), chirps=(0.0, 0.0, chirp))
     times = np.linspace(0.25, 2.0, 8)
     h = QuadraticHamiltonian(g1, g2)
-    states = [evolve_gaussian(st, h, t) for t in times]
-    series = ProbeMomentSeries.from_states(times, states)
-    clean = mediator_moment_inversion(series, g1, g2)
-    noisy = mediator_moment_inversion(series.with_noise(1e-4, seed=11),
-                                      g1, g2)
+    moments = probe_moments(evolve_gaussian(st, h, times))
+    clean = mediator_moment_inversion(times, moments, g1, g2)
+    noise = np.random.default_rng(11).normal(0.0, 1e-4, moments.shape)
+    noisy = mediator_moment_inversion(times, moments + noise, g1, g2)
     planted["cov_xk"] = chirp * w * w
     clean_err = max(abs(getattr(clean, k) - v) for k, v in planted.items())
     noisy_err = max(abs(getattr(noisy, k) - v) / max(abs(v), 1.0)
@@ -302,7 +302,7 @@ def test_8_chsh_bound():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     states = [random_separable_two_mode(rng) for _ in range(50)]
-    worst = max(val for val, _ in optimize_chsh_many(states))
+    worst = max(val for val, _ in optimize_chsh_many(stack(states)))
     tmsv_val, _ = optimize_chsh(two_mode_squeezed_state(0.3))
     elapsed = time.perf_counter() - t0
     ok = worst <= 2.0 + 1e-6 and tmsv_val > 2.0 and elapsed < 30.0

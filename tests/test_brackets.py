@@ -667,7 +667,7 @@ def test_moment_table_covers_the_factor_caps():
     n = MAX_FACTORS_PER_MODE
     spec = quantum("*".join(["q"] * n + ["q'"] * n + ["x"] * n))
     state = oracle_states()[1]
-    d_dp, _ = _PureGaussian(state).gradients(spec)
+    d_dp, _ = _PureGaussian(state.means, state.covariance, state.hbar).gradients(spec)
     assert max(max(e) for e in d_dp) == 3 * n
     # the bracket of two functions of position vanishes
     assert gaussian_brackets(state, [(spec, spec)]) == [0.0]

@@ -15,7 +15,7 @@ from hybridlab.gaussian import (
     product_state,
 )
 
-from conftest import two_mode_squeezed_state, vacuum_state
+from conftest import stack, two_mode_squeezed_state, vacuum_state
 from test_acceptance import random_separable_two_mode
 
 
@@ -235,10 +235,10 @@ def test_batched_descent_equals_scalar_reference():
     states = [case.values[0] for case in exactness_cases()
               if case.values[1] == ("Q", "Qprime")]
     refs = [cached_reference(st) for st in states]
-    assert optimize_chsh_many(states) == refs
+    assert optimize_chsh_many(stack(states)) == refs
     reps = _CHSH_CHUNK // len(states) + 1
     assert len(states) * reps > _CHSH_CHUNK
-    assert optimize_chsh_many(states * reps) == refs * reps
+    assert optimize_chsh_many(stack(states * reps)) == refs * reps
 
 
 def test_batched_descent_equals_scalar_reference_on_probe_and_mediator():
@@ -247,7 +247,7 @@ def test_batched_descent_equals_scalar_reference_on_probe_and_mediator():
     states = [case.values[0] for case in exactness_cases()
               if case.id.startswith(("evolved", "mixed"))]
     refs = [cached_reference(st, ("Q", "C")) for st in states]
-    assert optimize_chsh_many(states, ("Q", "C")) == refs
+    assert optimize_chsh_many(stack(states), ("Q", "C")) == refs
 
 
 @pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 2, 5, 1)],
@@ -330,7 +330,7 @@ def test_displaced_parity_gives_the_optimum_bit_for_bit():
 
 
 def test_empty_batch():
-    assert optimize_chsh_many([]) == []
+    assert optimize_chsh_many(stack([])) == []
 
 
 BAD_MODES = [("Q",), ("Q", "Qprime", "C"), ("Q", "Q"), ("Q", "Z"), ()]
@@ -354,4 +354,4 @@ def test_batch_checks_modes_before_any_descent(monkeypatch, states, modes):
 
     monkeypatch.setattr(gaussian, "_chsh_descent", fail)
     with pytest.raises(ValueError, match="two distinct modes"):
-        optimize_chsh_many(states, modes)
+        optimize_chsh_many(stack(states), modes)

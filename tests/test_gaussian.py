@@ -10,18 +10,18 @@ from hybridlab.gaussian import (
     HamiltonianVariant,
     PhaseSpaceState,
     PhysicalityError,
-    ProbeMomentSeries,
     QuadraticHamiltonian,
     evolve_gaussian,
     logarithmic_negativity,
     mediator_moment_inversion,
     mode_covariance,
+    probe_moments,
     product_state,
     symplectic_propagator,
     witness_expectation,
 )
 
-from conftest import (entangling_time_scan, two_mode_squeezed_state,
+from conftest import (entangling_time_scan, stack, two_mode_squeezed_state,
                       vacuum_state)
 from fock_oracle import tmsv_log_negativity, evolved_probe_log_negativity
 
@@ -179,6 +179,38 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="hbar"):
             PhaseSpaceState(np.zeros(6), 0.5 * np.eye(6), hbar)
 
+    @pytest.mark.parametrize("means,cov", [
+        (np.zeros(5), np.eye(5)), (np.zeros(6), np.eye(5)),
+        (np.zeros((2, 6)), np.eye(6)), (np.zeros((2, 6)), np.zeros((3, 6, 6))),
+        (np.zeros((1, 2, 6)), np.zeros((1, 2, 6, 6)))])
+    def test_shapes_must_be_one_state_or_a_stack(self, means, cov):
+        with pytest.raises(ValueError, match="stack of n"):
+            PhaseSpaceState(means, cov)
+
+    def test_stack_names_its_first_unphysical_state(self):
+        # rows 1 and 2 fail; the message gives row 1's min eig, not the least
+        st = stack([vacuum_state(), PhaseSpaceState(np.zeros(6), 0.4 * np.eye(6)),
+                    PhaseSpaceState(np.zeros(6), 0.3 * np.eye(6))])
+        with pytest.raises(PhysicalityError, match=r"^covariance violates "
+                           r"uncertainty relation \(min eig -1\.000e-01\)$"):
+            st.require_physical()
+
+    def test_one_eigen_solve_per_state_object(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        ev = evolve_gaussian(vacuum_state(), QuadraticHamiltonian(1.0, 1.0),
+                             np.linspace(0.0, 2.0, 5))
+        for _ in range(3):
+            ev.require_physical()
+            logarithmic_negativity(ev)
+        assert calls == [(6, 6), (5, 6, 6)]
+
     def test_hbar_scaling(self):
         st = vacuum_state(hbar=2.0)
         st.require_physical()
@@ -297,32 +329,28 @@ class TestMediatorMomentInversion:
             chirps=(0.0, 0.0, chirp))
         if times is None:
             times = np.linspace(0.25, 2.0, 8)
-        h = QuadraticHamiltonian(g1, g2)
-        states = [evolve_gaussian(st, h, t) for t in times]
-        series = ProbeMomentSeries.from_states(times, states)
+        moments = probe_moments(evolve_gaussian(st, QuadraticHamiltonian(g1, g2), times))
         if noise:
-            series = series.with_noise(noise, seed=5)
-        return st, series
+            moments = moments + np.random.default_rng(5).normal(0.0, noise, moments.shape)
+        return st, (times, moments)
 
     def test_noiseless_mean_recovery(self):
         st, series = self.planted_series(mean_x=0.7, tilt=-0.3)
-        est = mediator_moment_inversion(series, 1.0, 1.0)
+        est = mediator_moment_inversion(*series, 1.0, 1.0)
         assert est.mean_x == pytest.approx(0.7, abs=1e-8)
         assert est.mean_k == pytest.approx(-0.3, abs=1e-8)
         assert est.residual < 1e-10
 
     def test_noiseless_second_moment_recovery(self):
         st, series = self.planted_series(width=0.9, cov_xk=0.25)
-        est = mediator_moment_inversion(series, 1.0, 1.0)
+        est = mediator_moment_inversion(*series, 1.0, 1.0)
         assert est.var_x == pytest.approx(st.covariance[4, 4], abs=1e-8)
         assert est.var_k == pytest.approx(st.covariance[5, 5], abs=1e-8)
         assert est.cov_xk == pytest.approx(0.25, abs=1e-8)
 
     def test_all_zero_series(self):
         times = np.linspace(0.25, 2.0, 6)
-        zero = np.zeros_like(times)
-        series = ProbeMomentSeries(times, *([zero] * 11))
-        est = mediator_moment_inversion(series, 1.0, 1.0)
+        est = mediator_moment_inversion(times, np.zeros((11, times.size)), 1.0, 1.0)
         for name in ("mean_x", "mean_k", "var_x", "var_k", "cov_xk"):
             assert getattr(est, name) == pytest.approx(0.0, abs=1e-12)
 
@@ -331,19 +359,19 @@ class TestMediatorMomentInversion:
         w = np.sqrt(1.0 / (4.0 * 0.9))
         st, series = self.planted_series(width=w, noise=1e-4)
         assert st.covariance[5, 5] == pytest.approx(0.9)
-        est = mediator_moment_inversion(series, 1.0, 1.0)
+        est = mediator_moment_inversion(*series, 1.0, 1.0)
         assert est.var_k == pytest.approx(0.9, rel=0.01)
         assert est.residual > 0.0
 
     def test_degenerate_times_rejected(self):
         _, series = self.planted_series(times=np.array([1.0, 1.0, 1.0]))
         with pytest.raises(DegenerateDesignError):
-            mediator_moment_inversion(series, 1.0, 1.0)
+            mediator_moment_inversion(*series, 1.0, 1.0)
 
     def test_zero_coupling_rejected(self):
         _, series = self.planted_series()
         with pytest.raises(ValueError):
-            mediator_moment_inversion(series, 0.0, 1.0)
+            mediator_moment_inversion(*series, 0.0, 1.0)
 
 
 def test_mode_covariance_chirp_plants_correlation():

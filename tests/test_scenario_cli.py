@@ -18,11 +18,11 @@ from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
+    _evolved,
     _grid_moments,
     _moment_residual,
     _num,
     _require_finite,
-    _trajectory,
     ConfigError,
     NonFiniteResultError,
     ScenarioConfig,
@@ -56,6 +56,12 @@ CHSH_CONFIG = ("total_time = 1\ndt = 0.125\nsample_every = 1\n"
 
 def config_text(values) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def gaussian_samples(config):
+    """(means, covariance) of each sampled Gaussian state, in order."""
+    _, gauss = _evolved(config)
+    return list(zip(gauss.means, gauss.covariance))
 
 
 def fast_config(extra=""):
@@ -247,24 +253,24 @@ class TestRunScenario:
         config = parse_config(CHSH_CONFIG)
         report = run_scenario(config)
         col = report.columns.index("chsh_opt")
-        states = [gauss for _, gauss in _trajectory(config)]
-        assert len(report.rows) == len(states) >= 9
-        for row, gauss in zip(report.rows, states):
-            assert row[col] == ga.optimize_chsh(gauss)[0]
+        samples = gaussian_samples(config)
+        assert len(report.rows) == len(samples) >= 9
+        for row, (means, cov) in zip(report.rows, samples):
+            assert row[col] == ga.optimize_chsh(ga.PhaseSpaceState(means, cov))[0]
 
     def test_chsh_column_from_one_descent_per_chunk(self, monkeypatch):
-        # run_scenario hands every sampled state to one optimize_chsh_many
-        # call, which alone splits them into chunks, and calls the
-        # one-state optimize_chsh never: no per-row loop comes back
+        # run_scenario hands the stack of every sampled state to one
+        # optimize_chsh_many call, which alone splits it into chunks, and
+        # calls the one-state optimize_chsh never: no per-row loop comes back
         calls = []
         optimize_chsh_many = ga.optimize_chsh_many
 
-        def moments(states):
-            return [(s.means.tolist(), s.covariance.tolist()) for s in states]
+        def moments(state):
+            return state.means.tolist(), state.covariance.tolist()
 
-        def counted(states, *args, **kwargs):
-            calls.append(moments(states))
-            return optimize_chsh_many(states, *args, **kwargs)
+        def counted(state, *args, **kwargs):
+            calls.append(moments(state))
+            return optimize_chsh_many(state, *args, **kwargs)
 
         def fail(*args, **kwargs):
             pytest.fail("run_scenario must not call the one-state optimize_chsh")
@@ -273,8 +279,8 @@ class TestRunScenario:
         monkeypatch.setattr(ga, "optimize_chsh", fail)
         config = parse_config(CHSH_CONFIG)
         rows = run_scenario(config).rows
-        states = moments(gauss for _, gauss in _trajectory(config))
-        assert len(states) == 9 and calls == [states]
+        states = moments(_evolved(config)[1])
+        assert len(states[0]) == 9 and calls == [states]
         monkeypatch.setattr(ga, "_CHSH_CHUNK", 4)
         assert run_scenario(config).rows == rows
         assert calls == [states, states]
@@ -294,10 +300,9 @@ class TestRunScenario:
 
 def residuals(config):
     """Sample times and per-sample cross-backend residuals of one pass."""
-    samples = [(t, _moment_residual(moments, gauss))
-               for (t, gauss), moments in zip(_trajectory(config),
-                                              _grid_moments(config))]
-    return [t for t, _ in samples], [r for _, r in samples]
+    times, _ = _evolved(config)
+    return times.tolist(), [_moment_residual(moments, sample) for sample, moments
+                            in zip(gaussian_samples(config), _grid_moments(config))]
 
 
 # the README config at 32^3 and t <= 0.5, and a config whose sample_every
@@ -378,8 +383,8 @@ class TestGridMoments:
         # 1e-14 up to t = 1.5 and to 2e-10 at t = 2
         config = parse_config(config_text(README_CONFIG))
         times, got = residuals(config)
-        want = [_moment_residual(moments, gauss) for (_, gauss), moments
-                in zip(_trajectory(config), chained_moments(config),
+        want = [_moment_residual(moments, sample) for sample, moments
+                in zip(gaussian_samples(config), chained_moments(config),
                        strict=True)]
         assert times[-1] == 2.0 and len(got) == len(want) == 9
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
@@ -717,6 +722,61 @@ class TestTomographyDemo:
     def test_needs_couplings(self):
         with pytest.raises(ConfigError):
             tomography_demo(parse_config("g1 = 0\n"))
+
+
+class TestPhysicalityChecks:
+    """The initial state is checked once, by evolve_gaussian, and the
+    evolved stack once, by the first diagnostic that reads it."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_one_eigen_solve_per_stack(self, tmp_path, eigvalsh_calls):
+        # negativity, witness and chsh each checked every evolved state:
+        # 4 eigen-solves per sample, 1 + 3 of them on the same state
+        cfg = tmp_path / "chsh.cfg"
+        cfg.write_text(CHSH_CONFIG)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert eigvalsh_calls == [(6, 6), (9, 6, 6)]
+
+    def test_bracket_only_run_checks_only_the_initial_state(self, tmp_path,
+                                                            eigvalsh_calls):
+        cfg = tmp_path / "brackets.cfg"
+        cfg.write_text("total_time = 1\ndt = 0.125\nsample_every = 1\n"
+                       "diagnostics = \nbracket_pairs = C[ x ]|C[ u ]\n")
+        assert main(["brackets", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert eigvalsh_calls == [(6, 6)]
+
+    @pytest.mark.parametrize("command,diagnostics", [
+        ("simulate", "negativity,witness,chsh"), ("simulate", ""),
+        ("tomography", "")])
+    def test_unphysical_initial_state_exits_3(self, tmp_path, capsys, monkeypatch,
+                                              command, diagnostics):
+        # a config builds only pure states; the guard is reached by
+        # replacing the initial state with V = 0.4 I
+        monkeypatch.setattr(ScenarioConfig, "initial_gaussian", lambda self:
+                            ga.PhaseSpaceState(np.zeros(6), 0.4 * np.eye(6)))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("total_time = 1\ndt = 0.125\nsample_every = 1\n"
+                       f"diagnostics = {diagnostics}\n"
+                       "bracket_pairs = C[ x ]|C[ u ]\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical guard violation: covariance violates uncertainty "
+            "relation (min eig -1.000e-01)\n")
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -1212,6 +1272,21 @@ class TestCli:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "numerical guard violation: per-step shear exceeds the domain "
             "size; reduce dt or enlarge the box")
+        assert not out.exists()
+
+    def test_tomography_rejects_heff_variant(self, tmp_path, capsys, monkeypatch):
+        # the inversion fits the EQ1 propagator's moments: on PAPER_HEFF
+        # data it exited 3, "fitted variances are negative beyond fit
+        # noise", even without noise.  Now a config error, before any work
+        monkeypatch.setattr(ga, "evolve_gaussian", lambda *args: pytest.fail(
+            "the variant must be refused before any evolution"))
+        cfg = tmp_path / "heff.cfg"
+        cfg.write_text("variant = PAPER_HEFF\ntotal_time = 2\ndt = 0.125\n"
+                       "sample_every = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["tomography", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: tomography fits only "
+                                           "the EQ1 variant\n")
         assert not out.exists()
 
     def test_validate_rejects_heff_variant(self, tmp_path, capsys, no_grid):

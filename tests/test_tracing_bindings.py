@@ -67,3 +67,23 @@ def test_traced_validate_counts_repeat(tmp_path):
     assert counts[0] == counts[1] == {
         "grid.grid_moments.calls": 3, "grid.fft_calls": 3 * per_sample,
         "grid.fft_points": 3 * points}
+
+
+@pytest.mark.parametrize("total_time", ["0.5", "2"])
+def test_traced_simulate_evolves_the_trajectory_once(tmp_path, total_time):
+    # run_scenario calls gaussian.evolve_gaussian and
+    # gaussian.logarithmic_negativity through the module, where the tracer
+    # wraps them: one call each gives the whole stacked trajectory and its
+    # column, however many samples (5 or 17 here)
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text(f"total_time = {total_time}\ndt = 0.125\nsample_every = 1\n"
+                   "diagnostics = negativity,witness,chsh\n")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+    summary = tracer.summary()
+    assert summary["gaussian.evolve_gaussian.calls"] == 1
+    assert summary["gaussian.logarithmic_negativity.calls"] == 1
+    assert summary["scenario.run_scenario.calls"] == 1
+    assert 0 < summary["gaussian.evolve_gaussian.s"] < summary["scenario.run_scenario.s"]
