@@ -32,6 +32,10 @@ class DegenerateDesignError(ValueError):
     """Moment-inversion design matrix is rank deficient."""
 
 
+class NonSymplecticError(ValueError):
+    """Propagator fails its symplecticity check (couplings or time too large)."""
+
+
 def symplectic_form(n_modes: int = 3) -> np.ndarray:
     """Block-diagonal symplectic form diag([[0,1],[-1,0]] x n_modes)."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -176,7 +180,7 @@ def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
     sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.  For an array
     of times S has t's shape plus (6, 6), with f and g taken per time
     from the scalar `_sinhc`.  A result S with |S^T Omega S - Omega|
-    above 1e-10 raises ValueError.
+    above 1e-10 raises NonSymplecticError.
     """
     lam = h.g1 * h.g2 if h.variant is HamiltonianVariant.PAPER_HEFF else 0.0
     t = np.asarray(t, dtype=float)
@@ -191,7 +195,7 @@ def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
     deviation = np.swapaxes(s, -1, -2) @ OMEGA @ s
     deviation -= OMEGA
     if (np.abs(deviation, out=deviation).max(axis=(-2, -1)) > 1e-10).any():
-        raise ValueError("matrix is not symplectic to 1e-10")
+        raise NonSymplecticError("matrix is not symplectic to 1e-10")
     return s
 
 

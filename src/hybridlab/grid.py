@@ -6,7 +6,8 @@ an FFT along the q axis, the g2 term after an FFT along the x axis.
 Their commutator [g1 p x, g2 q' k] = i hbar g1 g2 p q' commutes with
 both, so the propagator factors exactly into the two shears and one
 central phase, diagonal after the same FFT along q.  Four FFTs take any
-state to any time, and one takes a product state (`product_pieces`).
+state to any time, and one takes a product state (`product_pieces`);
+`product_moments` takes a product state's moments at many times.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def gaussian_factors(spec: GridSpec, means=(0.0, 0.0, 0.0),
     position-momentum correlation gamma*width^2.  A non-finite
     parameter raises ValueError; a mean outside the axis range [-L, L)
     raises DomainTooSmallError, since the periodic box would wrap it,
-    and so does a half-width below 8 widths.
+    and so does a half-width below 8 widths or a factor too narrow to
+    be nonzero at any grid point.
     """
     factors = []
     for i in range(3):
@@ -149,7 +151,12 @@ def gaussian_factors(spec: GridSpec, means=(0.0, 0.0, 0.0),
         amp = np.exp(-u * u / (4.0 * w * w)
                      + 1j * tilts[i] * spec.axis(i)
                      + 0.5j * chirps[i] * u * u / spec.hbar)
-        amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * spec.steps()[i])
+        norm = np.sum(np.abs(amp) ** 2) * spec.steps()[i]
+        if norm == 0:
+            raise DomainTooSmallError(
+                f"axis {AXIS_NAMES[i]}: the factor of width {w} underflows "
+                "at every grid point; refine the grid")
+        amp /= np.sqrt(norm)
         factors.append(amp)
     return factors
 
@@ -239,6 +246,34 @@ def assemble_product(spec: GridSpec, pieces, out: np.ndarray | None = None,
     return np.fft.ifft(out, axis=0, out=out)
 
 
+def product_moments(spec: GridSpec, factors, g1: float, g2: float,
+                    times) -> tuple[np.ndarray, np.ndarray]:
+    """`grid_moments` of the product of `factors` at each of `times`, as
+    (n, 6) means and (n, 6, 6) covariances.  Each sample is built from
+    `product_pieces`: this thread assembles psi while one worker thread
+    assembles d_0 psi, then takes the second q half of the moments.  The
+    threads write disjoint parts of psi and the work buffer, the only
+    full-size arrays, so the moments are the doubles a serial loop gives.
+    The worker is joined before the call returns or raises."""
+    # imported here: importing the package should not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # allocated on this thread: full-size arrays that the worker
+    # allocated and freed itself stayed in its own malloc arena, and in
+    # some runs raised the peak RSS by 14 MiB
+    state = GridState(spec, np.empty(spec.points_per_axis, complex))
+    work = np.empty((3,) + spec.points_per_axis, dtype=complex)
+    means, cov = np.empty((len(times), 6)), np.empty((len(times), 6, 6))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i, t in enumerate(times):
+            pieces = product_pieces(spec, factors, g1, g2, t)
+            d0 = pool.submit(assemble_product, spec, pieces, work[0], True)
+            assemble_product(spec, pieces, state.amplitudes)
+            d0.result()
+            means[i], cov[i] = grid_moments(state, work, pool)
+    return means, cov
+
+
 def _spectral_derivative(psi: np.ndarray, spec: GridSpec, axis: int,
                          out: np.ndarray | None = None) -> np.ndarray:
     k = spec.wavenumbers(axis)
@@ -280,8 +315,7 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
 
 
 def grid_moments(state: GridState, work: np.ndarray | None = None,
-                 pool=None, d0_given: bool = False,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 pool=None) -> tuple[np.ndarray, np.ndarray]:
     """Means and symmetrized 6x6 covariance in the canonical ordering.
 
     The symmetrized second moment of Hermitian A, B is Re<A psi|B psi>.
@@ -296,17 +330,16 @@ def grid_moments(state: GridState, work: np.ndarray | None = None,
     - momentum-momentum moments: hbar^2 Re<d_i psi|d_j psi>.
 
     d_j psi is built in work[j] of `work`, a C-contiguous complex array
-    of shape (3,) + points_per_axis (allocated if not given; one buffer
-    may serve many calls), unless `d0_given` says work[0] holds d_0 psi.
-    The rest is summed over two q halves, on disjoint slabs of `work`;
-    with `pool`, an executor, the second runs on it, and the call returns
-    or raises once both are done.  The halves' sums are added in a fixed
+    of shape (3,) + points_per_axis, allocated if not given; one given
+    (a buffer may serve many calls) must hold d_0 psi in work[0].  The
+    rest is summed over two q halves, on disjoint slabs of `work`; with
+    `pool`, an executor, the second runs on it, and the call returns or
+    raises once both are done.  The halves' sums are added in a fixed
     order, so the moments are the same doubles with or without a pool.
     """
     spec, psi = state.spec, state.amplitudes
     if work is None:
         work = np.empty((3,) + psi.shape, dtype=complex)
-    if not d0_given:
         _spectral_derivative(psi, spec, 0, out=work[0])
     n, q = psi.shape[0] // 2, spec.axis(0)
     halves = [(psi[h], work[:, h], spec, q[h])

@@ -158,10 +158,10 @@ class ScenarioConfig:
         return ga.product_state(widths=widths, means=means, tilts=tilts,
                                 chirps=chirps, hbar=self.hbar)
 
-    def sample_steps(self) -> tuple[int, list[int]]:
-        """The step count and the sampled steps: every sample_every-th
-        step from 0, and the last step.  More than MAX_SAMPLES samples
-        raise ConfigError before the list is built."""
+    def sample_steps(self) -> list[int]:
+        """The sampled steps: every sample_every-th step from 0, and the
+        last step.  More than MAX_SAMPLES samples raise ConfigError before
+        the list is built."""
         n_steps = round(self.total_time / self.dt)
         n_samples = (n_steps // self.sample_every + 1
                      + (n_steps % self.sample_every != 0))
@@ -172,7 +172,7 @@ class ScenarioConfig:
         samples = list(range(0, n_steps + 1, self.sample_every))
         if samples[-1] != n_steps:
             samples.append(n_steps)
-        return n_steps, samples
+        return samples
 
 
 def _split_pair(pair: str) -> tuple[str, str]:
@@ -341,67 +341,30 @@ def _report_header(config: ScenarioConfig) -> list[str]:
     return lines
 
 
-def _moment_residual(grid: tuple[np.ndarray, np.ndarray],
-                     gauss: tuple[np.ndarray, np.ndarray]) -> float:
-    (m, v), (gm, gv) = grid, gauss
-    return float(max(np.abs(m - gm).max(), np.abs(v - gv).max()))
-
-
-def _grid_moments(config: ScenarioConfig):
-    """An iterator over the grid moments (means, covariance) at the sample
-    times.  The variant is checked on the call; the grid is built on the
-    first step of the iterator.
-
-    The initial state is a product and the propagator exact, so each
-    sample is built directly at t = step * dt from the 1-D initial
-    factors: this thread assembles psi while one worker thread assembles
-    d_0 psi, and `grid_moments` gives the worker the second q half of
-    the rest.  The guards come before any full-size array; psi and the
-    work buffer are the only ones.  The threads write disjoint parts of
-    them, so the moments are the doubles a serial loop gives.  The
-    worker is joined before the last moments come out, and before an
-    exception or a close leaves the iterator.
-    """
+def _require_grid_variant(config: ScenarioConfig) -> None:
     if config.variant != "EQ1":
         raise ConfigError("grid diagnostics support only the EQ1 variant")
-    n_steps, samples = config.sample_steps()
 
-    def moments():
-        # imported here: importing the package should not pay for it
-        from concurrent.futures import ThreadPoolExecutor
 
-        spec = gr.GridSpec(config.grid_points, config.grid_half_widths,
-                           config.hbar)
-        factors = gr.gaussian_factors(spec, *config.mode_params())
-        if n_steps > 0:
-            gr.check_shear(spec, config.g1, config.g2, config.dt)
-        # allocated on this thread: full-size arrays that the worker
-        # allocated and freed itself stayed in its own malloc arena, and
-        # in some runs raised the peak RSS by 14 MiB
-        state = gr.GridState(spec, np.empty(spec.points_per_axis, complex))
-        work = np.empty((3,) + spec.points_per_axis, dtype=complex)
-
-        def sample(pool, step):
-            pieces = gr.product_pieces(spec, factors, config.g1, config.g2,
-                                       step * config.dt)
-            # an error on this thread leaves through the pool's exit,
-            # which waits for the worker
-            d0 = pool.submit(gr.assemble_product, spec, pieces, work[0], True)
-            gr.assemble_product(spec, pieces, state.amplitudes)
-            d0.result()
-            return gr.grid_moments(state, work, pool, d0_given=True)
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for step in samples[:-1]:
-                yield sample(pool, step)
-            last = sample(pool, samples[-1])
-        yield last
-    return moments()
+def _backend_residual(config: ScenarioConfig, times: np.ndarray,
+                      gauss: ga.PhaseSpaceState) -> np.ndarray:
+    """The largest grid-vs-Gaussian moment discrepancy at each sample
+    time.  The guards of the initial factors and of the per-step shear
+    (for a run of at least one step) come before any full-size array."""
+    spec = gr.GridSpec(config.grid_points, config.grid_half_widths,
+                       config.hbar)
+    factors = gr.gaussian_factors(spec, *config.mode_params())
+    if times[-1] > 0:
+        gr.check_shear(spec, config.g1, config.g2, config.dt)
+    means, cov = gr.product_moments(spec, factors, config.g1, config.g2,
+                                    times.tolist())
+    return np.maximum(np.abs(means - gauss.means).max(-1),
+                      np.abs(cov - gauss.covariance).max((-2, -1)))
 
 
 def _evolved(config: ScenarioConfig) -> tuple[np.ndarray, ga.PhaseSpaceState]:
     """The sample times and the Gaussian state at each, as one stack."""
-    times = np.array(config.sample_steps()[1]) * config.dt
+    times = np.array(config.sample_steps()) * config.dt
     return times, ga.evolve_gaussian(config.initial_gaussian(),
                                      config.hamiltonian(), times)
 
@@ -415,15 +378,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     at any grid size, since every sampled state is a pure Gaussian.
     Every Gaussian cell is checked, in row order, before any grid is
     built: a non-finite cell stops the run with NonFiniteResultError.
-    The grid is built only for the `validate` diagnostic, whose residual
-    column is filled row by row from `_grid_moments`: each row is checked
-    as soon as its sample's moments are out.
+    The grid is built only for the `validate` diagnostic, whose
+    `backend_residual` column the report checks in turn.
     """
     _check_output(config.output_path)
     pair_specs = [tuple(parse_observable(s) for s in _split_pair(p))
                   for p in config.bracket_pairs]
     # a variant the grid cannot run is a config error, found before any work
-    grids = _grid_moments(config) if "validate" in config.diagnostics else None
+    if "validate" in config.diagnostics:
+        _require_grid_variant(config)
     times, gauss = _evolved(config)
     table = {"t": times.tolist()}
     if "negativity" in config.diagnostics:
@@ -437,12 +400,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     columns = list(table)
     rows = [list(row) for row in zip(*table.values())]
     _require_finite(columns, rows)
-    if grids is not None:
+    if "validate" in config.diagnostics:
         columns.append("backend_residual")
-        for row, sample, moments in zip(rows, zip(gauss.means, gauss.covariance),
-                                        grids, strict=True):
-            row.append(_moment_residual(moments, sample))
-            _require_finite(columns, [row])
+        for row, r in zip(rows, _backend_residual(config, times, gauss).tolist()):
+            row.append(r)
 
     report = ScenarioReport(_report_header(config), columns, rows)
     if config.output_path:
@@ -451,21 +412,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 
 def validate_backends(config: ScenarioConfig) -> float:
-    """Max cross-backend moment discrepancy over the sampled trajectory.
-
-    The grid propagator is exact in closed form and each sample is built
-    directly at t = dt * steps, so what remains is the grid's band-limit
-    floor.  A dt/2 pass with sample_every doubled needs no run of its
-    own: config checking makes total_time a whole number n of dt steps,
-    so that pass samples steps 2s for each step s of this one, (dt/2) *
-    2s is dt * s bit for bit, and its per-step shear guard is weaker.  It
-    replays this trajectory exactly; the CLI still prints its residual,
-    which the benchmark's output check parses.
-    """
-    grids = _grid_moments(config)
-    _, gauss = _evolved(config)
-    return max(_moment_residual(moments, sample) for sample, moments
-               in zip(zip(gauss.means, gauss.covariance), grids, strict=True))
+    """Max of the `backend_residual` column, after its finite check.  A
+    dt/2 pass with sample_every doubled samples steps 2s for each step s
+    of this one, and (dt/2) * 2s is dt * s bit for bit: it would replay
+    this trajectory exactly, so it needs no run of its own."""
+    _require_grid_variant(config)
+    times, gauss = _evolved(config)
+    residual = _backend_residual(config, times, gauss)
+    _require_finite(["t", "backend_residual"],
+                    np.column_stack((times, residual)).tolist())
+    return float(residual.max())
 
 
 @dataclass(frozen=True)
@@ -495,6 +451,10 @@ def tomography_demo(config: ScenarioConfig) -> TomographyResult:
         rng = np.random.default_rng(config.seed)
         moments = moments + rng.normal(0.0, config.tomo_noise, moments.shape)
     est = ga.mediator_moment_inversion(times, moments, config.g1, config.g2)
+    for f in fields(est):
+        value = getattr(est, f.name)
+        if not np.isfinite(value):
+            raise NonFiniteResultError(f"recovered {f.name} is {value}")
     state0 = config.initial_gaussian()
     m, v = state0.means, state0.covariance
     planted = ga.MediatorEstimate(

@@ -135,6 +135,14 @@ class TestInitProductGaussian:
         with pytest.raises(DomainTooSmallError):
             init_product_gaussian(spec, means=(0.0, 0.0, mean))
 
+    def test_rejects_factor_that_underflows(self):
+        # the narrow factor is 0 at every grid point, so its norm is 0:
+        # refused before the division gave NaN amplitudes
+        spec = GridSpec((32, 32, 32), (14.0, 6.0, 10.0))
+        with pytest.raises(DomainTooSmallError, match="axis q: the factor"):
+            gaussian_factors(spec, means=(0.2, 0.0, 0.0),
+                             widths=(0.001, None, None))
+
     def test_accepts_mean_at_lower_edge(self):
         spec = GridSpec((32, 32, 32), (8.0, 8.0, 8.0))
         init_product_gaussian(spec, means=(0.0, -8.0, 0.0))
@@ -403,45 +411,51 @@ class TestGridMoments:
     def test_work_buffer(self, evolved_grid_state):
         # with a buffer passed in, no full-size array is allocated, and
         # the moments are the same doubles, whatever the buffer held
-        psi = evolved_grid_state.amplitudes
+        # beside d_0 psi in work[0]
+        psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
         work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
         want = grid_moments(evolved_grid_state)
         got = []
-        peak = traced_peak(
-            lambda: got.append(grid_moments(evolved_grid_state, work)))
-        got.append(grid_moments(evolved_grid_state, work))
+        for _ in range(2):
+            _spectral_derivative(psi, spec, 0, out=work[0])
+            peak = traced_peak(
+                lambda: got.append(grid_moments(evolved_grid_state, work)))
+            assert peak < psi.nbytes // 4
         for means, cov in got:
             np.testing.assert_array_equal(means, want[0])
             np.testing.assert_array_equal(cov, want[1])
-        assert peak < psi.nbytes // 4
 
     def test_d0_from_the_caller(self, evolved_grid_state, fft_points):
-        # with d0_given, work[0] is read as d_0 psi: no transform runs
-        # along q, and the moments are those of the d_0 psi given, the
-        # same doubles as when the call computes it
+        # a given work buffer is read as holding d_0 psi in work[0]: no
+        # transform runs along q, and the moments are those of the d_0
+        # psi given, the same doubles as when the call computes it
         psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
         work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
         want = grid_moments(evolved_grid_state)
         _spectral_derivative(psi, spec, 0, out=work[0])
         fft_points.clear()
-        means, cov = grid_moments(evolved_grid_state, work, d0_given=True)
+        means, cov = grid_moments(evolved_grid_state, work)
         assert {axis for _, axis in fft_points} == {1, 2}
         np.testing.assert_array_equal(means, want[0])
         np.testing.assert_array_equal(cov, want[1])
         work[0] = np.nan
-        means, cov = grid_moments(evolved_grid_state, work, d0_given=True)
+        means, cov = grid_moments(evolved_grid_state, work)
         assert np.isnan(means[1]) and not np.isnan(means[0])
 
     def test_pool_gives_the_same_doubles(self, evolved_grid_state):
-        psi = evolved_grid_state.amplitudes
+        psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
         work = np.empty((3,) + psi.shape, dtype=complex)
         want = grid_moments(evolved_grid_state)
+
+        def moments(pool):
+            _spectral_derivative(psi, spec, 0, out=work[0])
+            return grid_moments(evolved_grid_state, work, pool)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                got = [grid_moments(evolved_grid_state, work, pool)
-                       for _ in range(3)]
+                got = [moments(pool) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         for means, cov in got:

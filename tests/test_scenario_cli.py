@@ -18,9 +18,8 @@ from hybridlab import grid as gr
 from hybridlab.cli import main
 from hybridlab.grid import GridSpec
 from hybridlab.scenario import (
+    _backend_residual,
     _evolved,
-    _grid_moments,
-    _moment_residual,
     _num,
     _require_finite,
     ConfigError,
@@ -153,8 +152,8 @@ class TestParseConfig:
     def test_sample_count(self, total_time, sample_every, count):
         config = parse_config(f"total_time = {total_time}\ndt = 1\n"
                               f"sample_every = {sample_every}\n")
-        n_steps, samples = config.sample_steps()
-        assert n_steps == int(total_time) and samples[-1] == n_steps
+        samples = config.sample_steps()
+        assert samples[-1] == int(total_time)
         assert len(samples) == count
 
     @pytest.mark.parametrize("total_time,dt,sample_every", [
@@ -300,9 +299,24 @@ class TestRunScenario:
 
 def residuals(config):
     """Sample times and per-sample cross-backend residuals of one pass."""
-    times, _ = _evolved(config)
-    return times.tolist(), [_moment_residual(moments, sample) for sample, moments
-                            in zip(gaussian_samples(config), _grid_moments(config))]
+    times, gauss = _evolved(config)
+    return times.tolist(), _backend_residual(config, times, gauss).tolist()
+
+
+def moment_residual(grid, gauss):
+    """One sample's residual, from its two (means, covariance) pairs."""
+    (m, v), (gm, gv) = grid, gauss
+    return float(max(np.abs(m - gm).max(), np.abs(v - gv).max()))
+
+
+def sampled_grid_moments(config):
+    """`gr.product_moments` of the config's initial factors at its sample
+    times, as a list of (means, covariance) pairs."""
+    spec = GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
+    factors = gr.gaussian_factors(spec, *config.mode_params())
+    times = [step * config.dt for step in config.sample_steps()]
+    return list(zip(*gr.product_moments(spec, factors, config.g1, config.g2,
+                                        times)))
 
 
 # the README config at 32^3 and t <= 0.5, and a config whose sample_every
@@ -318,18 +332,18 @@ REPLAY_CONFIGS = {
 def serial_moments(config):
     """The grid moments at the sample times from a serial loop of the same
     per-sample build and `grid_moments` without a pool: the oracle for
-    `_grid_moments`, which splits each sample across two threads."""
+    `gr.product_moments`, which splits each sample across two threads."""
     spec = GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
     means, widths, tilts, chirps = config.mode_params()
     factors = gr.gaussian_factors(spec, means, widths, tilts, chirps)
     out = []
-    for step in config.sample_steps()[1]:
+    for step in config.sample_steps():
         pieces = gr.product_pieces(spec, factors, config.g1, config.g2,
                                    step * config.dt)
         work = np.empty((3,) + spec.points_per_axis, dtype=complex)
         gr.assemble_product(spec, pieces, work[0], derivative=True)
         state = gr.GridState(spec, gr.assemble_product(spec, pieces))
-        out.append(gr.grid_moments(state, work, d0_given=True))
+        out.append(gr.grid_moments(state, work))
     return out
 
 
@@ -337,7 +351,7 @@ def chained_moments(config):
     """The grid moments at the sample times from propagating the initial
     grid state from sample to sample, and taking each sample's moments
     with `grid_moments` alone."""
-    _, samples = config.sample_steps()
+    samples = config.sample_steps()
     grid_state, prev, out = initial_grid(config), 0, []
     for step in samples:
         if step > prev:
@@ -370,8 +384,8 @@ class TestGridMoments:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_equal_to_serial_loop(self, name, short_switch_interval):
         config = parse_config(config_text(ORACLE_CONFIGS[name]))
-        got, want = list(_grid_moments(config)), serial_moments(config)
-        assert len(got) == len(want) == len(config.sample_steps()[1])
+        got, want = sampled_grid_moments(config), serial_moments(config)
+        assert len(got) == len(want) == len(config.sample_steps())
         for (means, cov), (ref_means, ref_cov) in zip(got, want):
             assert np.array_equal(means, ref_means)
             assert np.array_equal(cov, ref_cov)
@@ -383,7 +397,7 @@ class TestGridMoments:
         # 1e-14 up to t = 1.5 and to 2e-10 at t = 2
         config = parse_config(config_text(README_CONFIG))
         times, got = residuals(config)
-        want = [_moment_residual(moments, sample) for sample, moments
+        want = [moment_residual(moments, sample) for sample, moments
                 in zip(gaussian_samples(config), chained_moments(config),
                        strict=True)]
         assert times[-1] == 2.0 and len(got) == len(want) == 9
@@ -398,10 +412,10 @@ class TestGridMoments:
         calls, assembled = [], []
         grid_moments, assemble = gr.grid_moments, gr.assemble_product
 
-        def recorded(state, work, pool, d0_given):
-            calls.append((state.amplitudes, work, pool, d0_given,
+        def recorded(state, work, pool):
+            calls.append((state.amplitudes, work, pool,
                           threading.current_thread()))
-            return grid_moments(state, work, pool, d0_given)
+            return grid_moments(state, work, pool)
 
         def recorded_assemble(spec, pieces, out, derivative=False):
             assembled.append((out, derivative, threading.current_thread()))
@@ -410,13 +424,13 @@ class TestGridMoments:
         monkeypatch.setattr(gr, "grid_moments", recorded)
         monkeypatch.setattr(gr, "assemble_product", recorded_assemble)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
-        assert len(list(_grid_moments(config))) == len(calls) == 9
+        assert len(sampled_grid_moments(config)) == len(calls) == 9
         psi, work, pool = calls[0][:3]
         assert psi.shape == (32, 32, 32) and psi.dtype == complex
         assert work.shape == (3, 32, 32, 32) and work.dtype == complex
         caller = threading.current_thread()
-        assert all(a is psi and w is work and p is pool and d0_given
-                   and t is caller for a, w, p, d0_given, t in calls)
+        assert all(a is psi and w is work and p is pool and t is caller
+                   for a, w, p, t in calls)
         d0 = [(out, thread) for out, derivative, thread in assembled
               if derivative]
         own = [(out, thread) for out, derivative, thread in assembled
@@ -427,37 +441,13 @@ class TestGridMoments:
                    and thread is not caller for out, thread in d0)
         assert len({thread for _, thread in d0}) == 1
 
-    def test_one_worker_joined_before_last_moments(self):
-        # the worker starts on the first step and, though it takes half
-        # of the last sample's moments too, is joined before they come
-        # out, so an iterator that is never run to its end leaves no
-        # thread behind
-        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
-        n = len(config.sample_steps()[1])
-        start = threading.active_count()
-        moments = _grid_moments(config)
-        extra = [threading.active_count() - start]
-        for _ in range(n):
-            next(moments)
-            extra.append(threading.active_count() - start)
-        assert extra == [0] + [1] * (n - 1) + [0]
-
-    def test_close_joins_worker(self):
-        config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
-        start = threading.active_count()
-        moments = _grid_moments(config)
-        next(moments)
-        assert threading.active_count() == start + 1
-        moments.close()
-        assert threading.active_count() == start
-
     @pytest.mark.parametrize("thread", ["caller", "worker"])
     @pytest.mark.parametrize("stage", ["build", "half"])
     def test_error_in_either_thread(self, monkeypatch, stage, thread):
         # one thread fails at the second sample, in its build of psi or
         # d_0 psi, or in its q half of the moments, while the other is
-        # still at work: the iterator raises that error as itself, after
-        # the other thread is done, leaves no thread and does not hang
+        # still at work: the call raises that error as itself, after the
+        # other thread is done, leaves no thread and does not hang
         error = MemoryError(f"{thread} {stage} at the second sample")
         target = {"build": "assemble_product", "half": "_slab_moments"}[stage]
         original = getattr(gr, target)
@@ -476,12 +466,11 @@ class TestGridMoments:
 
         monkeypatch.setattr(gr, target, failing)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
-        raised, got = [], []
+        raised = []
 
         def run():
             try:
-                for moments in _grid_moments(config):
-                    got.append(moments)
+                sampled_grid_moments(config)
             except BaseException as exc:
                 raised.append(exc)
 
@@ -491,7 +480,6 @@ class TestGridMoments:
         runner.join(30)
         assert not runner.is_alive()
         assert len(raised) == 1 and raised[0] is error
-        assert len(got) == 1
         # the other thread finished its part of the second sample
         assert len(calls) == 4 and len(finished) == 3
         assert threading.active_count() == start
@@ -503,13 +491,12 @@ class TestGridMoments:
     ], ids=["shear", "mean_outside_box", "narrow_box"])
     def test_guards_before_any_grid(self, overrides, exception):
         # the guards of the initial state and of the per-step shear stop
-        # the trajectory before any full-size array is allocated
+        # validate before any full-size array is allocated
         config = parse_config(config_text(dict(README_CONFIG, **overrides)))
-        moments = _grid_moments(config)
         tracemalloc.start()
         try:
             with pytest.raises(exception):
-                next(moments)
+                validate_backends(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -520,7 +507,7 @@ class TestGridMoments:
         # exceed the box is no error, as it was not with split_step_evolve
         config = parse_config(config_text(dict(README_CONFIG, total_time="0",
                                                dt="1.5", grid_points="32,32,32")))
-        assert len(list(_grid_moments(config))) == 1
+        assert len(residuals(config)[1]) == 1
 
     def test_peak_memory(self):
         # the split allocates no full-size field: the peak is the work
@@ -529,10 +516,10 @@ class TestGridMoments:
         # planes; a full-size field, 256 KiB real or 512 KiB complex at
         # 32^3, would not fit in it
         config = parse_config(config_text(REPLAY_CONFIGS["readme_short"]))
-        list(_grid_moments(config))
+        sampled_grid_moments(config)
         tracemalloc.start()
         try:
-            assert len(list(_grid_moments(config))) == 3
+            assert len(sampled_grid_moments(config)) == 3
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -668,7 +655,7 @@ class TestValidateBackends:
 
     def test_one_pass(self, monkeypatch):
         config = parse_config(config_text(REPLAY_CONFIGS["appended_sample"]))
-        _, samples = config.sample_steps()
+        samples = config.sample_steps()
         assert samples == [0, 3, 6, 8]
         calls = {"gaussian_factors": 0, "product_pieces": 0,
                  "assemble_product": 0, "grid_moments": 0,
@@ -992,7 +979,7 @@ class TestCli:
     def test_rounded_whole_steps_accepted(self, tmp_path):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps
         config = parse_config("total_time = 0.3\ndt = 0.1\n")
-        assert config.sample_steps() == (3, [0, 3])
+        assert config.sample_steps() == [0, 3]
         cfg = tmp_path / "steps.cfg"
         cfg.write_text("total_time = 0.3\ndt = 0.1\nsample_every = 1\n"
                        "diagnostics = witness\n")
@@ -1294,6 +1281,83 @@ class TestCli:
         cfg.write_text(config_text(dict(README_CONFIG, variant="PAPER_HEFF")))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "EQ1 variant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_factor_that_underflows_exits_3(self, tmp_path, capsys, command):
+        # a factor this narrow is 0 at every grid point: normalizing it
+        # divided by a zero norm, and validate printed a nan residual and
+        # exited 0, where simulate reported the nan cell.  Refused before
+        # the division, under the tier-1 RuntimeWarning-as-error filter
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(config_text(dict(
+            README_CONFIG, grid_points="32,32,32", q_width="0.001",
+            q_mean="0.2", total_time="0.5", dt="0.125", sample_every="2",
+            diagnostics="validate")))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "numerical guard violation: axis q: the factor of width 0.001 "
+            "underflows at every grid point; refine the grid\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_nonfinite_residual_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # validate reads the backend_residual column that simulate
+        # writes, finite check included: a NaN grid moment at the second
+        # sample is refused by both, with the same message
+        product_moments = gr.product_moments
+
+        def with_nan(*args):
+            means, cov = product_moments(*args)
+            means[1, 3] = np.nan
+            return means, cov
+
+        monkeypatch.setattr(gr, "product_moments", with_nan)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "numerical guard violation: backend_residual is nan at t = 0.25\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "tomography"])
+    def test_nonsymplectic_sample_exits_2(self, tmp_path, capsys, no_grid,
+                                          command):
+        # S is exact at t = 0 and at total_time, where the config is
+        # checked, but not symplectic to 1e-10 from t = 3/64: that ended
+        # in a ValueError traceback.  Now the config error a failure at
+        # total_time gets, before any grid work
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("g2 = 1e150\ntotal_time = 1\nsample_every = 3\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: matrix is not symplectic to 1e-10\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "g2 = 0.5\ntotal_time = 1\nsample_every = 2\nc_xk = 0.2\n"
+        "c_tilt = 1e200\n",
+        "g1 = -2\ntotal_time = 1\ndt = 0.25\nsample_every = 1\n"
+        "hbar = 2.5\nq_width = 1e100\n",
+    ], ids=["huge_tilt", "huge_width"])
+    def test_nonfinite_tomography_exits_3(self, tmp_path, capsys, text):
+        # the fit residual overflowed to inf, and tomography printed it,
+        # wrote it and exited 0 (the second config recovered var_x as
+        # 5.7e183 against a planted 1.25)
+        cfg = tmp_path / "tomo.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["tomography", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "numerical guard violation: recovered residual is inf\n")
+        assert not out.exists()
 
 
 def test_brackets_csv_independent_of_hash_seed(tmp_path):

@@ -142,7 +142,7 @@ def test_report_equals_per_state_path(name):
     config = parse_config(config_text(**SCENARIOS[name]))
     report = run_scenario(config)
     gauss0, h = config.initial_gaussian(), config.hamiltonian()
-    times = [step * config.dt for step in config.sample_steps()[1]]
+    times = [step * config.dt for step in config.sample_steps()]
     ref = [reference_evolve(gauss0, h, t)[1:] for t in times]
     # the descent does not depend on batching (test_chsh.py), so one
     # descent over the oracle's states gives their optima
@@ -215,7 +215,7 @@ def test_tomography_equals_per_state_path(noise, seed):
                                       c_mean=0.5, c_width=0.8, c_xk=0.2,
                                       tomo_noise=noise, seed=seed))
     gauss0, h = config.initial_gaussian(), config.hamiltonian()
-    times = [step * config.dt for step in config.sample_steps()[1]]
+    times = [step * config.dt for step in config.sample_steps()]
     times = np.array([t for t in times if t > 0])
     ref = [reference_evolve(gauss0, h, t) for t in times.tolist()]
     fields = reference_probe_series([m for _, m, _ in ref], [v for _, _, v in ref])
