@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from .brackets import GaussianBracketError
-from .gaussian import (DegenerateDesignError, NonSymplecticError,
-                       PhysicalityError)
+from .gaussian import DegenerateDesignError, PhysicalityError
 from .grid import ConfigurationError, DomainTooSmallError
 from .scenario import (ConfigError, NonFiniteResultError, ScenarioConfig,
                        parse_config, run_scenario, tomography_demo,
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonSymplecticError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PhysicalityError, DegenerateDesignError, DomainTooSmallError,

@@ -12,10 +12,10 @@ exp(M t) = I + f M + g M^2, propagates both to any time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from math import sin, sinh, sqrt
+from math import inf, sin, sinh, sqrt
 
 import numpy as np
 
@@ -29,7 +29,12 @@ class PhysicalityError(ValueError):
 
 
 class DegenerateDesignError(ValueError):
-    """Moment-inversion design matrix is rank deficient."""
+    """Moment-inversion design matrix is rank deficient, or too ill-posed
+    for the rounding of the probe moments."""
+
+
+class NonFiniteResultError(ValueError):
+    """A result came out infinite or NaN: a numerical guard violation."""
 
 
 class NonSymplecticError(ValueError):
@@ -47,6 +52,9 @@ def symplectic_form(n_modes: int = 3) -> np.ndarray:
 
 OMEGA = symplectic_form(3)
 PHYSICALITY_TOL = 1e-10
+# the largest share of a recovered mediator moment's scale that the
+# rounding of its tomography fit may move it by
+MAX_LOST_PRECISION = 1e-6
 
 
 class HamiltonianVariant(Enum):
@@ -169,7 +177,12 @@ def _sinhc(z: float) -> float:
 
 def _shear_coefficients(lam: float, t: float) -> tuple[float, float]:
     z = lam * t * t
-    return t * _sinhc(z), 0.5 * t * t * _sinhc(0.25 * z) ** 2
+    try:
+        return t * _sinhc(z), 0.5 * t * t * _sinhc(0.25 * z) ** 2
+    except (OverflowError, ValueError):
+        # sinh overflows, or lam t^2 did and sin(inf) is a domain error:
+        # an S that the symplecticity check refuses as an overflow
+        return inf, inf
 
 
 def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
@@ -179,8 +192,10 @@ def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
     = t sinhc(lam t^2) and g = 2 sinh^2(sqrt(lam) t/2)/lam = (t^2/2)
     sinhc(lam t^2/4)^2, so nothing cancels as lam t^2 -> 0.  For an array
     of times S has t's shape plus (6, 6), with f and g taken per time
-    from the scalar `_sinhc`.  A result S with |S^T Omega S - Omega|
-    above 1e-10 raises NonSymplecticError.
+    from the scalar `_sinhc`.  At the first time where |S^T Omega S - Omega|
+    exceeds 1e-10, a finite deviation raises NonSymplecticError, and one
+    that doubles cannot hold (S, sinh or S^T Omega S overflows) raises
+    OverflowError naming the time.
     """
     lam = h.g1 * h.g2 if h.variant is HamiltonianVariant.PAPER_HEFF else 0.0
     t = np.asarray(t, dtype=float)
@@ -188,24 +203,37 @@ def symplectic_propagator(h: QuadraticHamiltonian, t) -> np.ndarray:
     # f and g per time, shaped to scale the 6x6 matrices
     fg = np.array([_shear_coefficients(lam, x) for x in t.ravel().tolist()])
     f, g = fg.T.reshape((2,) + t.shape + (1, 1))
-    # I + f M + g M^2 in place, in that order, holding few stack-sized arrays
-    s = f * m
-    s += np.eye(6)
-    s += g * (m @ m)
-    deviation = np.swapaxes(s, -1, -2) @ OMEGA @ s
-    deviation -= OMEGA
-    if (np.abs(deviation, out=deviation).max(axis=(-2, -1)) > 1e-10).any():
-        raise NonSymplecticError("matrix is not symplectic to 1e-10")
+    # I + f M + g M^2 in place, in that order, holding few stack-sized arrays;
+    # S or S^T Omega S may overflow, and 0 * inf give NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = f * m
+        s += np.eye(6)
+        s += g * (m @ m)
+        deviation = np.swapaxes(s, -1, -2) @ OMEGA @ s
+        deviation -= OMEGA
+    worst = np.ravel(np.abs(deviation, out=deviation).max(axis=(-2, -1)))
+    first = np.argmin(worst <= 1e-10)  # 0 when every time passes
+    if not worst[first] <= 1e-10:
+        if np.isfinite(worst[first]):
+            raise NonSymplecticError("matrix is not symplectic to 1e-10")
+        raise OverflowError(f"the propagator overflows at t = {np.ravel(t)[first]:.17g}")
     return s
 
 
 def evolve_gaussian(state: PhaseSpaceState, h: QuadraticHamiltonian,
                     t) -> PhaseSpaceState:
     """Propagate means and covariance, m -> Sm and V -> S V S^T, to the
-    time t; for an array of times, the stack of states at those times."""
+    time t; for an array of times, the stack of states at those times.
+    Moments that doubles cannot hold raise OverflowError naming the first
+    such time, with no RuntimeWarning."""
     state.require_physical()
-    return PhaseSpaceState(*evolved_moments(state, symplectic_propagator(h, t)),
-                           state.hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, cov = evolved_moments(state, symplectic_propagator(h, t))
+    finite = np.isfinite(means).all(-1) & np.isfinite(cov).all((-2, -1))
+    if not finite.all():
+        bad = np.ravel(t)[np.argmin(np.ravel(finite))]
+        raise OverflowError(f"the Gaussian moments overflow at t = {bad:.17g}")
+    return PhaseSpaceState(means, cov, state.hbar)
 
 
 def evolved_moments(state: PhaseSpaceState, s: np.ndarray):
@@ -253,8 +281,10 @@ def logarithmic_negativity(state: PhaseSpaceState,
     flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
     nu = _symplectic_eigenvalues(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip))
     half = 0.5 * state.hbar
-    neg = -sum(np.log(np.where(v < half, v, half) / half)
-               for v in np.moveaxis(nu, -1, 0))
+    # a zero eigenvalue gives inf, which the caller's finite check refuses
+    with np.errstate(divide="ignore"):
+        neg = -sum(np.log(np.where(v < half, v, half) / half)
+                   for v in np.moveaxis(nu, -1, 0))
     return _per_state(np.where(neg > 0.0, neg, 0.0))
 
 
@@ -269,8 +299,10 @@ def witness_expectation(state: PhaseSpaceState):
     """
     state.require_physical()
     m, v = state.means, state.covariance
-    return _per_state(v[..., IDX_Q, IDX_PP] + m[..., IDX_Q] * m[..., IDX_PP]
-                      + v[..., IDX_QP, IDX_P] + m[..., IDX_QP] * m[..., IDX_P])
+    # mean products may overflow; the caller's finite check refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _per_state(v[..., IDX_Q, IDX_PP] + m[..., IDX_Q] * m[..., IDX_PP]
+                          + v[..., IDX_QP, IDX_P] + m[..., IDX_QP] * m[..., IDX_P])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +522,7 @@ class MediatorEstimate:
     def __post_init__(self):
         if not (self.var_x >= -1e-9 and self.var_k >= -1e-9):
             raise PhysicalityError("fitted variances are negative beyond fit noise")
-        if self.var_x * self.var_k - self.cov_xk ** 2 < -1e-9:
+        if self.var_x * self.var_k - self.cov_xk * self.cov_xk < -1e-9:
             raise PhysicalityError("fitted second moments are inconsistent")
 
 
@@ -505,13 +537,21 @@ def probe_moments(state: PhaseSpaceState) -> np.ndarray:
                      v[..., IDX_Q, IDX_PP]])
 
 
-def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    sol, res, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+def _fit(column: np.ndarray, series: np.ndarray, subtracted: np.ndarray,
+         size=None) -> tuple[float, float, float]:
+    """The slope of series - subtracted on the design [1, column], the fit
+    residual, and how far rounding can move the slope: eps per unit of
+    |series| + size at each sample (size bounds the subtracted terms, and
+    is |subtracted| if not given), carried through the design's lever
+    arm, the slope's row of its pseudo-inverse."""
+    design = np.column_stack([np.ones_like(column), column])
+    sol, res, rank, _ = np.linalg.lstsq(design, series - subtracted, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateDesignError("design matrix is rank deficient")
-    resid = float(np.sqrt(res[0])) if res.size else float(
-        np.linalg.norm(design @ sol - y))
-    return sol, resid
+    size = np.abs(subtracted) if size is None else size
+    lost = np.finfo(float).eps * np.abs(np.linalg.pinv(design)[1]) @ (
+        np.abs(series) + size)
+    return float(sol[1]), float(np.sqrt(res[0])), float(lost)
 
 
 def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
@@ -522,7 +562,11 @@ def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
     Assumes the initial state is a product of (Q, Q', C) so all
     cross-subsystem covariances vanish at t=0; the closed-form EQ1
     propagator then makes each probe moment an affine function of the
-    unknown mediator moments, solved by linear least squares.
+    unknown mediator moments, solved by linear least squares.  A
+    recovered moment that is not finite raises NonFiniteResultError; one
+    that the rounding of its fit could move by more than
+    MAX_LOST_PRECISION of its scale (its variance, or the root of the
+    variances for a mean or cov_xk) raises DegenerateDesignError.
     """
     if g1 == 0.0 or g2 == 0.0:
         raise ValueError("tomography needs both couplings nonzero")
@@ -530,7 +574,7 @@ def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
     if np.unique(t).size < 3:
         raise DegenerateDesignError("need at least 3 distinct sample times")
     a = 0.5 * g1 * g2
-    ones = np.ones_like(t)
+    at2, a2t4 = a * t * t, a * a * t ** 4
 
     (mean_q, mean_p, mean_q2, mean_p2, var_q, var_p, var_q2, var_p2,
      cov_qp, cov_q2p2, cov_q_p2) = moments
@@ -538,17 +582,28 @@ def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
     q2bar, pbar, var_q2bar, var_pbar, cov_qpbar, cov_q2p2bar = (
         x.mean() for x in (mean_q2, mean_p, var_q2, var_p, cov_qp, cov_q2p2))
 
-    (_, mean_x), r1 = _lstsq(np.column_stack([ones, g1 * t]),
-                             mean_q - a * t * t * q2bar)
-    (_, mean_k), r2 = _lstsq(np.column_stack([ones, -g2 * t]),
-                             mean_p2 - a * t * t * pbar)
-    (_, var_x), r3 = _lstsq(np.column_stack([ones, g1 * g1 * t * t]),
-                            var_q - a * a * t ** 4 * var_q2bar)
-    (_, var_k), r4 = _lstsq(np.column_stack([ones, g2 * g2 * t * t]),
-                            var_p2 - a * a * t ** 4 * var_pbar)
-    (_, cov_xk), r5 = _lstsq(np.column_stack([ones, -g1 * g2 * t * t]),
-                             cov_q_p2 - a * t * t * (cov_qpbar + cov_q2p2bar))
-    total = float(np.sqrt(r1 ** 2 + r2 ** 2 + r3 ** 2 + r4 ** 2 + r5 ** 2))
-    return MediatorEstimate(mean_x=float(mean_x), mean_k=float(mean_k),
-                            var_x=float(var_x), var_k=float(var_k),
-                            cov_xk=float(cov_xk), residual=total)
+    # per moment: the design column, and the probe series less the
+    # conserved terms it carries, with the size of those terms
+    fits = {
+        "mean_x": (g1 * t, mean_q, at2 * q2bar),
+        "mean_k": (-g2 * t, mean_p2, at2 * pbar),
+        "var_x": (g1 * g1 * t * t, var_q, a2t4 * var_q2bar),
+        "var_k": (g2 * g2 * t * t, var_p2, a2t4 * var_pbar),
+        "cov_xk": (-g1 * g2 * t * t, cov_q_p2, at2 * (cov_qpbar + cov_q2p2bar),
+                   np.abs(at2) * (abs(cov_qpbar) + abs(cov_q2p2bar))),
+    }
+    slopes, resid, lost = zip(*(_fit(*fit) for fit in fits.values()))
+    est = MediatorEstimate(*slopes, residual=float(np.sqrt(sum(r ** 2 for r in resid))))
+    for f in fields(est):
+        value = getattr(est, f.name)
+        if not np.isfinite(value):
+            raise NonFiniteResultError(f"recovered {f.name} is {value}")
+    var_x, var_k = abs(est.var_x), abs(est.var_k)
+    scales = (sqrt(var_x), sqrt(var_k), var_x, var_k, sqrt(var_x * var_k))
+    for name, err, scale in zip(fits, lost, scales):
+        if not err <= MAX_LOST_PRECISION * scale:
+            raise DegenerateDesignError(
+                f"recovered {name} lost its precision: rounding of the probe "
+                f"moments can move it by {err:.3g}, above "
+                f"{MAX_LOST_PRECISION:g} of its scale {scale:.3g}")
+    return est

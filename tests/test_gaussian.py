@@ -8,6 +8,7 @@ from hybridlab.gaussian import (
     OMEGA,
     DegenerateDesignError,
     HamiltonianVariant,
+    NonSymplecticError,
     PhaseSpaceState,
     PhysicalityError,
     QuadraticHamiltonian,
@@ -133,7 +134,47 @@ class TestSymplecticPropagator:
         assert np.abs(s - oracle).max() <= 1e-12 * np.abs(s).max()
 
 
+    @each_variant
+    @pytest.mark.filterwarnings("error")
+    def test_nan_propagator_fails_the_check(self, variant):
+        # M @ M overflows and 0 * inf makes S NaN at t = 0: the test
+        # |deviation| > 1e-10 passed it, with two RuntimeWarnings
+        h = QuadraticHamiltonian(1e160, 1e160, variant)
+        with pytest.raises(OverflowError,
+                           match=r"^the propagator overflows at t = 0$"):
+            symplectic_propagator(h, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("g2,t,shown", [
+        (1e154, 0.25, "0.25"),      # sinh(sqrt(g1 g2) t) overflows
+        # g1 g2 t^2 overflows to -inf, and sin(inf) is a ValueError
+        (-1e300, 1e5, "100000")])
+    def test_overflowing_heff_coefficients_name_the_time(self, g2, t, shown):
+        h = QuadraticHamiltonian(1.0, g2, HamiltonianVariant.PAPER_HEFF)
+        with pytest.raises(OverflowError,
+                           match=f"^the propagator overflows at t = {shown}$"):
+            symplectic_propagator(h, np.array([0.0, t, 2 * t]))
+
+    def test_rounding_error_is_not_an_overflow(self):
+        # a finite deviation above 1e-10 keeps its own error
+        h = QuadraticHamiltonian(1.0, 1e150)
+        with pytest.raises(NonSymplecticError, match="not symplectic to 1e-10"):
+            symplectic_propagator(h, np.array([0.0, 3 / 64]))
+
+
 class TestEvolveGaussian:
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_first_time(self):
+        # the symmetric part of V(2) overflows, while V(0) and V(1) fit
+        cov = 0.5 * np.eye(6)
+        cov[4, 4] = 5e307
+        state = PhaseSpaceState(np.zeros(6), cov)
+        with pytest.raises(OverflowError,
+                           match=r"^the Gaussian moments overflow at t = 2$"):
+            evolve_gaussian(state, QuadraticHamiltonian(1.0, 1.0),
+                            np.array([0.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(OverflowError, match=r"at t = 3$"):
+            evolve_gaussian(state, QuadraticHamiltonian(1.0, 1.0), 3.0)
+
     def test_zero_time_unchanged(self):
         st = vacuum_state()
         out = evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0), 0.0)
@@ -362,6 +403,25 @@ class TestMediatorMomentInversion:
         est = mediator_moment_inversion(*series, 1.0, 1.0)
         assert est.var_k == pytest.approx(0.9, rel=0.01)
         assert est.residual > 0.0
+
+    @pytest.mark.parametrize("width", [1e5, 1e20])
+    def test_lost_precision_refused(self, width):
+        # Var q = width^2 swamps the g1^2 t^2 Var x it carries: var_x was
+        # recovered with its digits lost and returned
+        st = product_state(widths=(width, 1.1, 0.8))
+        times = np.linspace(0.25, 2.0, 8)
+        moments = probe_moments(evolve_gaussian(st, QuadraticHamiltonian(1.0, 1.0),
+                                                times))
+        with pytest.raises(DegenerateDesignError,
+                           match="^recovered var_x lost its precision"):
+            mediator_moment_inversion(times, moments, 1.0, 1.0)
+
+    def test_noise_is_not_lost_precision(self):
+        # the bound is the rounding of the probe moments, not the fit
+        # residual: noise of half the planted variances leaves an estimate
+        _, series = self.planted_series(noise=0.3)
+        est = mediator_moment_inversion(*series, 1.0, 1.0)
+        assert est.residual > 1.0
 
     def test_degenerate_times_rejected(self):
         _, series = self.planted_series(times=np.array([1.0, 1.0, 1.0]))

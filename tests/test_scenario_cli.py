@@ -57,6 +57,29 @@ def config_text(values) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+# configs whose Gaussian trajectory doubles cannot hold at some sample,
+# with the config error `simulate` reports
+NOT_SYMPLECTIC = "matrix is not symplectic to 1e-10"
+LOWER = ": lower g1, g2, total_time, c_xk or the widths"
+OVERFLOW_CONFIGS = {
+    "g1_1e200": (config_text(dict(README_CONFIG, g1="1e200")), NOT_SYMPLECTIC),
+    "g1_1e300": (config_text(dict(README_CONFIG, g1="1e300")), NOT_SYMPLECTIC),
+    "c_xk_width_1": ("c_xk = 1e154\nc_width = 1\ntotal_time = 0.5\ndt = 0.25\n",
+                     "the Gaussian moments overflow at t = 0" + LOWER),
+    "heff_sinh": ("variant = PAPER_HEFF\ng2 = 1e154\ntotal_time = 0.5\ndt = 0.25\n",
+                  "the propagator overflows at t = 0.5" + LOWER),
+    "intermediate_sample": ("g2 = 1e150\ntotal_time = 1\nsample_every = 3\n",
+                            NOT_SYMPLECTIC),
+    # M @ M overflowed and 0 * inf made S NaN, which passed the 1e-10
+    # check with two RuntimeWarnings; the config then blamed c_xk or
+    # the widths
+    **{f"couplings_1e160_{variant}_t{t}": (
+        f"g1 = 1e160\ng2 = 1e160\nvariant = {variant}\ntotal_time = {t}\n",
+        "the propagator overflows at t = 0" + LOWER)
+       for variant in ("EQ1", "PAPER_HEFF") for t in (0, 1)},
+}
+
+
 def gaussian_samples(config):
     """(means, covariance) of each sampled Gaussian state, in order."""
     _, gauss = _evolved(config)
@@ -1059,33 +1082,40 @@ class TestCli:
     def test_overflowing_coupling_exits_2(self, tmp_path, capsys, no_grid,
                                           command, g1):
         # the Gaussian moments at total_time overflow: the run used to stop
-        # at that sample with a ValueError traceback
+        # at that sample with a ValueError traceback.  The first sample
+        # whose propagator rounding fails the 1e-10 check now stops it
         cfg = tmp_path / "coupling.cfg"
         cfg.write_text(config_text(dict(README_CONFIG, g1=g1)))
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 2
-        assert "moments at total_time overflow" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: matrix is not "
+                                           "symplectic to 1e-10\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "validate", "tomography"])
     @pytest.mark.parametrize("extra,message", [
         # S V S^T is finite, but its symmetric part overflows in the add:
         # the run used to end in a ValueError traceback
-        ("c_width = 1.0\n", "moments at t = 0 overflow"),
+        ("c_width = 1.0\n", "the Gaussian moments overflow at t = 0: lower "
+                            "g1, g2, total_time, c_xk or the widths"),
         # with the vacuum width the momentum variance itself overflows:
         # the run used to warn before it exited 2
-        ("", "initial Gaussian moments are not finite"),
+        ("", "the initial Gaussian moments are not finite: hbar, a width, "
+             "a tilt or c_xk is out of range"),
     ], ids=["symmetric_part", "vacuum_width"])
-    def test_overflowing_mediator_moments_exit_2(self, tmp_path, capsys, monkeypatch,
-                                                 no_grid, command, extra, message):
-        monkeypatch.setattr(ga, "evolve_gaussian", lambda *args: pytest.fail(
-            "the config must be rejected before any evolution"))
+    def test_overflowing_mediator_moments_exit_2(self, tmp_path, capsys,
+                                                 no_grid, command, extra,
+                                                 message):
+        # the trajectory is judged where it is evolved, before any grid
+        # work or file: the config error, with no warning on the way
         cfg = tmp_path / "c_xk.cfg"
         cfg.write_text("c_xk = 1e154\ntotal_time = 0.5\ndt = 0.25\n"
                        "diagnostics = negativity\n" + extra)
-        assert main([command, "--config", str(cfg),
-                     "--out", str(tmp_path / "out.csv")]) == 2
-        assert message in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("hbar,total_time", [
         ("1e154", "0"),  # (pi hbar)**2 raised OverflowError: exit 1
@@ -1127,9 +1157,14 @@ class TestCli:
                                            "underflows: hbar is too small or a "
                                            "width out of range\n")
 
-    @pytest.mark.parametrize("command", ["simulate", "tomography"])
+    @pytest.mark.parametrize("command,message", [
+        ("simulate", "the propagator overflows at t = 0.5: lower g1, g2, "
+                     "total_time, c_xk or the widths"),
+        # the variant is refused before the trajectory is evolved
+        ("tomography", "tomography fits only the EQ1 variant")],
+        ids=["simulate", "tomography"])
     def test_overflowing_heff_propagator_exits_2(self, tmp_path, capsys, no_grid,
-                                                 command):
+                                                 command, message):
         # sinh(sqrt(g1 g2) t) overflowed while the config built S at
         # total_time: the run ended in an OverflowError traceback (exit 1)
         cfg = tmp_path / "heff.cfg"
@@ -1137,9 +1172,7 @@ class TestCli:
                        "dt = 0.25\n")
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 2
-        assert capsys.readouterr().err == ("config error: the propagator overflows "
-                                           "at total_time: lower g1, g2 or "
-                                           "total_time\n")
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("overrides,cell", [
         # the probe variances 1e300 and 2.5e-301 come out of eigvals as a
@@ -1358,6 +1391,89 @@ class TestCli:
         assert captured.out == "" and captured.err == (
             "numerical guard violation: recovered residual is inf\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["readme", *OVERFLOW_CONFIGS])
+def test_parsing_evolves_nothing(monkeypatch, name):
+    # the trajectory is evolved and judged once, where the run evolves it;
+    # the config built S and S V S^T at t = 0 and total_time as a proxy
+    text = (config_text(README_CONFIG) if name == "readme"
+            else OVERFLOW_CONFIGS[name][0])
+    with monkeypatch.context() as patched:
+        for fn in ("symplectic_propagator", "evolved_moments"):
+            patched.setattr(ga, fn, lambda *args: pytest.fail(
+                "parsing must not evolve the Gaussian moments"))
+        parse_config(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "validate", "tomography"])
+@pytest.mark.parametrize("name", list(OVERFLOW_CONFIGS))
+def test_overflowing_trajectory_exits_2(tmp_path, capsys, no_grid, command,
+                                        name):
+    text, message = OVERFLOW_CONFIGS[name]
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    if command == "simulate":
+        assert captured.err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["1e160", "1e200", "1e300"])
+def test_overflowing_tomography_noise_exits_3(tmp_path, capsys, noise):
+    # cov_xk ** 2 raised OverflowError in MediatorEstimate: a traceback
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("total_time = 1\ndt = 0.125\nsample_every = 1\n"
+                   f"tomo_noise = {noise}\n")
+    out = tmp_path / "out.csv"
+    assert main(["tomography", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "numerical guard violation: recovered residual is inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q_width,moved,scale", [
+    ("1e20", "1.38e+24", "9.85e+23"), ("1e50", "1.38e+84", "9.06e+83")])
+def test_tomography_lost_precision_exits_3(tmp_path, capsys, q_width, moved,
+                                           scale):
+    # Var q = q_width^2 swamps the g1^2 t^2 Var x it carries: var_x was
+    # recovered as 9.85e23 (q_width 1e20) against a planted 1.25, exit 0
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("g1 = -2\ntotal_time = 1\ndt = 0.25\nsample_every = 1\n"
+                   f"hbar = 2.5\nq_width = {q_width}\n")
+    out = tmp_path / "out.csv"
+    assert main(["tomography", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "numerical guard violation: recovered var_x lost its precision: "
+        f"rounding of the probe moments can move it by {moved}, above 1e-06 "
+        f"of its scale {scale}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,cell", [
+    # m_q m_p' overflowed with a RuntimeWarning before the guard line
+    ("q_mean = 1e200\nqprime_tilt = 1e200\ndiagnostics = witness\n",
+     "witness is inf at t = 0"),
+    # log(0) divided by zero with a RuntimeWarning; the inf itself is
+    # wrong, a product state's E_N is 0 (CHANGES.md FOUND)
+    ("q_width = 1e150\nc_xk = 0\ndiagnostics = negativity\n",
+     "logneg_q_qprime is inf at t = 0"),
+], ids=["witness", "negativity"])
+def test_nonfinite_diagnostic_warns_nothing(tmp_path, capsys, extra, cell):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("total_time = 0.5\ndt = 0.25\n" + extra)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"numerical guard violation: {cell}\n")
+    assert not out.exists()
 
 
 def test_brackets_csv_independent_of_hash_seed(tmp_path):
