@@ -316,26 +316,31 @@ _TERMS = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2,
 
 
 def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
-    """The 16 numbers a two-mode parity correlator reads, along the last
-    axis, per state of a stack: the inverse covariance entries c_t, the
-    4 means, the displacement scale and norm.
-    E does not depend on hbar, so they are taken in its units (V/hbar,
-    means/sqrt(hbar)): an extreme hbar cannot overflow the norm or
-    underflow the determinant."""
-    means, cov = state.reduced(modes)
-    v = cov / state.hbar
+    """The 12 numbers the parity correlator of the centred two-mode state
+    reads, along the last axis, per state of a stack: the inverse
+    covariance entries c_t, the displacement scale and the norm.
+    E does not depend on hbar, so they are taken in its units (V/hbar):
+    an extreme hbar cannot overflow the norm or underflow the
+    determinant.  The means only shift the settings (`_chsh_means`)."""
+    v = state.reduced(modes)[1] / state.hbar
     norm = np.pi ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(v)))
     return np.concatenate([np.linalg.inv(v)[..., _TERMS[:10], _TERMS[10:]],
-                           means / np.sqrt(state.hbar),
                            np.stack([np.full_like(norm, np.sqrt(2.0)), norm], axis=-1)],
                           axis=-1)
 
 
+def _chsh_means(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
+    """The 4 means of the modes in units of sqrt(hbar), along the last
+    axis: a setting x of the state as given is the setting
+    x - means/scale of its centred copy."""
+    return state.reduced(modes)[0] / np.sqrt(state.hbar)
+
+
 def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray:
     """The displaced-parity correlation E (the Wigner function, scaled to
-    1 for the two-mode vacuum at zero displacement) at the scaled, offset
-    displacements d, shape (4, ...), for the term constants c, shape
-    (10, ...), and the norm, each broadcast against d.  Each term is
+    1 for the two-mode vacuum at zero displacement) of a centred state at
+    the scaled displacements d, shape (4, ...), for the term constants c,
+    shape (10, ...), and the norm, each broadcast against d.  Each term is
     (c_t * d_i) * d_j and numpy reduces the leading axis row after row,
     so the sums run left to right as in the unrolled scalar form.  np.exp
     gives each element the bits it gives that element alone, whatever
@@ -351,14 +356,18 @@ def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray
 def chsh_displaced_parity(state: PhaseSpaceState,
                           settings: tuple[complex, complex, complex, complex],
                           modes: tuple[str, str] = ("Q", "Qprime")) -> float:
-    """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations,
-    in the operations of `optimize_chsh`: its value at its settings."""
+    """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations
+    at the settings, displacements of the state as given: the correlator
+    of `optimize_chsh` at d = scale * x - mean.  On a zero-mean state it
+    returns the optimum at the optimizer's settings bit for bit; on a
+    displaced one, to the rounding of the settings' shift."""
     modes = _check_modes([m] for m in modes)
     state.require_physical()
     p = _chsh_constants(state, modes)
     x = np.array([[a.real, a.imag, b.real, b.imag]
                   for b in settings[2:] for a in settings[:2]])
-    e = _chsh_correlator(p[:10, None], p[15], p[14] * x.T - p[10:14, None])
+    e = _chsh_correlator(p[:10, None], p[11],
+                         p[10] * x.T - _chsh_means(state, modes)[:, None])
     return float(e[0] + e[1] + e[2] - e[3])
 
 
@@ -383,13 +392,18 @@ def optimize_chsh(state: PhaseSpaceState,
                   ) -> tuple[float, _Settings]:
     """Multi-start coordinate descent over the four displacement settings.
 
-    Starts: alpha1 = beta1 = 0 with (alpha2, beta2) on a 5x5 grid of
-    imaginary displacements in [-0.6, 0.6].  Each start is refined by
-    cyclic coordinate descent over the 8 real parameters: per sweep,
-    each coordinate tries +step, then -step from the resulting point,
-    and a trial is taken only if it raises B by more than 1e-15; a
-    sweep that takes nothing halves the step, down to 1e-6.  The first
-    start, in grid order, with the largest B wins.
+    A setting x reads the state only through scale * x - mean, so the
+    descent runs on the centred state: the optimum is a function of the
+    covariance alone.  Starts, relative to the state's mean: alpha1 =
+    beta1 = 0 with (alpha2, beta2) on a 5x5 grid of imaginary
+    displacements in [-0.6, 0.6].  Each start is refined by cyclic
+    coordinate descent over the 8 real parameters: per sweep, each
+    coordinate tries +step, then -step from the resulting point, and a
+    trial is taken only if it raises B by more than 1e-15; a sweep that
+    takes nothing halves the step, down to 1e-6.  The first start, in
+    grid order, with the largest B wins.  Its settings are shifted back
+    by mean/scale (means in units of sqrt(hbar), scale sqrt 2), so they
+    name displacements of the state as given.
 
     This is the one-state case of `optimize_chsh_many`, which runs the
     starts of up to 32 states in one lockstep descent, each with its own
@@ -408,31 +422,35 @@ def optimize_chsh_many(state: PhaseSpaceState,
     checked for every state before any descent."""
     modes = _check_modes([m] for m in modes)
     state.require_physical()
-    consts = _chsh_constants(state, modes).reshape(-1, 16)
+    consts = _chsh_constants(state, modes).reshape(-1, 12)
+    shift = _chsh_means(state, modes).reshape(-1, 4) / np.sqrt(2.0)
     return [best for i in range(0, len(consts), _CHSH_CHUNK)
-            for best in _chsh_descent(consts[i:i + _CHSH_CHUNK])]
+            for best in _chsh_descent(consts[i:i + _CHSH_CHUNK],
+                                      shift[i:i + _CHSH_CHUNK])]
 
 
-def _chsh_descent(consts: list[np.ndarray]) -> list[tuple[float, _Settings]]:
+def _chsh_descent(consts: list[np.ndarray], shift: np.ndarray,
+                  ) -> list[tuple[float, _Settings]]:
     """The lockstep descent of `optimize_chsh` over the 25 starts of each
-    state whose `_chsh_constants` are listed, one result per state."""
+    state whose `_chsh_constants` are listed, one result per state, its
+    settings shifted by the state's row of shift (Re, Im of alpha, beta)."""
     per_state = _CHSH_GRID.size ** 2
     n = len(consts) * per_state
     # p: the constants as rows over the starts, of length 1 for one state
     p = np.repeat(np.array(consts).T, 1 if len(consts) == 1 else per_state, axis=1)
     # Row i < 8 of z is coordinate i = 4g + 2s + k of the scalar descent,
     # component k (Re, Im) of setting s of side g (alpha, beta), over the
-    # starts; row 8 + i is d_i = scale * x_i - mean, what the correlator
-    # reads; row 16 + 2b + a caches E(alpha_a, beta_b), term 2b + a of
+    # starts; row 8 + i is d_i = scale * x_i, what the correlator reads;
+    # row 16 + 2b + a caches E(alpha_a, beta_b), term 2b + a of
     # B = E11 + E21 + E12 - E22; and row 20 is B.
     z = np.zeros((21, n))
     z[3] = np.tile(np.repeat(_CHSH_GRID, _CHSH_GRID.size), len(consts))
     z[7] = np.tile(_CHSH_GRID, _CHSH_GRID.size * len(consts))
-    z[8:16] = p[14] * z[:8] - p[[10, 11, 10, 11, 12, 13, 12, 13]]
+    z[8:16] = p[10] * z[:8]
     sides = z[8:16].reshape(2, 2, 2, n).transpose(0, 2, 1, 3)
     d = np.empty((4, 2, 2, n))
     d[:2], d[2:] = sides[0, :, None], sides[1, :, :, None]
-    z[16:20] = _chsh_correlator(p[:10, None, None], p[15], d).reshape(4, n)
+    z[16:20] = _chsh_correlator(p[:10, None, None], p[11], d).reshape(4, n)
     z[20] = z[16] + z[17] + z[18] - z[19]
     step, live, m, best = np.full(n, 0.25), np.arange(n), 0, np.empty((21, n))
     while live.size:
@@ -464,22 +482,21 @@ def _chsh_descent(consts: list[np.ndarray]) -> list[tuple[float, _Settings]]:
                             [i, 8 + i, 16 + e[0], 16 + e[1], 20])))
                     x, d_other = z[4 * g + k:4 * g + 4:2], z[9 + 4 * g - k:12 + 4 * g:2]
                     sweep.append((g, k, x[ss, None], w[ss, 0, 1:], w[ss, 1, 1:],
-                                  p[10 + 2 * g + k], d_other[ss, None, None],
+                                  d_other[ss, None, None],
                                   args[:, ss], w[ss, 2:4, 1:].transpose(0, 2, 1, 3),
                                   decide))
         pm = step * np.array([[1.0], [-1.0]])
         start = z[20].copy()
-        for g, k, x, trial, d_trial, mean, d_other, a, new, decide in sweep:
+        for g, k, x, trial, d_trial, d_other, a, new, decide in sweep:
             if k == 0:
                 # the other side stays put while side g moves
                 args[2 - 2 * g:4 - 2 * g] = sides[1 - g, :, None, None]
             np.add(x, pm, out=trial[:, :2])
             np.subtract(trial[:, 0], step, out=trial[:, 2])
-            np.multiply(p[14], trial, out=d_trial)
-            np.subtract(d_trial, mean, out=d_trial)
+            np.multiply(p[10], trial, out=d_trial)
             a[2 * g + k] = d_trial[:, :, None]
             a[2 * g + 1 - k] = d_other
-            _chsh_correlator(c, p[15], a, out=new)
+            _chsh_correlator(c, p[11], a, out=new)
             for ws, terms, rows in decide:
                 val = ws[4, 1:]
                 np.add(terms[0], terms[1], out=val)
@@ -500,8 +517,9 @@ def _chsh_descent(consts: list[np.ndarray]) -> list[tuple[float, _Settings]]:
                 p = np.compress(keep, p, axis=1)
     # the first start of each state with its largest B
     wins = np.arange(0, n, per_state) + best[20].reshape(-1, per_state).argmax(axis=1)
-    return [(float(best[20, b]), tuple(map(complex, best[0:8:2, b], best[1:8:2, b])))
-            for b in wins]
+    x = best[:8, wins] + shift.T[[0, 1, 0, 1, 2, 3, 2, 3]]
+    return [(float(v), tuple(map(complex, xs[0::2], xs[1::2])))
+            for v, xs in zip(best[20, wins], x.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +542,11 @@ class MediatorEstimate:
             raise PhysicalityError("fitted variances are negative beyond fit noise")
         if self.var_x * self.var_k - self.cov_xk * self.cov_xk < -1e-9:
             raise PhysicalityError("fitted second moments are inconsistent")
+
+
+# the rows of `probe_moments`, as tomography names them
+PROBE_MOMENTS = ("mean q", "mean p", "mean q'", "mean p'", "var q", "var p",
+                 "var q'", "var p'", "cov(q, p)", "cov(q', p')", "cov(q, p')")
 
 
 def probe_moments(state: PhaseSpaceState) -> np.ndarray:
@@ -562,11 +585,12 @@ def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
     Assumes the initial state is a product of (Q, Q', C) so all
     cross-subsystem covariances vanish at t=0; the closed-form EQ1
     propagator then makes each probe moment an affine function of the
-    unknown mediator moments, solved by linear least squares.  A
-    recovered moment that is not finite raises NonFiniteResultError; one
-    that the rounding of its fit could move by more than
-    MAX_LOST_PRECISION of its scale (its variance, or the root of the
-    variances for a mean or cov_xk) raises DegenerateDesignError.
+    unknown mediator moments, solved by linear least squares.  A probe
+    moment, a conserved one's mean over time or a recovered moment that
+    is not finite raises NonFiniteResultError; a recovered moment that
+    the rounding of its fit could move by more than MAX_LOST_PRECISION
+    of its scale (its variance, or the root of the variances for a mean
+    or cov_xk) raises DegenerateDesignError.
     """
     if g1 == 0.0 or g2 == 0.0:
         raise ValueError("tomography needs both couplings nonzero")
@@ -576,11 +600,22 @@ def mediator_moment_inversion(times, moments: np.ndarray, g1: float, g2: float,
     a = 0.5 * g1 * g2
     at2, a2t4 = a * t * t, a * a * t ** 4
 
+    bad = np.argwhere(~np.isfinite(moments.T))
+    if bad.size:
+        j, i = bad[0]
+        raise NonFiniteResultError(
+            f"probe moment {PROBE_MOMENTS[i]} is {moments[i, j]} at t = {t[j]:.17g}")
     (mean_q, mean_p, mean_q2, mean_p2, var_q, var_p, var_q2, var_p2,
      cov_qp, cov_q2p2, cov_q_p2) = moments
-    # Conserved probe quantities, read off the series directly.
-    q2bar, pbar, var_q2bar, var_pbar, cov_qpbar, cov_q2p2bar = (
-        x.mean() for x in (mean_q2, mean_p, var_q2, var_p, cov_qp, cov_q2p2))
+    # Conserved probe quantities, read off the series directly; finite
+    # moments can sum past the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        bars = [x.mean() for x in (mean_q2, mean_p, var_q2, var_p, cov_qp, cov_q2p2)]
+    for row, bar in zip((2, 1, 6, 5, 8, 9), bars):
+        if not np.isfinite(bar):
+            raise NonFiniteResultError(
+                f"the mean of probe moment {PROBE_MOMENTS[row]} over time is {bar}")
+    q2bar, pbar, var_q2bar, var_pbar, cov_qpbar, cov_q2p2bar = bars
 
     # per moment: the design column, and the probe series less the
     # conserved terms it carries, with the size of those terms

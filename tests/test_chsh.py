@@ -61,9 +61,9 @@ def brute_force_chsh(state, modes=("Q", "Qprime"), span=0.9, coarse=7):
 
 
 def scalar_correlator(c, norm, d0, d1, d2, d3):
-    """E at the scaled, offset displacements d, in the unrolled operation
-    order optimize_chsh keeps; c lists the quadratic form's constants
-    c00, c11, c22, c33, c01, c02, c03, c12, c13, c23."""
+    """E of the centred state at the scaled displacements d, in the
+    unrolled operation order optimize_chsh keeps; c lists the quadratic
+    form's constants c00, c11, c22, c33, c01, c02, c03, c12, c13, c23."""
     c00, c11, c22, c33, c01, c02, c03, c12, c13, c23 = c
     quad = (c00 * d0 * d0 + c11 * d1 * d1 + c22 * d2 * d2 + c33 * d3 * d3
             + 2.0 * (c01 * d0 * d1 + c02 * d0 * d2 + c03 * d0 * d3
@@ -72,31 +72,30 @@ def scalar_correlator(c, norm, d0, d1, d2, d3):
 
 
 def scalar_constants(state, modes=("Q", "Qprime")):
-    """The correlator's constants as floats, in units of hbar: c in
-    scalar_correlator's order, the 4 means, the displacement scale and
-    the norm."""
-    means, cov = state.reduced(list(modes))
-    v = cov / state.hbar
+    """The centred correlator's constants as floats, in units of hbar: c
+    in scalar_correlator's order, the displacement scale and the norm."""
+    v = state.reduced(list(modes))[1] / state.hbar
     inv = np.linalg.inv(v)
     c = [float(inv[i, j]) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1),
                                        (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     norm = np.pi ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(v)))
-    return (c, [float(m) for m in means / np.sqrt(state.hbar)], float(np.sqrt(2.0)),
-            float(norm))
+    return c, float(np.sqrt(2.0)), float(norm)
 
 
 def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
     """Reference: the 25 starts of optimize_chsh as scalar descents.
 
-    One start at a time, each trial evaluating all four correlators,
-    in the operation order optimize_chsh keeps.
+    One start at a time, each trial evaluating all four correlators of
+    the centred state, in the operation order optimize_chsh keeps; the
+    winner's settings are then shifted back by mean/scale, the means in
+    units of sqrt(hbar).
     """
     grid = np.linspace(-0.6, 0.6, 5)
-    c, (m0, m1, m2, m3), scale, norm = scalar_constants(state, modes)
+    c, scale, norm = scalar_constants(state, modes)
 
     def efun(ar, ai, br, bi):
-        return scalar_correlator(c, norm, scale * ar - m0, scale * ai - m1,
-                                 scale * br - m2, scale * bi - m3)
+        return scalar_correlator(c, norm, scale * ar, scale * ai,
+                                 scale * br, scale * bi)
 
     def value(x):
         return (efun(x[0], x[1], x[4], x[5]) + efun(x[2], x[3], x[4], x[5])
@@ -121,10 +120,11 @@ def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
                     step *= 0.5
             if cur > best_val:
                 best_val, best_x = cur, x
-    return float(best_val), (complex(best_x[0], best_x[1]),
-                             complex(best_x[2], best_x[3]),
-                             complex(best_x[4], best_x[5]),
-                             complex(best_x[6], best_x[7]))
+    means = state.reduced(list(modes))[0] / np.sqrt(state.hbar)
+    shift = [float(m) / scale for m in means]
+    x = [float(xi) + shift[j] for xi, j in zip(best_x, (0, 1, 0, 1, 2, 3, 2, 3))]
+    return float(best_val), (complex(x[0], x[1]), complex(x[2], x[3]),
+                             complex(x[4], x[5]), complex(x[6], x[7]))
 
 
 _REFERENCES = {}
@@ -276,10 +276,10 @@ def test_correlator_keeps_scalar_operation_order(per_start, shape):
         a = rng.normal(scale=0.5, size=(6, 6))
         st = PhaseSpaceState(np.zeros(6), 0.5 * np.eye(6) + a @ a.T)
         p = _chsh_constants(st, ["Q", "Qprime"])
-        ref_c, _, _, ref_norm = scalar_constants(st)
-        assert p[:10].tolist() == ref_c and p[15] == ref_norm
+        ref_c, ref_scale, ref_norm = scalar_constants(st)
+        assert p.tolist() == [*ref_c, ref_scale, ref_norm]
         c, norm = np.repeat(p[:10, None], n, axis=1), np.full(n, ref_norm)
-        c_in, norm_in = p[:10].reshape(10, *[1] * len(shape)), p[15]
+        c_in, norm_in = p[:10].reshape(10, *[1] * len(shape)), p[11]
     d = rng.choice([-1.0, 1.0], (4, n)) * 10.0 ** u
     ref = np.array([scalar_correlator(c[:, k].tolist(), norm[k], *d[:, k].tolist())
                     for k in range(n)])
@@ -327,6 +327,24 @@ def test_displaced_parity_gives_the_optimum_bit_for_bit():
     for st in (vacuum_state(), two_mode_squeezed_state(0.7), two_mode_squeezed_state(0.9)):
         val, settings = optimize_chsh(st)
         assert chsh_displaced_parity(st, settings) == val
+
+
+@pytest.mark.parametrize("state,modes", [
+    case for case in exactness_cases() if case.id.startswith("separable")])
+def test_displaced_optimum_is_the_centred_one_shifted(state, modes):
+    # the descent runs on the centred state and shifts the settings by
+    # mean/scale, in the arithmetic of optimize_chsh_many
+    val, settings = optimize_chsh(state, modes)
+    centred = PhaseSpaceState(np.zeros(6), state.covariance, state.hbar)
+    c_val, c_settings = optimize_chsh(centred, modes)
+    assert state.means.any() and val == c_val
+    m = state.reduced(list(modes))[0] / np.sqrt(state.hbar) / np.sqrt(2.0)
+    assert settings == tuple(complex(s.real + m[j], s.imag + m[j + 1])
+                             for s, j in zip(c_settings, (0, 0, 2, 2)))
+    # scale * (x + mean/scale) - mean gives back scale * x only to the
+    # rounding of the shift
+    assert chsh_displaced_parity(state, settings, modes) == pytest.approx(
+        val, rel=1e-12, abs=0)
 
 
 def test_empty_batch():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridlab import gaussian as ga
@@ -213,6 +213,56 @@ class TestParseConfig:
             return
         config.initial_gaussian()
         GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
+
+
+def chsh_column(text):
+    """The chsh_opt cells of run_scenario on a config."""
+    report = run_scenario(parse_config(text))
+    col = report.columns.index("chsh_opt")
+    return [row[col] for row in report.rows]
+
+
+# the probes' means only shift the CHSH settings: each config below has
+# the covariances of the same config with every mean and tilt 0
+DISPLACED_CHSH = ("total_time = 1\ndt = 0.25\nsample_every = 1\nc_xk = 0.2\n"
+                  "diagnostics = chsh\n")
+MEAN_KEYS = ("q_mean", "qprime_mean", "c_mean", "q_tilt", "qprime_tilt", "c_tilt")
+
+
+class TestDisplacedChsh:
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.sampled_from(MEAN_KEYS),
+                           st.floats(-1e150, 1e150), min_size=1))
+    # 1e154 squared overflowed in the correlator, once per round, and the
+    # column read 0
+    @example({"q_tilt": -1e154})
+    def test_optimum_equals_the_centred_copys(self, means):
+        centred = chsh_column(DISPLACED_CHSH)
+        assert chsh_column(DISPLACED_CHSH + config_text(means)) == centred
+
+    def test_displaced_probe_column_is_the_centred_one(self, tmp_path):
+        # with q_mean = 7 the column read 1.0e-21, 1.7e-20 and 1.3e-17 at
+        # t = 0, 0.25 and 0.5, with exit 0
+        def cells(extra):
+            cfg, out = tmp_path / "chsh.cfg", tmp_path / "chsh.csv"
+            cfg.write_text(DISPLACED_CHSH + extra)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            assert rows[0] == "t,chsh_opt"
+            return [r.split(",")[1] for r in rows[1:]]
+
+        column = cells("q_mean = 7\n")
+        assert column == cells("") and column[0] == "2"
+
+    def test_displaced_descent_is_not_slow(self):
+        # a start far from the mean sees E of about 0 and descends by
+        # tiny steps: the 17 rows took about 80 s of CPU time
+        config = parse_config("g2 = 7\nc_width = 0.3\nqprime_mean = 1\n"
+                              "total_time = 4\ndt = 0.25\nsample_every = 1\n"
+                              "diagnostics = chsh\n")
+        start = time.process_time()
+        assert len(run_scenario(config).rows) == 17
+        assert time.process_time() - start < 5.0
 
 
 class TestRunScenario:
@@ -1434,6 +1484,25 @@ def test_overflowing_tomography_noise_exits_3(tmp_path, capsys, noise):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         "numerical guard violation: recovered residual is inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise,message", [
+    # rng.normal draws inf past the largest double: the conserved means
+    # overflowed with four RuntimeWarnings, and the run blamed the fit,
+    # "fitted variances are negative beyond fit noise"
+    ("1e308", "probe moment var q' is inf at t = 0.125"),
+    # finite moments whose sum over time overflows
+    ("5e307", "the mean of probe moment mean p over time is -inf")])
+def test_nonfinite_tomography_input_exits_3(tmp_path, capsys, noise, message):
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("total_time = 1\ndt = 0.125\nsample_every = 1\n"
+                   f"tomo_noise = {noise}\n")
+    out = tmp_path / "out.csv"
+    assert main(["tomography", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"numerical guard violation: {message}\n")
     assert not out.exists()
 
 

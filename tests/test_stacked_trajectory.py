@@ -69,15 +69,14 @@ def reference_witness(m, v):
                  + v[IDX_QP, IDX_P] + m[IDX_QP] * m[IDX_P])
 
 
-def reference_chsh_constants(m, v, hbar, modes=("Q", "Qprime")):
+def reference_chsh_constants(v, hbar, modes=("Q", "Qprime")):
     idx = np.concatenate([np.arange(6)[MODE_SLICES[mode]] for mode in modes])
     v = v[np.ix_(idx, idx)] / hbar
     norm = np.pi ** 2 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(v)))
     inv = np.linalg.inv(v)
     terms = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2),
              (1, 3), (2, 3)]
-    return np.concatenate([[inv[i, j] for i, j in terms], m[idx] / np.sqrt(hbar),
-                           [np.sqrt(2.0), norm]])
+    return np.concatenate([[inv[i, j] for i, j in terms], [np.sqrt(2.0), norm]])
 
 
 def reference_probe_series(means, covs):
@@ -109,7 +108,7 @@ def assert_stack_matches(state, h, times, pairs=PAIRS):
         reference_witness(m, v) for _, m, v in ref]
     for modes in (("Q", "Qprime"), ("Q", "C")):
         assert np.array_equal(_chsh_constants(stacked, list(modes)), [
-            reference_chsh_constants(m, v, state.hbar, modes) for _, m, v in ref])
+            reference_chsh_constants(v, state.hbar, modes) for _, _, v in ref])
     assert gaussian_brackets(stacked, pairs) == [
         gaussian_brackets(PhaseSpaceState(m, v, state.hbar), pairs)
         for _, m, v in ref]
