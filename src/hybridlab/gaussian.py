@@ -254,6 +254,23 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(ev).reshape(ev.shape[:-1] + (n, 2)).mean(axis=-1)
 
 
+def _balanced(cov: np.ndarray) -> np.ndarray:
+    """cov with each mode scaled by q/s, p s, a symplectic map, so its
+    symplectic eigenvalues are cov's: unbalanced, eigvals reads a mode
+    with variances 1e300 and 2.5e-301 as a zero eigenvalue.  s is
+    (Var q / Var p)^(1/4) rounded to a power of two, from the variances'
+    binary exponents, so the scaling is exact, nothing overflows, and a
+    mode whose variances lie within a factor of 4 is left as it is."""
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    exponent = np.frexp(var)[1]
+    # int32, the type of ldexp's own loop: an int64 exponent is cast, and
+    # its first call faulted in about 200 KiB of numpy's code
+    s = np.ldexp(1.0, np.rint((exponent[..., 0::2] - exponent[..., 1::2])
+                              / 4.0).astype(np.int32))
+    w = np.stack([1.0 / s, s], axis=-1).reshape(var.shape)
+    return w[..., :, None] * cov * w[..., None, :]
+
+
 def _check_modes(sides) -> list[str]:
     """The names of a bipartition (two nonempty, disjoint lists of modes;
     a CHSH pair a, b is [a], [b]), side by side, else ValueError."""
@@ -279,7 +296,8 @@ def logarithmic_negativity(state: PhaseSpaceState,
     state.require_physical()
     flip = np.ones(2 * len(modes))
     flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
-    nu = _symplectic_eigenvalues(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip))
+    nu = _symplectic_eigenvalues(
+        _balanced(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip)))
     half = 0.5 * state.hbar
     # a zero eigenvalue gives inf, which the caller's finite check refuses
     with np.errstate(divide="ignore"):

@@ -230,14 +230,12 @@ def product_pieces(spec: GridSpec, factors, g1: float, g2: float,
     return lq, f, np.exp(-1j * g1 * t * kq * x)
 
 
-def assemble_product(spec: GridSpec, pieces, out: np.ndarray | None = None,
-                     derivative: bool = False) -> np.ndarray:
-    """psi(t), or with `derivative` d_0 psi(t), from `product_pieces`: one
-    inverse FFT along q of their product (times i k_q), built in `out`
-    (allocated if not given), the only full-size array."""
+def assemble_product(spec: GridSpec, pieces,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """psi(t) from `product_pieces`: one inverse FFT along q of their
+    product, built in `out` (allocated if not given), the only full-size
+    array.  Pieces whose L is times i k_q give d_0 psi(t)."""
     lq, f, s = pieces
-    if derivative:
-        lq = lq * (1j * spec.wavenumbers(0))[:, None]
     if out is None:
         out = np.empty(spec.points_per_axis, dtype=complex)
     np.copyto(out, f[None])
@@ -251,10 +249,10 @@ def product_moments(spec: GridSpec, factors, g1: float, g2: float,
     """`grid_moments` of the product of `factors` at each of `times`, as
     (n, 6) means and (n, 6, 6) covariances.  Each sample is built from
     `product_pieces`: this thread assembles psi while one worker thread
-    assembles d_0 psi, then takes the second q half of the moments.  The
-    threads write disjoint parts of psi and the work buffer, the only
-    full-size arrays, so the moments are the doubles a serial loop gives.
-    The worker is joined before the call returns or raises."""
+    assembles d_0 psi, then takes the second half of the q slabs of the
+    moments.  psi and d_0 psi are the only full-size arrays, and the
+    moments are the doubles a serial loop gives.  The worker is joined
+    before the call returns or raises."""
     # imported here: importing the package should not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -262,15 +260,19 @@ def product_moments(spec: GridSpec, factors, g1: float, g2: float,
     # allocated and freed itself stayed in its own malloc arena, and in
     # some runs raised the peak RSS by 14 MiB
     state = GridState(spec, np.empty(spec.points_per_axis, complex))
-    work = np.empty((3,) + spec.points_per_axis, dtype=complex)
+    d0 = np.empty(spec.points_per_axis, complex)
+    ik = (1j * spec.wavenumbers(0))[:, None]
     means, cov = np.empty((len(times), 6)), np.empty((len(times), 6, 6))
     with ThreadPoolExecutor(max_workers=1) as pool:
         for i, t in enumerate(times):
-            pieces = product_pieces(spec, factors, g1, g2, t)
-            d0 = pool.submit(assemble_product, spec, pieces, work[0], True)
-            assemble_product(spec, pieces, state.amplitudes)
-            d0.result()
-            means[i], cov[i] = grid_moments(state, work, pool)
+            lq, f, s = product_pieces(spec, factors, g1, g2, t)
+            built = pool.submit(assemble_product, spec, (lq * ik, f, s), d0)
+            assemble_product(spec, (lq, f, s), state.amplitudes)
+            built.result()
+            # the moments do not need the pieces: three planes less at
+            # the peak
+            del lq, f, s
+            means[i], cov[i] = grid_moments(state, d0, pool)
     return means, cov
 
 
@@ -314,101 +316,144 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
     return EnsembleRepresentation(state, density, density > epsilon)
 
 
-def grid_moments(state: GridState, work: np.ndarray | None = None,
+# complex values of one slab of a field: 256 KiB, so that psi's and
+# d_0 psi's slabs and the three scratch slabs of one thread stay in a
+# core's cache
+_SLAB_VALUES = 2 ** 14
+
+
+def _q_slabs(spec: GridSpec) -> list[slice]:
+    """The q slabs `grid_moments` walks: whole (q', x) planes, about
+    _SLAB_VALUES points each where the planes allow, and at least two
+    slabs to each half of the q axis, so that a thread's scratch stays
+    below a field's size."""
+    n0, n1, n2 = spec.points_per_axis
+    m = min(n0 // 4, max(1, _SLAB_VALUES // (n1 * n2)))
+    return [slice(a, a + m) for a in range(0, n0, m)]
+
+
+# the (i, j) of the six Re<d_i psi|d_j psi>, i <= j
+_PAIRS = [(i, j) for j in range(3) for i in range(j + 1)]
+
+
+def grid_moments(state: GridState, d0: np.ndarray | None = None,
                  pool=None) -> tuple[np.ndarray, np.ndarray]:
     """Means and symmetrized 6x6 covariance in the canonical ordering.
 
     The symmetrized second moment of Hermitian A, B is Re<A psi|B psi>.
-    Each block comes from real fields built once, with one spectral
-    derivative d_j psi per axis (3 FFTs and 3 inverse FFTs in all):
+    Each block comes from real sums, with one spectral derivative
+    d_j psi per axis (3 FFTs and 3 inverse FFTs in all):
 
-    - positions: the density P = |psi|^2, through its 1-D and 2-D
-      marginals;
+    - positions: the density P = |psi|^2, summed over x with weights 1,
+      x and x^2 into three (q, q') planes;
     - momentum means and position-momentum moments: the currents
       J_j = hbar Im(psi* d_j psi), since Re<x_i psi|p_j psi> is the
       integral of x_i J_j;
     - momentum-momentum moments: hbar^2 Re<d_i psi|d_j psi>.
 
-    d_j psi is built in work[j] of `work`, a C-contiguous complex array
-    of shape (3,) + points_per_axis, allocated if not given; one given
-    (a buffer may serve many calls) must hold d_0 psi in work[0].  The
-    rest is summed over two q halves, on disjoint slabs of `work`; with
-    `pool`, an executor, the second runs on it, and the call returns or
-    raises once both are done.  The halves' sums are added in a fixed
-    order, so the moments are the same doubles with or without a pool.
+    d_0 psi needs the whole q axis: it is `d0` if given (a complex array
+    of the grid's shape), else built here, and it and psi are the only
+    full-size arrays.  The rest runs one q slab of `_q_slabs` at a time,
+    in three slabs of scratch.  With `pool`, an executor, the second half
+    of the slabs runs on it, in scratch of its own, and the call returns
+    or raises once both halves are done.  Each half sums its slabs in
+    order and the halves are added in a fixed order, so the moments are
+    the same doubles with or without a pool.
     """
     spec, psi = state.spec, state.amplitudes
-    if work is None:
-        work = np.empty((3,) + psi.shape, dtype=complex)
-        _spectral_derivative(psi, spec, 0, out=work[0])
-    n, q = psi.shape[0] // 2, spec.axis(0)
-    halves = [(psi[h], work[:, h], spec, q[h])
-              for h in (slice(n), slice(n, None))]
+    if d0 is None:
+        d0 = _spectral_derivative(psi, spec, 0)
+    n0, n1, n2 = psi.shape
+    slabs = _q_slabs(spec)
+    # (q, q') planes, each slab writing its own rows: the density summed
+    # over x with weights 1, x and x^2, and the three currents over x
+    planes = np.empty((6, n0, n1))
+    # the halves share one scratch, or with a pool have one each, both
+    # allocated on this thread (see product_moments)
+    scratch = [np.empty((3, slabs[0].stop, n1, n2), complex)
+               for _ in range(1 if pool is None else 2)]
+    halves = [(psi, d0, spec, half, planes, buf) for half, buf in
+              zip((slabs[:len(slabs) // 2], slabs[len(slabs) // 2:]),
+                  (scratch[0], scratch[-1]))]
     if pool is None:
-        parts = [_slab_moments(*half) for half in halves]
+        parts = [_slab_sums(*half) for half in halves]
     else:
-        pending = pool.submit(_slab_moments, *halves[1])
+        pending = pool.submit(_slab_sums, *halves[1])
         try:
-            parts = [_slab_moments(*halves[0])]
+            parts = [_slab_sums(*halves[0])]
         finally:
-            # the worker writes into work: wait for it, even if this raised
+            # the worker writes into planes: wait for it, even if this raised
             pending.exception()
         parts.append(pending.result())
-    (means, second), (means_2, second_2) = parts
-    means, second = means + means_2, second + second_2
-    return means, second - np.outer(means, means)
+    (x_currents, dots), (x_currents_2, dots_2) = parts
+    x_currents, dots = x_currents + x_currents_2, dots + dots_2
 
-
-def _slab_moments(psi: np.ndarray, work: np.ndarray, spec: GridSpec,
-                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The means and raw second moments of a q slab at coordinates q,
-    given d_0 psi in work[0]: the slab's share of `grid_moments`' sums.
-    Only the slab of `work` is written."""
     dv, hbar = spec.cell_volume, spec.hbar
-    axes = [q, spec.axis(1), spec.axis(2)]
+    q, qp = spec.axis(0), spec.axis(1)
+    density, density_x, density_xx = planes[:3]
     means = np.empty(6)
     second = np.empty((6, 6))
 
     def put(i, j, value):
         second[i, j] = second[j, i] = value * dv
 
-    # axis a's position has canonical index 2a, its momentum 2a + 1.  The
-    # density takes the first half of d_2 psi's place, and is not needed
-    # once its planes are summed
-    density = work[2].view(np.float64).reshape(-1)[:psi.size].reshape(psi.shape)
-    np.abs(psi, out=density)
-    density *= density
-    planes = {(0, 1): density.sum(axis=2), (0, 2): density.sum(axis=1),
-              (1, 2): density.sum(axis=0)}
-    lines = (planes[0, 1].sum(axis=1), planes[0, 1].sum(axis=0),
-             planes[0, 2].sum(axis=0))
-    for a in range(3):
-        means[2 * a] = axes[a] @ lines[a] * dv
-        put(2 * a, 2 * a, (axes[a] * axes[a]) @ lines[a])
-    for (a, b), plane in planes.items():
-        put(2 * a, 2 * b, axes[a] @ plane @ axes[b])
-    for a in (1, 2):
-        _spectral_derivative(psi, spec, a, out=work[a])
-    # Re<d_i psi|d_j psi> is the dot product of the (re, im) float views,
-    # row by row with einsum, the rows summed pairwise: BLAS zdotc rounds
-    # with the thread count, and took 5-8 ms, not 0.2, on 2 loaded cores
-    rows = [d.view(np.float64).reshape(-1, 2 * psi.shape[2]) for d in work]
+    # axis a's position has canonical index 2a, its momentum 2a + 1
+    for a, (axis, line) in enumerate(((q, density.sum(axis=1)),
+                                      (qp, density.sum(axis=0)))):
+        means[2 * a] = np.einsum("i,i->", axis, line) * dv
+        put(2 * a, 2 * a, np.einsum("i,i,i->", axis, axis, line))
+    means[4] = density_x.sum() * dv
+    put(4, 4, density_xx.sum())
+    put(0, 2, np.einsum("i,ij,j->", q, density, qp))
+    put(0, 4, np.einsum("i,ij->", q, density_x))
+    put(2, 4, np.einsum("ij,j->", density_x, qp))
+    for n, (i, j) in enumerate(_PAIRS):
+        put(2 * i + 1, 2 * j + 1, hbar * hbar * dots[n])
     for j in range(3):
-        for i in range(j + 1):
-            put(2 * i + 1, 2 * j + 1,
-                hbar * hbar * np.einsum("ij,ij->i", rows[i], rows[j]).sum())
-    # d_j psi is not needed again, so the current Im(psi* d_j psi) =
-    # Re psi Im d_j psi - Im psi Re d_j psi is formed in its imaginary
-    # part, with no conj(psi) and no Python loop (a loop over q slabs
-    # beside the other thread waited on the GIL)
-    for j, d in enumerate(work):
-        np.multiply(d.real, psi.imag, out=d.real)
-        np.multiply(d.imag, psi.real, out=d.imag)
-        current = np.subtract(d.imag, d.real, out=d.imag)
-        plane = current.sum(axis=2)
-        current_lines = [hbar * line for line in (
-            plane.sum(axis=1), plane.sum(axis=0), current.sum(axis=(0, 1)))]
-        means[2 * j + 1] = current_lines[0].sum() * dv
-        for a in range(3):
-            put(2 * a, 2 * j + 1, axes[a] @ current_lines[a])
-    return means, second
+        current = hbar * planes[3 + j]
+        means[2 * j + 1] = current.sum() * dv
+        put(0, 2 * j + 1, np.einsum("i,ij->", q, current))
+        put(2, 2 * j + 1, np.einsum("ij,j->", current, qp))
+        put(4, 2 * j + 1, hbar * x_currents[j])
+    return means, second - np.outer(means, means)
+
+
+def _slab_sums(psi: np.ndarray, d0: np.ndarray, spec: GridSpec, slabs,
+               planes: np.ndarray, scratch: np.ndarray):
+    """One half's share of `grid_moments`' sums: walks its q `slabs` in
+    order in the three slabs of `scratch`, writes their rows of `planes`
+    and returns the sums of x J_j/hbar and the six Re<d_i psi|d_j psi>.
+
+    Every sum is of contiguous float views, x interleaved with (re, im).
+    With e_j the derivative along axis j without its factor i, built
+    with the real wavenumbers (d_j psi = i e_j; e_0 = -i d_0 psi),
+    Re<d_i psi|d_j psi> = Re<e_i|e_j> and Im(psi* d_j psi) = Re(psi* e_j),
+    so each is a dot product of (re, im) pairs."""
+    n1, n2 = psi.shape[1:]
+    x = np.repeat(spec.axis(2), 2)
+    weights = (np.ones_like(x), x, x * x)
+    k = {1: spec.wavenumbers(1)[:, None], 2: np.repeat(spec.wavenumbers(2), 2)}
+    e, ev = scratch, scratch.view(np.float64)
+    rows = ev.reshape(3, -1, 2 * n2)
+    x_currents, dots = np.zeros(3), np.zeros(6)
+    for s in slabs:
+        p = psi[s]
+        pv = p.view(np.float64)
+        # the density's (re^2, im^2) pairs, in e_0's place until e_0
+        np.multiply(pv, pv, out=ev[0])
+        for weight, plane in zip(weights, planes):
+            np.einsum("abk,k->ab", ev[0], weight, out=plane[s])
+        for j in (1, 2):
+            np.fft.fft(p, axis=j, out=e[j])
+            ev[j] *= k[j]
+            np.fft.ifft(e[j], axis=j, out=e[j])
+        np.multiply(d0[s], -1j, out=e[0])
+        # each row's dot, with einsum: BLAS ddot rounds with the thread
+        # count, and took 5-8 ms, not 0.2, on 2 loaded cores
+        for n, (i, j) in enumerate(_PAIRS):
+            dots[n] += np.einsum("ij,ij->i", rows[i], rows[j]).sum()
+        for j in range(3):
+            ev[j] *= pv
+            ev[j].sum(axis=2, out=planes[3 + j][s])
+            x_currents[j] += np.einsum("ik,k->i", rows[j], x).sum()
+    return x_currents, dots

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,18 @@ def evolved_grid_state(product_grid_state):
     steps = 32
     return split_step_evolve(product_grid_state, g1, g2,
                              BENCH_TIME / steps, steps)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so that an unsafe overlap of the
+    two threads would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

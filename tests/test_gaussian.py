@@ -20,6 +20,8 @@ from hybridlab.gaussian import (
     product_state,
     symplectic_propagator,
     witness_expectation,
+    _balanced,
+    _symplectic_eigenvalues,
 )
 
 from conftest import (entangling_time_scan, stack, two_mode_squeezed_state,
@@ -263,6 +265,26 @@ class TestLogarithmicNegativity:
     def test_product_state_is_separable(self):
         st = product_state(widths=(0.4, 1.1, 0.7), chirps=(0.3, 0.0, -0.5))
         assert logarithmic_negativity(st) == 0.0
+
+    @pytest.mark.parametrize("width", [1e150, 1e-150])
+    def test_far_apart_variances(self, width):
+        # variances 1e300 and 2.5e-301 (or the reverse): eigvals of the
+        # unbalanced i Omega V read a zero symplectic eigenvalue, E_N = inf
+        st = product_state(widths=(width, None, None))
+        v = st.reduced(["Q", "Qprime"])[1]
+        assert _symplectic_eigenvalues(v)[0] == 0.0
+        np.testing.assert_allclose(_symplectic_eigenvalues(_balanced(v)),
+                                   [0.5, 0.5], rtol=1e-15)
+        assert 0.0 <= logarithmic_negativity(st) <= 1e-15
+
+    def test_balancing_is_exact(self):
+        # s is a power of two: a mode whose variances lie within a factor
+        # of 4 is not scaled, and a mode scaled by hand is scaled back to
+        # the same doubles
+        v = two_mode_squeezed_state(0.5).reduced(["Q", "Qprime"])[1]
+        assert np.array_equal(_balanced(v), v)
+        w = np.array([2.0 ** -300, 2.0 ** 300, 1.0, 1.0])
+        assert np.array_equal(_balanced(w[:, None] * v * w[None, :]), v)
 
     def test_two_mode_squeezed_equals_2r(self):
         val = logarithmic_negativity(two_mode_squeezed_state(0.5))

@@ -1,4 +1,3 @@
-import sys
 import threading
 import time
 import tracemalloc
@@ -26,6 +25,7 @@ from hybridlab.grid import (
     gaussian_factors,
     grid_moments,
     init_product_gaussian,
+    product_moments,
     product_pieces,
     split_step_evolve,
     to_ensemble,
@@ -274,6 +274,12 @@ PRODUCT_CASES = {
 }
 
 
+def derivative_pieces(spec, pieces):
+    """The pieces of d_0 psi: L times i k_q."""
+    lq, f, s = pieces
+    return lq * (1j * spec.wavenumbers(0))[:, None], f, s
+
+
 class TestProductBuild:
     @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0])
     @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
@@ -288,7 +294,7 @@ class TestProductBuild:
                                  g1, g2, t / 8, 8).amplitudes
         got = assemble_product(spec, pieces)
         assert np.abs(got - want).max() <= 1e-13
-        d0 = assemble_product(spec, pieces, derivative=True)
+        d0 = assemble_product(spec, derivative_pieces(spec, pieces))
         assert np.abs(d0 - _spectral_derivative(want, spec, 0)).max() <= 1e-13
 
     def test_one_full_size_transform(self, fft_points):
@@ -302,6 +308,35 @@ class TestProductBuild:
         peak = traced_peak(lambda: assemble_product(spec, pieces, out))
         assert fft_points == {("ifft", 0): out.size}
         assert peak < out.nbytes // 4
+
+    @pytest.mark.parametrize("case", ["uneven_hbar2", "hbar07_negative_g2"])
+    def test_threads_give_the_serial_doubles(self, case, short_switch_interval):
+        # the worker builds d_0 psi and takes the second half of the q
+        # slabs (on the uneven grid, q is the shortest axis: 16 planes a
+        # thread, in slabs of 2); a serial loop of the same build and
+        # grid_moments without a pool gives the same doubles
+        spec, params, (g1, g2) = PRODUCT_CASES[case]
+        factors = gaussian_factors(spec, **params)
+        times = [0.0, 0.5, 1.0]
+        means, cov = product_moments(spec, factors, g1, g2, times)
+        for i, t in enumerate(times):
+            pieces = product_pieces(spec, factors, g1, g2, t)
+            state = GridState(spec, assemble_product(spec, pieces))
+            d0 = assemble_product(spec, derivative_pieces(spec, pieces))
+            want_means, want_cov = grid_moments(state, d0)
+            assert np.array_equal(means[i], want_means)
+            assert np.array_equal(cov[i], want_cov)
+
+    def test_peak_is_psi_and_d0(self):
+        # psi and d_0 psi are the only full-size arrays; the two threads'
+        # scratch slabs, the (q, q') planes and numpy's buffers fit in
+        # 2 MiB at 64^3
+        spec, params, (g1, g2) = PRODUCT_CASES["bench_64"]
+        factors = gaussian_factors(spec, **params)
+        product_moments(spec, factors, g1, g2, [0.0])
+        peak = traced_peak(
+            lambda: product_moments(spec, factors, g1, g2, [0.0, 1.0]))
+        assert peak <= 2 * 16 * 64 ** 3 + 2 ** 21
 
 
 def out_of_place_evolve(state, g1, g2, t):
@@ -336,6 +371,13 @@ def six_field_moments(state):
 
 
 @pytest.fixture(scope="module")
+def uneven_hbar2_state():
+    spec, params, (g1, g2) = PRODUCT_CASES["uneven_hbar2"]
+    pieces = product_pieces(spec, gaussian_factors(spec, **params), g1, g2, 1.0)
+    return GridState(spec, assemble_product(spec, pieces))
+
+
+@pytest.fixture(scope="module")
 def chirped_32_state():
     spec = GridSpec((32, 32, 32), (10.0, 8.0, 8.0))
     state = init_product_gaussian(spec, means=(0.5, -0.3, 0.2),
@@ -364,7 +406,7 @@ def hbar2_evolved_state(hbar2_product_state):
 class TestGridMoments:
     @pytest.mark.parametrize("fixture", [
         "product_grid_state", "evolved_grid_state", "chirped_32_state",
-        "hbar2_product_state", "hbar2_evolved_state"])
+        "hbar2_product_state", "hbar2_evolved_state", "uneven_hbar2_state"])
     def test_matches_six_field_oracle(self, fixture, request):
         state = request.getfixturevalue(fixture)
         means, cov = grid_moments(state)
@@ -393,71 +435,56 @@ class TestGridMoments:
 
     def test_three_fft_pairs(self, evolved_grid_state, fft_points):
         # one forward and one inverse transform of every point along each
-        # axis; along q' and x each half of the q axis is transformed apart
+        # axis; along q' and x each q slab is transformed apart
         grid_moments(evolved_grid_state)
         size = evolved_grid_state.amplitudes.size
         assert fft_points == {(name, axis): size for name in ("fft", "ifft")
                               for axis in range(3)}
 
-    def test_peak_is_the_three_derivatives(self, evolved_grid_state):
-        # the density shares the derivatives' buffer, and psi* d_j psi is
-        # formed in place one q slab at a time, so little but the three
-        # derivatives is ever held: at 64^3 the peak fell from 19047456
-        # bytes (density, derivatives and conj(psi)) to about 12.8e6
+    def test_peak_is_d0(self, evolved_grid_state):
+        # d_0 psi is the only full-size array the call allocates; the rest
+        # runs in slabs of scratch, about 1 MiB beside d_0 psi at 64^3
         grid_moments(evolved_grid_state)
         peak = traced_peak(lambda: grid_moments(evolved_grid_state))
-        assert peak <= 3 * evolved_grid_state.amplitudes.nbytes + 2 ** 19
+        assert peak <= evolved_grid_state.amplitudes.nbytes + 2 ** 21
 
-    def test_work_buffer(self, evolved_grid_state):
-        # with a buffer passed in, no full-size array is allocated, and
-        # the moments are the same doubles, whatever the buffer held
-        # beside d_0 psi in work[0]
+    def test_given_d0(self, evolved_grid_state):
+        # with d_0 psi passed in, no full-size array is allocated, not
+        # even a real one (half of psi's bytes; the scratch and planes take
+        # about 1 MiB at 64^3), and the moments are the same doubles as
+        # when the call builds it
         psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
-        work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
+        d0 = _spectral_derivative(psi, spec, 0)
         want = grid_moments(evolved_grid_state)
         got = []
         for _ in range(2):
-            _spectral_derivative(psi, spec, 0, out=work[0])
             peak = traced_peak(
-                lambda: got.append(grid_moments(evolved_grid_state, work)))
-            assert peak < psi.nbytes // 4
+                lambda: got.append(grid_moments(evolved_grid_state, d0)))
+            assert peak < psi.nbytes // 2
         for means, cov in got:
             np.testing.assert_array_equal(means, want[0])
             np.testing.assert_array_equal(cov, want[1])
 
     def test_d0_from_the_caller(self, evolved_grid_state, fft_points):
-        # a given work buffer is read as holding d_0 psi in work[0]: no
-        # transform runs along q, and the moments are those of the d_0
-        # psi given, the same doubles as when the call computes it
+        # a given d0 is read as d_0 psi: no transform runs along q, and
+        # the moments are those of the d_0 psi given
         psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
-        work = np.full((3,) + psi.shape, np.nan + 1j, dtype=complex)
-        want = grid_moments(evolved_grid_state)
-        _spectral_derivative(psi, spec, 0, out=work[0])
+        d0 = _spectral_derivative(psi, spec, 0)
         fft_points.clear()
-        means, cov = grid_moments(evolved_grid_state, work)
+        grid_moments(evolved_grid_state, d0)
         assert {axis for _, axis in fft_points} == {1, 2}
-        np.testing.assert_array_equal(means, want[0])
-        np.testing.assert_array_equal(cov, want[1])
-        work[0] = np.nan
-        means, cov = grid_moments(evolved_grid_state, work)
+        d0[:] = np.nan
+        means, cov = grid_moments(evolved_grid_state, d0)
         assert np.isnan(means[1]) and not np.isnan(means[0])
 
-    def test_pool_gives_the_same_doubles(self, evolved_grid_state):
+    def test_pool_gives_the_same_doubles(self, evolved_grid_state,
+                                         short_switch_interval):
         psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
-        work = np.empty((3,) + psi.shape, dtype=complex)
-        want = grid_moments(evolved_grid_state)
-
-        def moments(pool):
-            _spectral_derivative(psi, spec, 0, out=work[0])
-            return grid_moments(evolved_grid_state, work, pool)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                got = [moments(pool) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
+        d0 = _spectral_derivative(psi, spec, 0)
+        want = grid_moments(evolved_grid_state, d0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = [grid_moments(evolved_grid_state, d0, pool)
+                   for _ in range(3)]
         for means, cov in got:
             np.testing.assert_array_equal(means, want[0])
             np.testing.assert_array_equal(cov, want[1])
@@ -469,7 +496,7 @@ class TestGridMoments:
         # once the worker's half is done, so it writes into no buffer
         # that the caller has taken back
         error = MemoryError(f"{failing} half")
-        slab_moments, caller = gr._slab_moments, threading.current_thread()
+        slab_sums, caller = gr._slab_sums, threading.current_thread()
         finished = []
 
         def half(*args):
@@ -477,11 +504,11 @@ class TestGridMoments:
             if on_caller == (failing == "caller"):
                 raise error
             time.sleep(0.05)
-            result = slab_moments(*args)
+            result = slab_sums(*args)
             finished.append(on_caller)
             return result
 
-        monkeypatch.setattr(gr, "_slab_moments", half)
+        monkeypatch.setattr(gr, "_slab_sums", half)
         with ThreadPoolExecutor(max_workers=1) as pool:
             with pytest.raises(MemoryError) as info:
                 grid_moments(evolved_grid_state, pool=pool)

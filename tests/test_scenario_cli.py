@@ -57,6 +57,14 @@ def config_text(values) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+def zero_symplectic_eigenvalues(monkeypatch):
+    """Read every symplectic eigenvalue as 0, as eigvals read a mode whose
+    variances lie far apart before each mode was balanced: E_N = inf."""
+    monkeypatch.setattr(ga, "_symplectic_eigenvalues",
+                        lambda cov: np.zeros(cov.shape[:-2]
+                                             + (cov.shape[-1] // 2,)))
+
+
 # configs whose Gaussian trajectory doubles cannot hold at some sample,
 # with the config error `simulate` reports
 NOT_SYMPLECTIC = "matrix is not symplectic to 1e-10"
@@ -411,12 +419,12 @@ def serial_moments(config):
     factors = gr.gaussian_factors(spec, means, widths, tilts, chirps)
     out = []
     for step in config.sample_steps():
-        pieces = gr.product_pieces(spec, factors, config.g1, config.g2,
-                                   step * config.dt)
-        work = np.empty((3,) + spec.points_per_axis, dtype=complex)
-        gr.assemble_product(spec, pieces, work[0], derivative=True)
-        state = gr.GridState(spec, gr.assemble_product(spec, pieces))
-        out.append(gr.grid_moments(state, work))
+        lq, f, s = gr.product_pieces(spec, factors, config.g1, config.g2,
+                                     step * config.dt)
+        d0 = gr.assemble_product(
+            spec, (lq * (1j * spec.wavenumbers(0))[:, None], f, s))
+        state = gr.GridState(spec, gr.assemble_product(spec, (lq, f, s)))
+        out.append(gr.grid_moments(state, d0))
     return out
 
 
@@ -439,18 +447,6 @@ def chained_moments(config):
 ORACLE_CONFIGS = dict(REPLAY_CONFIGS, every_step=dict(
     README_CONFIG, grid_points="32,32,32", total_time="0.25",
     sample_every="1"), readme_64=dict(README_CONFIG, total_time="0.5"))
-
-
-@pytest.fixture
-def short_switch_interval():
-    """Switch threads every microsecond, so that an unsafe overlap of the
-    two threads would show."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class TestGridMoments:
@@ -477,42 +473,40 @@ class TestGridMoments:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
 
     def test_one_buffer_for_the_trajectory(self, monkeypatch):
-        # every sample is built in the one psi buffer and the one work
+        # every sample is built in the one psi buffer and the one d_0 psi
         # buffer that the calling thread allocated, so the worker
-        # allocates no full-size field: it assembles d_0 psi into work[0]
-        # and takes the second q half of every call's moments, while each
-        # grid_moments call is made on the calling thread
+        # allocates no full-size field: it assembles d_0 psi and takes the
+        # second half of every call's q slabs, while each grid_moments
+        # call is made on the calling thread
         calls, assembled = [], []
         grid_moments, assemble = gr.grid_moments, gr.assemble_product
 
-        def recorded(state, work, pool):
-            calls.append((state.amplitudes, work, pool,
+        def recorded(state, d0, pool):
+            calls.append((state.amplitudes, d0, pool,
                           threading.current_thread()))
-            return grid_moments(state, work, pool)
+            return grid_moments(state, d0, pool)
 
-        def recorded_assemble(spec, pieces, out, derivative=False):
-            assembled.append((out, derivative, threading.current_thread()))
-            return assemble(spec, pieces, out, derivative)
+        def recorded_assemble(spec, pieces, out):
+            assembled.append((out, threading.current_thread()))
+            return assemble(spec, pieces, out)
 
         monkeypatch.setattr(gr, "grid_moments", recorded)
         monkeypatch.setattr(gr, "assemble_product", recorded_assemble)
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         assert len(sampled_grid_moments(config)) == len(calls) == 9
-        psi, work, pool = calls[0][:3]
-        assert psi.shape == (32, 32, 32) and psi.dtype == complex
-        assert work.shape == (3, 32, 32, 32) and work.dtype == complex
+        psi, d0, pool = calls[0][:3]
+        for field in (psi, d0):
+            assert field.shape == (32, 32, 32) and field.dtype == complex
         caller = threading.current_thread()
-        assert all(a is psi and w is work and p is pool and t is caller
-                   for a, w, p, t in calls)
-        d0 = [(out, thread) for out, derivative, thread in assembled
-              if derivative]
-        own = [(out, thread) for out, derivative, thread in assembled
-               if not derivative]
-        assert len(d0) == len(own) == 9
-        assert all(out is psi and thread is caller for out, thread in own)
-        assert all(np.shares_memory(out, work[0]) and out.shape == psi.shape
-                   and thread is not caller for out, thread in d0)
-        assert len({thread for _, thread in d0}) == 1
+        assert all(a is psi and d is d0 and p is pool and t is caller
+                   for a, d, p, t in calls)
+        own = [out for out, thread in assembled if thread is caller]
+        worker = [(out, thread) for out, thread in assembled
+                  if thread is not caller]
+        assert len(own) == len(worker) == 9
+        assert all(out is psi for out in own)
+        assert all(out is d0 for out, _ in worker)
+        assert len({thread for _, thread in worker}) == 1
 
     @pytest.mark.parametrize("thread", ["caller", "worker"])
     @pytest.mark.parametrize("stage", ["build", "half"])
@@ -522,7 +516,7 @@ class TestGridMoments:
         # still at work: the call raises that error as itself, after the
         # other thread is done, leaves no thread and does not hang
         error = MemoryError(f"{thread} {stage} at the second sample")
-        target = {"build": "assemble_product", "half": "_slab_moments"}[stage]
+        target = {"build": "assemble_product", "half": "_slab_sums"}[stage]
         original = getattr(gr, target)
         calls, finished = [], []
 
@@ -583,11 +577,11 @@ class TestGridMoments:
         assert len(residuals(config)[1]) == 1
 
     def test_peak_memory(self):
-        # the split allocates no full-size field: the peak is the work
-        # buffer, one grid state and an allowance for two FFT buffers of
-        # numpy's 8192 complex values, one per thread, and the slabs and
-        # planes; a full-size field, 256 KiB real or 512 KiB complex at
-        # 32^3, would not fit in it
+        # the split allocates no full-size field: the peak is psi, d_0 psi
+        # and an allowance for each thread's three scratch slabs (8 planes
+        # each, 384 KiB at 32^3), the (q, q') planes and numpy's buffers;
+        # a further full-size field, 256 KiB real or 512 KiB complex at
+        # 32^3, would not fit in it beside them
         config = parse_config(config_text(REPLAY_CONFIGS["readme_short"]))
         sampled_grid_moments(config)
         tracemalloc.start()
@@ -597,7 +591,7 @@ class TestGridMoments:
         finally:
             tracemalloc.stop()
         state = 16 * 32 ** 3
-        assert peak <= 3 * state + state + 3 * 2 ** 17
+        assert peak <= 2 * state + 2 ** 20
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_run_leaves_no_thread(self, tmp_path, command):
@@ -615,7 +609,7 @@ class TestGridMoments:
         # sample's moments reaches cli.main as itself: exit 3, as on the
         # calling thread
         threads = []
-        slab_sums = gr._slab_moments
+        slab_sums = gr._slab_sums
 
         def failing(*args):
             threads.append(threading.current_thread())
@@ -623,7 +617,7 @@ class TestGridMoments:
                 raise gr.ConfigurationError("second sample")
             return slab_sums(*args)
 
-        monkeypatch.setattr(gr, "_slab_moments", failing)
+        monkeypatch.setattr(gr, "_slab_sums", failing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
         start = threading.active_count()
@@ -642,11 +636,12 @@ class TestGridMoments:
         calls = []
         assemble = gr.assemble_product
 
-        def failing(spec, pieces, out, derivative=False):
-            calls.append(derivative)
-            if derivative and len(calls) > 2:
+        def failing(spec, pieces, out):
+            worker = threading.current_thread() is not threading.main_thread()
+            calls.append(worker)
+            if worker and len(calls) > 2:
                 raise RuntimeError("second sample")
-            return assemble(spec, pieces, out, derivative)
+            return assemble(spec, pieces, out)
 
         monkeypatch.setattr(gr, "assemble_product", failing)
         cfg = tmp_path / "run.cfg"
@@ -1224,22 +1219,23 @@ class TestCli:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    @pytest.mark.parametrize("overrides,cell", [
-        # the probe variances 1e300 and 2.5e-301 come out of eigvals as a
-        # zero symplectic eigenvalue (hbar = 1e-300, which did the same,
-        # now underflows a variance and exits 2)
-        ({"q_width": "1e150", "c_xk": "0", "diagnostics": "negativity",
-          "bracket_pairs": ""}, "logneg_q_qprime is inf at t = 0"),
+    @pytest.mark.parametrize("overrides,cell,zero_nu", [
+        # a zero symplectic eigenvalue reads E_N = inf
+        ({"diagnostics": "negativity", "bracket_pairs": ""},
+         "logneg_q_qprime is inf at t = 0", True),
         # {q^2, p} = 2 q: 1e616 q overflows at the nonzero mean of q
         ({"diagnostics": "", "grid_points": "32,32,32", "q_mean": "0.5",
           "bracket_pairs": "Q[ 1e308*q*q ]|Q[ 1e308*p ]"},
-         "bracket_0 is inf at t = 0"),
+         "bracket_0 is inf at t = 0", False),
     ], ids=["negativity", "bracket"])
     # the overflows that make the cells non-finite warn on the way
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_cell_exits_3(self, tmp_path, capsys, overrides, cell):
+    def test_nonfinite_cell_exits_3(self, tmp_path, capsys, monkeypatch,
+                                    overrides, cell, zero_nu):
         # the report's finite check names the first non-finite cell; before,
         # the run ended in a ValueError traceback
+        if zero_nu:
+            zero_symplectic_eigenvalues(monkeypatch)
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(config_text(dict(README_CONFIG, **overrides)))
         out = tmp_path / "out.csv"
@@ -1248,6 +1244,23 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"numerical guard violation: {cell}"
         assert not out.exists()
+
+    def test_far_apart_variances_read_no_negativity(self, tmp_path, capsys):
+        # a product state whose probe variances lie far apart (1e300 and
+        # 2.5e-301): without balancing each mode, eigvals read a zero
+        # symplectic eigenvalue, E_N = inf and exit 3
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("q_width = 1e150\nc_xk = 0\n"
+                       "diagnostics = negativity\ntotal_time = 0.5\n"
+                       "dt = 0.25\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == ["t", "logneg_q_qprime"] and len(rows) == 3
+        assert all(0.0 <= float(e_n) <= 1e-15 for _, e_n in rows[1:])
 
     # the overflows that make the cell non-finite warn on the way
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1525,16 +1538,17 @@ def test_tomography_lost_precision_exits_3(tmp_path, capsys, q_width, moved,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra,cell", [
+@pytest.mark.parametrize("extra,cell,zero_nu", [
     # m_q m_p' overflowed with a RuntimeWarning before the guard line
     ("q_mean = 1e200\nqprime_tilt = 1e200\ndiagnostics = witness\n",
-     "witness is inf at t = 0"),
-    # log(0) divided by zero with a RuntimeWarning; the inf itself is
-    # wrong, a product state's E_N is 0 (CHANGES.md FOUND)
-    ("q_width = 1e150\nc_xk = 0\ndiagnostics = negativity\n",
-     "logneg_q_qprime is inf at t = 0"),
+     "witness is inf at t = 0", False),
+    # log(0) of a zero symplectic eigenvalue divides by zero
+    ("diagnostics = negativity\n", "logneg_q_qprime is inf at t = 0", True),
 ], ids=["witness", "negativity"])
-def test_nonfinite_diagnostic_warns_nothing(tmp_path, capsys, extra, cell):
+def test_nonfinite_diagnostic_warns_nothing(tmp_path, capsys, monkeypatch,
+                                            extra, cell, zero_nu):
+    if zero_nu:
+        zero_symplectic_eigenvalues(monkeypatch)
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("total_time = 0.5\ndt = 0.25\n" + extra)
     out = tmp_path / "out.csv"

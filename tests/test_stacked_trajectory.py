@@ -58,6 +58,14 @@ def reference_log_negativity(cov, hbar, bipartition):
     flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
     cov_pt = np.diag(flip) @ cov[np.ix_(idx, idx)] @ np.diag(flip)
     n = idx.size // 2
+    # each mode scaled by q/s, p s, s the power of two nearest to
+    # (Var q / Var p)^(1/4) in binary exponent: exact, so the order of
+    # the products does not matter
+    w = []
+    for var_q, var_p in np.diag(cov_pt).reshape(n, 2):
+        shift = np.rint((np.frexp(var_q)[1] - np.frexp(var_p)[1]) / 4.0)
+        w += [2.0 ** -shift, 2.0 ** shift]
+    cov_pt = np.outer(w, w) * cov_pt
     ev = np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ cov_pt))
     nu = np.sort(ev).reshape(n, 2).mean(axis=1)
     half = 0.5 * hbar

@@ -42,8 +42,8 @@ def test_install_restores_originals():
 
 def test_traced_validate_counts_repeat(tmp_path):
     # validate builds d_0 psi and half of every sample's moments on a
-    # worker thread, so the tracer counts FFTs from two threads; the traced benchmark flags any count that
-    # differs between rounds
+    # worker thread, so the tracer counts FFTs from two threads; the
+    # traced benchmark flags any count that differs between rounds
     cfg = tmp_path / "validate.cfg"
     cfg.write_text("total_time = 0.5\ndt = 0.03125\nsample_every = 8\n"
                    "grid_points = 32,32,32\ngrid_half_widths = 14,6,10\n"
@@ -61,9 +61,10 @@ def test_traced_validate_counts_repeat(tmp_path):
     # split_step_evolve span and no Strang step.  A sample's pieces take
     # two 1-D FFTs of 32 points and one 2-D inverse FFT of 32^2; psi and
     # d_0 psi one inverse FFT of 32^3 each; the moments one FFT pair
-    # along q' and one along x for each q half, 8 transforms of 32^3 / 2
-    per_sample = 3 + 2 + 8
-    points = 2 * 32 + 32 ** 2 + 2 * 32 ** 3 + 8 * 32 ** 3 // 2
+    # along q' and one along x for each of 4 q slabs of 8 planes, 16
+    # transforms of 32^3 / 4
+    per_sample = 3 + 2 + 16
+    points = 2 * 32 + 32 ** 2 + 2 * 32 ** 3 + 16 * 32 ** 3 // 4
     assert counts[0] == counts[1] == {
         "grid.grid_moments.calls": 3, "grid.fft_calls": 3 * per_sample,
         "grid.fft_points": 3 * points}
