@@ -331,6 +331,10 @@ def witness_expectation(state: PhaseSpaceState):
 # is (c_t * d[I_t]) * d[J_t], with I the first ten entries, J the last ten.
 _TERMS = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2,
                    0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+# Coordinate i = 4g + 2s + k of four settings is component k (Re, Im) of
+# setting s of side g (alpha, beta).  Term 2b + a of B = E11 + E21 + E12
+# - E22, E(alpha_a, beta_b), reads the coordinates in row 2b + a.
+_CHSH_PAIRS = np.array([[0, 1, 4, 5], [2, 3, 4, 5], [0, 1, 6, 7], [2, 3, 6, 7]])
 
 
 def _chsh_constants(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
@@ -354,7 +358,7 @@ def _chsh_means(state: PhaseSpaceState, modes: list[str]) -> np.ndarray:
     return state.reduced(modes)[0] / np.sqrt(state.hbar)
 
 
-def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray:
+def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray) -> np.ndarray:
     """The displaced-parity correlation E (the Wigner function, scaled to
     1 for the two-mode vacuum at zero displacement) of a centred state at
     the scaled displacements d, shape (4, ...), for the term constants c,
@@ -362,72 +366,91 @@ def _chsh_correlator(c: np.ndarray, norm, d: np.ndarray, out=None) -> np.ndarray
     (c_t * d_i) * d_j and numpy reduces the leading axis row after row,
     so the sums run left to right as in the unrolled scalar form.  np.exp
     gives each element the bits it gives that element alone, whatever
-    the array's length, stride or shape, so every descent start stays on
-    the path of its scalar descent with np.exp as its exponential."""
+    the array's length, stride or shape, so a start's E does not depend
+    on the batch around it, and `chsh_displaced_parity` gives it back."""
     g = d[_TERMS]
     t = np.multiply(g[:10], c, out=g[:10])
     t *= g[10:]
     arg = -0.5 * (np.add.reduce(t[:4]) + 2.0 * np.add.reduce(t[4:]))
-    return np.multiply(norm, np.exp(arg, out=arg), out=out)
+    return norm * np.exp(arg, out=arg)
+
+
+def _chsh_terms(p: np.ndarray, d: np.ndarray):
+    """The four terms E of B, shape (4, ...), and B, from the constants p
+    (12 along the first axis) at the scaled displacements d of each
+    term's coordinates, shape (4, 4, ...)."""
+    e = _chsh_correlator(p[:10, None], p[11], d)
+    return e, e[0] + e[1] + e[2] - e[3]
 
 
 def chsh_displaced_parity(state: PhaseSpaceState,
                           settings: tuple[complex, complex, complex, complex],
                           modes: tuple[str, str] = ("Q", "Qprime")) -> float:
     """CHSH combination B = E11 + E21 + E12 - E22 over parity correlations
-    at the settings, displacements of the state as given: the correlator
-    of `optimize_chsh` at d = scale * x - mean.  On a zero-mean state it
-    returns the optimum at the optimizer's settings bit for bit; on a
-    displaced one, to the rounding of the settings' shift."""
+    at the four settings (alpha1, alpha2, beta1, beta2), displacements of
+    the state as given: the terms and sum of `optimize_chsh` at
+    d = scale * x - mean.  On a zero-mean state it returns the optimum at
+    the optimizer's settings bit for bit; on a displaced one, to the
+    rounding of the settings' shift.  Any other number of settings is a
+    ValueError."""
+    settings = tuple(settings)
+    if len(settings) != 4:
+        raise ValueError("expected four settings (alpha1, alpha2, beta1, beta2); "
+                         f"got {len(settings)}")
     modes = _check_modes([m] for m in modes)
     state.require_physical()
     p = _chsh_constants(state, modes)
-    x = np.array([[a.real, a.imag, b.real, b.imag]
-                  for b in settings[2:] for a in settings[:2]])
-    e = _chsh_correlator(p[:10, None], p[11],
-                         p[10] * x.T - _chsh_means(state, modes)[:, None])
-    return float(e[0] + e[1] + e[2] - e[3])
+    x = np.array([[s.real, s.imag] for s in settings]).ravel()
+    _, b = _chsh_terms(p, p[10] * x[_CHSH_PAIRS.T] - _chsh_means(state, modes)[:, None])
+    return float(b)
 
 
-# The most states one CHSH descent batches.  On the 64 states of a t < 4
-# run, descents of 1, 8, 16, 32 and 64 states took 2.5, 0.72, 0.59, 0.54
-# and 0.44 s; on 256 states of t < 4, chunks of 16, 32, 64 and 128 took
-# 3.4, 3.3, 3.3 and 3.3 s: past 32 the gain flattens, and the bound keeps
-# a run of up to 10**6 samples at 800 starts per descent.
+# The most states one CHSH ascent batches.  On 65 states of a t <= 4 run,
+# chunks of 1, 8, 16, 32 and 64 took 0.39, 0.21, 0.21, 0.20 and 0.19 s; on
+# 257, chunks of 16, 32, 64 and 128 took 0.80, 0.77, 0.79 and 0.79 s.  A
+# step holds per start an 8x8 Hessian, its eigenvectors and a few arrays
+# of their size: 800 starts peaked at 2.5 MiB (tracemalloc), for any run
+# of up to 10**6 samples.
 _CHSH_CHUNK = 32
 _CHSH_GRID = np.linspace(-0.6, 0.6, 5)
-# One side's moves j = 2s + k (setting s, component k) in correlator
-# rounds: the settings whose component-k trials a round evaluates, k, and
-# the moves it decides, in the scalar order.  Setting 1's first component
-# does not wait for setting 0's moves, so one round serves both.
-_CHSH_ROUNDS = ((slice(0, 2), 0, (0,)), (slice(0, 1), 1, (1, 2)),
-                (slice(1, 2), 1, (3,)))
+# Term t of B enters with sign _CHSH_SIGNS[t], and entry (i, j) of the
+# inverse covariance is constant _CHSH_INVERSE[i, j].
+_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
+_CHSH_INVERSE = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
+# The most steps of one ascent: no start of the 133 states measured in
+# CHANGES.md took more than 53.
+_CHSH_STEPS = 100
 _Settings = tuple[complex, complex, complex, complex]
 
 
 def optimize_chsh(state: PhaseSpaceState,
                   modes: tuple[str, str] = ("Q", "Qprime"),
                   ) -> tuple[float, _Settings]:
-    """Multi-start coordinate descent over the four displacement settings.
+    """Multi-start damped-Newton ascent over the four displacement settings.
 
     A setting x reads the state only through scale * x - mean, so the
-    descent runs on the centred state: the optimum is a function of the
+    ascent runs on the centred state: the optimum is a function of the
     covariance alone.  Starts, relative to the state's mean: alpha1 =
     beta1 = 0 with (alpha2, beta2) on a 5x5 grid of imaginary
-    displacements in [-0.6, 0.6].  Each start is refined by cyclic
-    coordinate descent over the 8 real parameters: per sweep, each
-    coordinate tries +step, then -step from the resulting point, and a
-    trial is taken only if it raises B by more than 1e-15; a sweep that
-    takes nothing halves the step, down to 1e-6.  The first start, in
-    grid order, with the largest B wins.  Its settings are shifted back
-    by mean/scale (means in units of sqrt(hbar), scale sqrt 2), so they
-    name displacements of the state as given.
+    displacements in [-0.6, 0.6].  Each correlator is a Gaussian,
+    E = norm exp(-d^T C d / 2) at d = scale * x, so the gradient and
+    Hessian of B over the 8 real coordinates are exact.  Each start takes
+    Levenberg-Marquardt steps s = (m I - H)^-1 grad B, with m = max(top
+    eigenvalue of H, 0) + mu * (largest |eigenvalue|), and keeps a step
+    only if it raises B and leaves each E at most its peak, norm; mu
+    falls by 0.3 on a kept step and rises by 10 on a refused one.  A
+    start stops when a kept step gains at most 4 eps B, its step falls
+    below 1e-12, or mu passes 1e12, and after _CHSH_STEPS steps at most.
+    The first start, in grid order, with the largest B wins; since the
+    (0, 0) start only rises, the optimum is at least B(0) = 2 E(0, 0).
+    The value is the correlator at the winning settings, which are then
+    shifted back by mean/scale (means in units of sqrt(hbar), scale
+    sqrt 2), so they name displacements of the state as given.
 
     This is the one-state case of `optimize_chsh_many`, which runs the
-    starts of up to 32 states in one lockstep descent, each with its own
-    step, until its step is spent.  Each start takes the floating-point
-    steps of its own scalar descent, so the result does not depend on
-    which states share its batch.
+    starts of up to _CHSH_CHUNK states in one batched ascent.  Every
+    operation on a start reads that start alone, so the result does not
+    depend on which states share its batch.
     """
     return optimize_chsh_many(state, modes)[0]
 
@@ -435,9 +458,9 @@ def optimize_chsh(state: PhaseSpaceState,
 def optimize_chsh_many(state: PhaseSpaceState,
                        modes: tuple[str, str] = ("Q", "Qprime"),
                        ) -> list[tuple[float, _Settings]]:
-    """`optimize_chsh` of each state of a stack, from one lockstep descent
+    """`optimize_chsh` of each state of a stack, from one batched ascent
     per chunk of at most _CHSH_CHUNK states.  Modes and physicality are
-    checked for every state before any descent."""
+    checked for every state before any ascent."""
     modes = _check_modes([m] for m in modes)
     state.require_physical()
     consts = _chsh_constants(state, modes).reshape(-1, 12)
@@ -447,97 +470,81 @@ def optimize_chsh_many(state: PhaseSpaceState,
                                       shift[i:i + _CHSH_CHUNK])]
 
 
+def _chsh_step(p: np.ndarray, x: np.ndarray, e: np.ndarray,
+               mu: np.ndarray) -> np.ndarray:
+    """The Levenberg-Marquardt step (m I - H)^-1 grad B of each start,
+    shape (8, n), from the terms e at x.  With u = C d, a term's gradient
+    over its four coordinates is -scale E u and its Hessian
+    scale^2 E (u u^T - C).  Every sum runs over a leading axis, so each
+    start's step reads that start alone."""
+    scale, c = p[10], p[_CHSH_INVERSE]
+    d = scale * x[_CHSH_PAIRS.T]
+    # u u^T overflows once |C| passes about 1e150 (a probe width of 1e77),
+    # where E has underflowed to 0: such a term adds nothing.  A start with
+    # a gradient or Hessian that is still not finite takes no step and ends
+    # at its current B; a damping that overflows blocks its eigenvector.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.add.reduce(c[:, :, None] * d[:, None], axis=0)
+        w = _CHSH_SIGNS * e
+        g_terms = -scale * w * u
+        h_terms = np.where(w != 0.0, scale * scale * w * (u[:, None] * u[None]
+                                                          - c[:, :, None]), 0.0)
+        grad, hess = np.zeros(x.shape), np.zeros((8,) + x.shape)
+        for t, idx in enumerate(_CHSH_PAIRS):
+            grad[idx] += g_terms[:, t]
+            hess[idx[:, None], idx] += h_terms[:, :, t]
+        bad = ~(np.isfinite(grad).all(axis=0) & np.isfinite(hess).all(axis=(0, 1)))
+        grad[:, bad], hess[:, :, bad] = 0.0, 0.0
+        lam, v = np.linalg.eigh(hess.transpose(2, 0, 1))
+        lam, v = lam.T, v.transpose(1, 2, 0)
+        damp = np.maximum(lam[-1], 0.0) + mu * np.maximum(lam[-1], -lam[0]) - lam
+        along = np.add.reduce(v * grad[:, None], axis=0)
+        along = np.divide(along, damp, out=np.zeros_like(along), where=damp > 0.0)
+    return np.add.reduce(v.transpose(1, 0, 2) * along[:, None], axis=0)
+
+
 def _chsh_descent(consts: list[np.ndarray], shift: np.ndarray,
                   ) -> list[tuple[float, _Settings]]:
-    """The lockstep descent of `optimize_chsh` over the 25 starts of each
+    """The batched ascent of `optimize_chsh` over the 25 starts of each
     state whose `_chsh_constants` are listed, one result per state, its
     settings shifted by the state's row of shift (Re, Im of alpha, beta)."""
     per_state = _CHSH_GRID.size ** 2
     n = len(consts) * per_state
     # p: the constants as rows over the starts, of length 1 for one state
     p = np.repeat(np.array(consts).T, 1 if len(consts) == 1 else per_state, axis=1)
-    # Row i < 8 of z is coordinate i = 4g + 2s + k of the scalar descent,
-    # component k (Re, Im) of setting s of side g (alpha, beta), over the
-    # starts; row 8 + i is d_i = scale * x_i, what the correlator reads;
-    # row 16 + 2b + a caches E(alpha_a, beta_b), term 2b + a of
-    # B = E11 + E21 + E12 - E22; and row 20 is B.
-    z = np.zeros((21, n))
-    z[3] = np.tile(np.repeat(_CHSH_GRID, _CHSH_GRID.size), len(consts))
-    z[7] = np.tile(_CHSH_GRID, _CHSH_GRID.size * len(consts))
-    z[8:16] = p[10] * z[:8]
-    sides = z[8:16].reshape(2, 2, 2, n).transpose(0, 2, 1, 3)
-    d = np.empty((4, 2, 2, n))
-    d[:2], d[2:] = sides[0, :, None], sides[1, :, :, None]
-    z[16:20] = _chsh_correlator(p[:10, None, None], p[11], d).reshape(4, n)
-    z[20] = z[16] + z[17] + z[18] - z[19]
-    step, live, m, best = np.full(n, 0.25), np.arange(n), 0, np.empty((21, n))
-    while live.size:
-        if live.size != m:
-            # Views for the starts left.  w[s, f, 0] gathers field f of a
-            # move of setting s from z: x_i, d_i, the two terms it changes
-            # and B; w[s, f, 1:] holds it at the trials +step, -step from the
-            # old point and -step from the +step point, which rounding need
-            # not bring back to the old point.  args holds, per setting of
-            # the side that moves, the correlator's arguments of the 3 trials
-            # x the 2 terms pairing it with either setting of the other side.
-            m = live.size
-            w = np.empty((2, 5, 4, m))
-            args = np.empty((4, 2, 3, 2, m))
-            c = p[:10, None, None, None]
-            sides = z[8:16].reshape(2, 2, 2, m).transpose(0, 2, 1, 3)
-            starts = np.arange(m)
-            sweep = []
-            for g in (0, 1):
-                for ss, k, moves in _CHSH_ROUNDS:
-                    decide = []
-                    for j in moves:
-                        s, i = j // 2, 4 * g + j
-                        # the terms pairing setting s with either setting o
-                        e = [2 * o + s if g == 0 else 2 * s + o for o in (0, 1)]
-                        terms = [z[16 + t] for t in range(4)]
-                        terms[e[0]], terms[e[1]] = w[s, 2, 1:], w[s, 3, 1:]
-                        decide.append((w[s], terms, np.array(
-                            [i, 8 + i, 16 + e[0], 16 + e[1], 20])))
-                    x, d_other = z[4 * g + k:4 * g + 4:2], z[9 + 4 * g - k:12 + 4 * g:2]
-                    sweep.append((g, k, x[ss, None], w[ss, 0, 1:], w[ss, 1, 1:],
-                                  d_other[ss, None, None],
-                                  args[:, ss], w[ss, 2:4, 1:].transpose(0, 2, 1, 3),
-                                  decide))
-        pm = step * np.array([[1.0], [-1.0]])
-        start = z[20].copy()
-        for g, k, x, trial, d_trial, d_other, a, new, decide in sweep:
-            if k == 0:
-                # the other side stays put while side g moves
-                args[2 - 2 * g:4 - 2 * g] = sides[1 - g, :, None, None]
-            np.add(x, pm, out=trial[:, :2])
-            np.subtract(trial[:, 0], step, out=trial[:, 2])
-            np.multiply(p[10], trial, out=d_trial)
-            a[2 * g + k] = d_trial[:, :, None]
-            a[2 * g + 1 - k] = d_other
-            _chsh_correlator(c, p[11], a, out=new)
-            for ws, terms, rows in decide:
-                val = ws[4, 1:]
-                np.add(terms[0], terms[1], out=val)
-                np.add(val, terms[2], out=val)
-                np.subtract(val, terms[3], out=val)
-                np.take(z, rows, axis=0, out=ws[:, 0])
-                up = ws[4, 1] > ws[4, 0] + 1e-15
-                after, alt = np.where(up, ws[4, 1::2], ws[4, 0::2])
-                z[rows] = ws[:, up + 2 * (alt > after + 1e-15), starts]
-        # a sweep that took a trial raised B, each take by more than 1e-15
-        step = np.where(z[20] > start, step, 0.5 * step)
-        done = step <= 1e-6
+    x = np.zeros((8, n))
+    x[3] = np.tile(np.repeat(_CHSH_GRID, _CHSH_GRID.size), len(consts))
+    x[7] = np.tile(_CHSH_GRID, _CHSH_GRID.size * len(consts))
+    e, b = _chsh_terms(p, p[10] * x[_CHSH_PAIRS.T])
+    best_x, best_b = np.empty((8, n)), np.empty(n)
+    mu, live = np.full(n, 1e-3), np.arange(n)
+    for _ in range(_CHSH_STEPS):
+        step = _chsh_step(p, x, e, mu)
+        trial = x + step
+        # a trial that overflows the quadratic form reads E = 0 or NaN, and
+        # B (above 0 from the start: E11, at E's peak, is at least E22)
+        # refuses it; so does a term above its peak norm: a negative form,
+        # the rounding of a flat direction B would follow out to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_new, b_new = _chsh_terms(p, p[10] * trial[_CHSH_PAIRS.T])
+        up = (b_new > b) & (e_new <= p[11]).all(axis=0)
+        done = up & (b_new - b <= 4.0 * np.finfo(float).eps * b_new)
+        x, e, b = np.where(up, trial, x), np.where(up, e_new, e), np.where(up, b_new, b)
+        mu = np.where(up, 0.3 * mu, 10.0 * mu)
+        done |= (np.abs(step).max(axis=0) < 1e-12) | (mu > 1e12)
         if done.any():
-            best[:, live[done]] = z[:, done]
+            best_x[:, live[done]], best_b[live[done]] = x[:, done], b[done]
             keep = ~done
-            live, z, step = live[keep], np.compress(keep, z, axis=1), step[keep]
-            if p.shape[1] > 1:
-                p = np.compress(keep, p, axis=1)
+            live, x, e, b, mu = live[keep], x[:, keep], e[:, keep], b[keep], mu[keep]
+            p = p[:, keep] if p.shape[1] > 1 else p
+            if not live.size:
+                break
+    best_x[:, live], best_b[live] = x, b
     # the first start of each state with its largest B
-    wins = np.arange(0, n, per_state) + best[20].reshape(-1, per_state).argmax(axis=1)
-    x = best[:8, wins] + shift.T[[0, 1, 0, 1, 2, 3, 2, 3]]
+    wins = np.arange(0, n, per_state) + best_b.reshape(-1, per_state).argmax(axis=1)
+    x = best_x[:, wins] + shift.T[[0, 1, 0, 1, 2, 3, 2, 3]]
     return [(float(v), tuple(map(complex, xs[0::2], xs[1::2])))
-            for v, xs in zip(best[20, wins], x.T)]
+            for v, xs in zip(best_b[wins], x.T)]
 
 
 # ---------------------------------------------------------------------------

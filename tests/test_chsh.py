@@ -83,12 +83,15 @@ def scalar_constants(state, modes=("Q", "Qprime")):
 
 
 def scalar_optimize_chsh(state, modes=("Q", "Qprime")):
-    """Reference: the 25 starts of optimize_chsh as scalar descents.
+    """Lower-bound oracle: the compass search optimize_chsh once ran.
 
-    One start at a time, each trial evaluating all four correlators of
-    the centred state, in the operation order optimize_chsh keeps; the
-    winner's settings are then shifted back by mean/scale, the means in
-    units of sqrt(hbar).
+    From the 25 starts of optimize_chsh, one start at a time, each
+    coordinate tries +step, then -step, and a trial is taken if it raises
+    B by more than 1e-15; a sweep that takes nothing halves the step,
+    from 0.25 down to 1e-6.  The winner's settings are then shifted back
+    by mean/scale, the means in units of sqrt(hbar).  It misses the
+    optimum by up to 12% on some states, so optimize_chsh must reach at
+    least its value, not equal it.
     """
     grid = np.linspace(-0.6, 0.6, 5)
     c, scale, norm = scalar_constants(state, modes)
@@ -139,12 +142,11 @@ def cached_reference(state, modes=("Q", "Qprime")):
 
 
 def exactness_cases():
-    """(state, modes) on which optimize_chsh must equal the reference."""
+    """(state, modes) on which optimize_chsh is held to the references:
+    the compass oracle is fast on each of them."""
     probes = ("Q", "Qprime")
     cases = [pytest.param(vacuum_state(), probes, id="vacuum")]
-    # the squeezings of the benchmark; at r = 0.7 the optimum hangs on the
-    # exponential's last bit: with math.exp it is one ulp higher, at the
-    # mirrored settings
+    # the squeezings of the benchmark
     cases += [pytest.param(two_mode_squeezed_state(r), probes, id=f"squeezed_r{r}")
               for r in (0.3, 0.5, 0.7, 0.9)]
     h = QuadraticHamiltonian(1.0, 1.0)
@@ -219,35 +221,78 @@ class TestOptimizer:
         assert optimize_chsh(st) == optimize_chsh(st)
 
 
+def scalar_value(state, settings, modes=("Q", "Qprime")):
+    """B of a zero-mean state at the settings, from scalar_correlator and
+    summed as E11 + E21 + E12 - E22."""
+    c, scale, norm = scalar_constants(state, modes)
+    a1, a2, b1, b2 = settings
+
+    def e(a, b):
+        return scalar_correlator(c, norm, scale * a.real, scale * a.imag,
+                                 scale * b.real, scale * b.imag)
+    return e(a1, b1) + e(a2, b1) + e(a1, b2) - e(a2, b2)
+
+
+def assert_at_least_compass(results, states, modes=("Q", "Qprime")):
+    """Each optimum is at least the scalar compass search's, which stays
+    a lower-bound oracle, to 1e-12 relative."""
+    for (val, _), st in zip(results, states, strict=True):
+        ref_val, _ = cached_reference(st, modes)
+        assert val >= ref_val - 1e-12 * max(1.0, abs(ref_val))
+
+
 @pytest.mark.parametrize("state,modes", exactness_cases())
 def test_lockstep_descent_equals_scalar_reference(state, modes):
+    # The optimum is the scalar form of B at the returned settings, bit for
+    # bit (read on the centred copy, where the settings carry no shift),
+    # and it is at least the scalar compass search's optimum.
     val, settings = optimize_chsh(state, modes)
-    ref_val, ref_settings = cached_reference(state, modes)
     assert type(val) is float
     assert all(type(s) is complex for s in settings)
-    assert val == ref_val
-    assert settings == ref_settings
+    centred = PhaseSpaceState(np.zeros(6), state.covariance, state.hbar)
+    c_val, c_settings = optimize_chsh(centred, modes)
+    assert c_val == val == scalar_value(centred, c_settings, modes)
+    assert_at_least_compass([(val, settings)], [state], modes)
 
 
-def test_batched_descent_equals_scalar_reference():
+@pytest.mark.parametrize("state,modes", exactness_cases())
+def test_optimum_is_a_local_maximum(state, modes):
+    # read with chsh_displaced_parity alone: no step of 1e-6 along any one
+    # of the 8 real coordinates raises B by more than 1e-12 relative
+    val, settings = optimize_chsh(state, modes)
+    x = np.array([[s.real, s.imag] for s in settings]).ravel()
+    at = chsh_displaced_parity(state, settings, modes)
+    for i in range(8):
+        for sign in (1.0, -1.0):
+            trial = x.copy()
+            trial[i] += sign * 1e-6
+            moved = tuple(map(complex, trial[0::2], trial[1::2]))
+            assert chsh_displaced_parity(state, moved, modes) - at \
+                <= 1e-12 * max(1.0, abs(val))
+
+
+def test_batched_optimum_equals_one_state_optimum():
     # the probe-pair cases as one batch, then repeated past the chunk size
-    # so that a chunk boundary falls inside the list
+    # so that a chunk boundary falls inside the list: each state's optimum
+    # is the one it has alone
     states = [case.values[0] for case in exactness_cases()
               if case.values[1] == ("Q", "Qprime")]
-    refs = [cached_reference(st) for st in states]
-    assert optimize_chsh_many(stack(states)) == refs
+    alone = [optimize_chsh(st) for st in states]
+    assert optimize_chsh_many(stack(states)) == alone
     reps = _CHSH_CHUNK // len(states) + 1
     assert len(states) * reps > _CHSH_CHUNK
-    assert optimize_chsh_many(stack(states * reps)) == refs * reps
+    assert optimize_chsh_many(stack(states * reps)) == alone * reps
+    assert_at_least_compass(alone, states)
 
 
-def test_batched_descent_equals_scalar_reference_on_probe_and_mediator():
+def test_batched_optimum_equals_one_state_optimum_on_probe_and_mediator():
     # the (Q, C) pair of every state of the probe-pair cases that is not a
     # product of (Q, Q') and a vacuum mediator, and of the mixed case
     states = [case.values[0] for case in exactness_cases()
               if case.id.startswith(("evolved", "mixed"))]
-    refs = [cached_reference(st, ("Q", "C")) for st in states]
-    assert optimize_chsh_many(stack(states), ("Q", "C")) == refs
+    alone = [optimize_chsh(st, ("Q", "C")) for st in states]
+    assert optimize_chsh_many(stack(states), ("Q", "C")) == alone
+    assert_at_least_compass(alone, states, ("Q", "C"))
 
 
 @pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 2, 5, 1)],
@@ -290,11 +335,12 @@ def test_correlator_keeps_scalar_operation_order(per_start, shape):
 
 
 def test_np_exp_gives_each_element_its_own_bits():
-    # The lockstep descent equals the scalar reference only if np.exp
-    # gives an element the bits it gives that element alone, whatever the
-    # array around it: its length (SIMD loops peel short tails), stride,
+    # A state's optimum is the scalar form of B at its settings, and does
+    # not depend on which states share its batch, only if np.exp gives an
+    # element the bits it gives that element alone, whatever the array
+    # around it: its length (SIMD loops peel short tails), stride,
     # memory offset, an in-place output and 0-d input.  10**5 arguments
-    # in the descent's range (-50, 0], of every magnitude.
+    # in the ascent's range (-50, 0], of every magnitude.
     rng = np.random.default_rng(5)
     n = 100_000
     args = np.concatenate([rng.uniform(-50.0, 0.0, n // 2),
@@ -373,3 +419,11 @@ def test_batch_checks_modes_before_any_descent(monkeypatch, states, modes):
     monkeypatch.setattr(gaussian, "_chsh_descent", fail)
     with pytest.raises(ValueError, match="two distinct modes"):
         optimize_chsh_many(stack(states), modes)
+
+
+@pytest.mark.parametrize("settings", [(0j, 0j, 0j), (0j,) * 5, ()],
+                         ids=["three", "five", "none"])
+def test_displaced_parity_takes_four_settings(settings):
+    # three settings raised IndexError, and five read 2.0 on the vacuum
+    with pytest.raises(ValueError, match="expected four settings"):
+        chsh_displaced_parity(vacuum_state(), settings)

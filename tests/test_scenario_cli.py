@@ -273,6 +273,75 @@ class TestDisplacedChsh:
         assert time.process_time() - start < 5.0
 
 
+# the compass search that the CHSH ascent replaced missed these optima by
+# up to 12%
+MISSED_CHSH = ("g2 = 7\nc_width = 0.3\ntotal_time = 4\ndt = 0.25\nsample_every = 1\n"
+               "diagnostics = chsh\n")
+
+
+class TestChshAscent:
+    def test_reaches_the_optima_the_compass_missed(self):
+        # the compass read 0.08739, 0.04811 and 0.01673 at t = 1.25, 2 and
+        # 4, where 200 random Nelder-Mead starts reach 0.09903, 0.05364 and
+        # 0.01788
+        report = run_scenario(parse_config(MISSED_CHSH))
+        column = {round(row[0], 12): row[1] for row in report.rows}
+        assert column[1.25] >= 0.0990
+        assert column[2.0] >= 0.0536
+        assert column[4.0] >= 0.0178
+
+    def test_every_start_stops_before_the_step_cap(self, tmp_path, monkeypatch):
+        # with c_xk = 0.2 the compass took 21 s on these 17 rows; the
+        # ascent's work is bounded by its count of steps, which every
+        # start ends early on its own
+        steps, descent, step = [], ga._chsh_descent, ga._chsh_step
+
+        def counted_descent(*args):
+            steps.append(0)
+            return descent(*args)
+
+        def counted_step(*args):
+            steps[-1] += 1
+            return step(*args)
+
+        monkeypatch.setattr(ga, "_chsh_descent", counted_descent)
+        monkeypatch.setattr(ga, "_chsh_step", counted_step)
+        cfg, out = tmp_path / "chsh.cfg", tmp_path / "chsh.csv"
+        cfg.write_text(MISSED_CHSH + "c_xk = 0.2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(steps) == 1 and 0 < steps[0] < ga._CHSH_STEPS
+
+    @staticmethod
+    def column(tmp_path, text):
+        cfg, out = tmp_path / "chsh.cfg", tmp_path / "chsh.csv"
+        cfg.write_text(text + "diagnostics = chsh\ndt = 0.25\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "t,chsh_opt"
+        return [float(r.split(",")[1]) for r in rows[1:]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q_width", ["1e150", "1e80"])
+    def test_far_apart_variances_keep_the_hessian_finite(self, tmp_path, capsys,
+                                                         q_width):
+        # C_pp of about 4 q_width^2 made u u^T overflow where E had
+        # underflowed to 0, and 0 * inf put NaN in the Hessian, with two
+        # RuntimeWarnings
+        column = self.column(tmp_path, f"q_width = {q_width}\nc_xk = 0\n"
+                                       "total_time = 0.5\n")
+        assert capsys.readouterr().err == ""
+        assert len(column) == 2 and column[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_a_flat_direction_does_not_run_off_to_inf(self, tmp_path):
+        # with q_width = 1e20 the inverse covariance has an eigenvalue of
+        # -1.5e-40 where the true one is about +1e-40 and E is flat; the
+        # ascent followed it, and B read inf at t = 0.75 (exit 3)
+        text = "g2 = 7\nc_xk = 0\ntotal_time = 1\nsample_every = 1\n"
+        column = self.column(tmp_path, text + "q_width = 1e20\n")
+        assert column == pytest.approx(self.column(tmp_path, text + "q_width = 1e10\n"),
+                                       rel=1e-9)
+
+
 class TestRunScenario:
     def test_columns_follow_diagnostics(self):
         config = fast_config("diagnostics = negativity,witness\n"
