@@ -405,12 +405,13 @@ def chsh_displaced_parity(state: PhaseSpaceState,
     return float(b)
 
 
-# The most states one CHSH ascent batches.  On 65 states of a t <= 4 run,
-# chunks of 1, 8, 16, 32 and 64 took 0.39, 0.21, 0.21, 0.20 and 0.19 s; on
-# 257, chunks of 16, 32, 64 and 128 took 0.80, 0.77, 0.79 and 0.79 s.  A
-# step holds per start an 8x8 Hessian, its eigenvectors and a few arrays
-# of their size: 800 starts peaked at 2.5 MiB (tracemalloc), for any run
-# of up to 10**6 samples.
+# The most states one CHSH ascent batches.  On the 65 states of g2 = 7,
+# c_width = 0.3, t <= 4, dt = 1/16, chunks of 1, 8, 16, 32 and 64 took
+# 0.56, 0.30, 0.28, 0.28 and 0.28 s; on the 257 of dt = 1/64, chunks of 16,
+# 32, 64 and 128 took 1.09, 1.04, 1.05 and 1.12 s (medians of 5, 2-core
+# host).  An ascent keeps per start an 8x8 Hessian's eigenpairs, and a
+# step a few arrays of their size: 800 starts peaked at 2.6 MiB
+# (tracemalloc), for any run of up to 10**6 samples.
 _CHSH_CHUNK = 32
 _CHSH_GRID = np.linspace(-0.6, 0.6, 5)
 # Term t of B enters with sign _CHSH_SIGNS[t], and entry (i, j) of the
@@ -421,6 +422,25 @@ _CHSH_INVERSE = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]
 # CHANGES.md took more than 53.
 _CHSH_STEPS = 100
 _Settings = tuple[complex, complex, complex, complex]
+
+
+def _chsh_gathers():
+    """The rows to gather grad B and its Hessian from, shapes (2, 8) and
+    (2, 8, 8): the terms' gradients flattened over (coordinate k of the
+    term, term t), and their Hessians over (k, l, t) with a row 64 of
+    zeros.  Two terms read each coordinate and 0 to 2 each pair; each
+    entry lists its terms in term order, padded with row 64."""
+    grad, hess = [[] for _ in range(8)], [[[] for _ in range(8)] for _ in range(8)]
+    for t, idx in enumerate(_CHSH_PAIRS):
+        for k, i in enumerate(idx):
+            grad[i].append(4 * k + t)
+            for l, j in enumerate(idx):
+                hess[i][j].append(16 * k + 4 * l + t)
+    hess = [[rows + [64] * (2 - len(rows)) for rows in row] for row in hess]
+    return np.array(grad).T, np.array(hess).transpose(2, 0, 1)
+
+
+_CHSH_GRAD_FROM, _CHSH_HESS_FROM = _chsh_gathers()
 
 
 def optimize_chsh(state: PhaseSpaceState,
@@ -436,11 +456,13 @@ def optimize_chsh(state: PhaseSpaceState,
     E = norm exp(-d^T C d / 2) at d = scale * x, so the gradient and
     Hessian of B over the 8 real coordinates are exact.  Each start takes
     Levenberg-Marquardt steps s = (m I - H)^-1 grad B, with m = max(top
-    eigenvalue of H, 0) + mu * (largest |eigenvalue|), and keeps a step
-    only if it raises B and leaves each E at most its peak, norm; mu
-    falls by 0.3 on a kept step and rises by 10 on a refused one.  A
-    start stops when a kept step gains at most 4 eps B, its step falls
-    below 1e-12, or mu passes 1e12, and after _CHSH_STEPS steps at most.
+    eigenvalue of H, 0) + mu * (largest |eigenvalue|), from one 8x8 eigh
+    of H per point a start reaches: a refused step re-damps the cached
+    eigenpairs.  It keeps a step only if it raises B and leaves each E at
+    most its peak, norm; mu falls by 0.3 on a kept step and rises by 10
+    on a refused one.  A start stops when a kept step gains at most
+    4 eps B, its step falls below 1e-12, or mu passes 1e12, and after
+    _CHSH_STEPS steps at most.
     The first start, in grid order, with the largest B wins; since the
     (0, 0) start only rises, the optimum is at least B(0) = 2 E(0, 0).
     The value is the correlator at the winning settings, which are then
@@ -470,33 +492,44 @@ def optimize_chsh_many(state: PhaseSpaceState,
                                       shift[i:i + _CHSH_CHUNK])]
 
 
-def _chsh_step(p: np.ndarray, x: np.ndarray, e: np.ndarray,
-               mu: np.ndarray) -> np.ndarray:
-    """The Levenberg-Marquardt step (m I - H)^-1 grad B of each start,
-    shape (8, n), from the terms e at x.  With u = C d, a term's gradient
-    over its four coordinates is -scale E u and its Hessian
-    scale^2 E (u u^T - C).  Every sum runs over a leading axis, so each
-    start's step reads that start alone."""
+def _chsh_curvature(p: np.ndarray, x: np.ndarray, e: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradient of B, shape (8, n), and the eigenvalues (n, 8) and
+    eigenvectors (n, 8, 8) of its Hessian, at the settings x of each
+    start, from the terms e at x.  With u = C d, a term's gradient over
+    its four coordinates is -scale E u and its Hessian
+    scale^2 E (u u^T - C).  Every sum runs over a leading axis and eigh
+    solves each matrix alone, so each start's curvature reads that start
+    alone."""
     scale, c = p[10], p[_CHSH_INVERSE]
     d = scale * x[_CHSH_PAIRS.T]
     # u u^T overflows once |C| passes about 1e150 (a probe width of 1e77),
     # where E has underflowed to 0: such a term adds nothing.  A start with
-    # a gradient or Hessian that is still not finite takes no step and ends
-    # at its current B; a damping that overflows blocks its eigenvector.
+    # a gradient or Hessian that is still not finite has no curvature, so
+    # it takes no step and ends at its current B.
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.add.reduce(c[:, :, None] * d[:, None], axis=0)
         w = _CHSH_SIGNS * e
-        g_terms = -scale * w * u
+        g_terms = (-scale * w * u).reshape(16, -1)
         h_terms = np.where(w != 0.0, scale * scale * w * (u[:, None] * u[None]
                                                           - c[:, :, None]), 0.0)
-        grad, hess = np.zeros(x.shape), np.zeros((8,) + x.shape)
-        for t, idx in enumerate(_CHSH_PAIRS):
-            grad[idx] += g_terms[:, t]
-            hess[idx[:, None], idx] += h_terms[:, :, t]
+        h_terms = np.concatenate([h_terms.reshape(64, -1), np.zeros((1, x.shape[1]))])
+        # 0.0 first, then the terms in order: the bits of a scatter-add onto
+        # zeros, in which a lone -0.0 term reads +0.0
+        grad = 0.0 + g_terms[_CHSH_GRAD_FROM[0]] + g_terms[_CHSH_GRAD_FROM[1]]
+        hess = 0.0 + h_terms[_CHSH_HESS_FROM[0]] + h_terms[_CHSH_HESS_FROM[1]]
         bad = ~(np.isfinite(grad).all(axis=0) & np.isfinite(hess).all(axis=(0, 1)))
         grad[:, bad], hess[:, :, bad] = 0.0, 0.0
-        lam, v = np.linalg.eigh(hess.transpose(2, 0, 1))
-        lam, v = lam.T, v.transpose(1, 2, 0)
+        return (grad, *np.linalg.eigh(hess.transpose(2, 0, 1)))
+
+
+def _chsh_step(grad: np.ndarray, lam: np.ndarray, v: np.ndarray,
+               mu: np.ndarray) -> np.ndarray:
+    """The Levenberg-Marquardt step (m I - H)^-1 grad B of each start,
+    shape (8, n), from its `_chsh_curvature` and its damping mu."""
+    lam, v = lam.T, v.transpose(1, 2, 0)
+    # a damping that overflows blocks its eigenvector
+    with np.errstate(over="ignore", invalid="ignore"):
         damp = np.maximum(lam[-1], 0.0) + mu * np.maximum(lam[-1], -lam[0]) - lam
         along = np.add.reduce(v * grad[:, None], axis=0)
         along = np.divide(along, damp, out=np.zeros_like(along), where=damp > 0.0)
@@ -518,8 +551,16 @@ def _chsh_descent(consts: list[np.ndarray], shift: np.ndarray,
     e, b = _chsh_terms(p, p[10] * x[_CHSH_PAIRS.T])
     best_x, best_b = np.empty((8, n)), np.empty(n)
     mu, live = np.full(n, 1e-3), np.arange(n)
+    grad, lam, v = np.empty((8, n)), np.empty((n, 8)), np.empty((n, 8, 8))
+    # the starts whose curvature is not yet that of their x: a refused step
+    # leaves x and E as they were, so its start keeps its eigenpairs
+    stale = np.ones(n, dtype=bool)
+    tol = 4.0 * np.finfo(float).eps
     for _ in range(_CHSH_STEPS):
-        step = _chsh_step(p, x, e, mu)
+        if stale.any():
+            grad[:, stale], lam[stale], v[stale] = _chsh_curvature(
+                p[:, stale] if p.shape[1] > 1 else p, x[:, stale], e[:, stale])
+        step = _chsh_step(grad, lam, v, mu)
         trial = x + step
         # a trial that overflows the quadratic form reads E = 0 or NaN, and
         # B (above 0 from the start: E11, at E's peak, is at least E22)
@@ -528,7 +569,7 @@ def _chsh_descent(consts: list[np.ndarray], shift: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             e_new, b_new = _chsh_terms(p, p[10] * trial[_CHSH_PAIRS.T])
         up = (b_new > b) & (e_new <= p[11]).all(axis=0)
-        done = up & (b_new - b <= 4.0 * np.finfo(float).eps * b_new)
+        done = up & (b_new - b <= tol * b_new)
         x, e, b = np.where(up, trial, x), np.where(up, e_new, e), np.where(up, b_new, b)
         mu = np.where(up, 0.3 * mu, 10.0 * mu)
         done |= (np.abs(step).max(axis=0) < 1e-12) | (mu > 1e12)
@@ -536,15 +577,17 @@ def _chsh_descent(consts: list[np.ndarray], shift: np.ndarray,
             best_x[:, live[done]], best_b[live[done]] = x[:, done], b[done]
             keep = ~done
             live, x, e, b, mu = live[keep], x[:, keep], e[:, keep], b[keep], mu[keep]
+            grad, lam, v, up = grad[:, keep], lam[keep], v[keep], up[keep]
             p = p[:, keep] if p.shape[1] > 1 else p
             if not live.size:
                 break
+        stale = up
     best_x[:, live], best_b[live] = x, b
     # the first start of each state with its largest B
     wins = np.arange(0, n, per_state) + best_b.reshape(-1, per_state).argmax(axis=1)
     x = best_x[:, wins] + shift.T[[0, 1, 0, 1, 2, 3, 2, 3]]
-    return [(float(v), tuple(map(complex, xs[0::2], xs[1::2])))
-            for v, xs in zip(best_b[wins], x.T)]
+    return [(float(val), tuple(map(complex, xs[0::2], xs[1::2])))
+            for val, xs in zip(best_b[wins], x.T)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hybridlab.gaussian import (
     optimize_chsh_many,
     product_state,
 )
+from hybridlab.scenario import _evolved, parse_config
 
 from conftest import stack, two_mode_squeezed_state, vacuum_state
 from test_acceptance import random_separable_two_mode
@@ -293,6 +296,174 @@ def test_batched_optimum_equals_one_state_optimum_on_probe_and_mediator():
     alone = [optimize_chsh(st, ("Q", "C")) for st in states]
     assert optimize_chsh_many(stack(states), ("Q", "C")) == alone
     assert_at_least_compass(alone, states, ("Q", "C"))
+
+
+def fresh_eigh_step(p, x, e, mu):
+    """The ascent's step (m I - H)^-1 grad B, with the gradient and Hessian
+    scattered term by term onto zeros and the Hessian decomposed afresh."""
+    scale, c = p[10], p[gaussian._CHSH_INVERSE]
+    d = scale * x[gaussian._CHSH_PAIRS.T]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.add.reduce(c[:, :, None] * d[:, None], axis=0)
+        w = gaussian._CHSH_SIGNS * e
+        g_terms = -scale * w * u
+        h_terms = np.where(w != 0.0, scale * scale * w * (u[:, None] * u[None]
+                                                          - c[:, :, None]), 0.0)
+        grad, hess = np.zeros(x.shape), np.zeros((8,) + x.shape)
+        for t, idx in enumerate(gaussian._CHSH_PAIRS):
+            grad[idx] += g_terms[:, t]
+            hess[idx[:, None], idx] += h_terms[:, :, t]
+        bad = ~(np.isfinite(grad).all(axis=0) & np.isfinite(hess).all(axis=(0, 1)))
+        grad[:, bad], hess[:, :, bad] = 0.0, 0.0
+        lam, v = np.linalg.eigh(hess.transpose(2, 0, 1))
+        lam, v = lam.T, v.transpose(1, 2, 0)
+        damp = np.maximum(lam[-1], 0.0) + mu * np.maximum(lam[-1], -lam[0]) - lam
+        along = np.add.reduce(v * grad[:, None], axis=0)
+        along = np.divide(along, damp, out=np.zeros_like(along), where=damp > 0.0)
+    return np.add.reduce(v.transpose(1, 0, 2) * along[:, None], axis=0)
+
+
+def fresh_eigh_descent(consts, shift, moves=None, steps=None):
+    """Oracle: the ascent of optimize_chsh with one eigh of the Hessian per
+    live start and step, refused steps included.  If given, moves gets per
+    step the number of kept steps that did not end their start, and steps
+    the number of live starts."""
+    per_state = gaussian._CHSH_GRID.size ** 2
+    grid, pairs = gaussian._CHSH_GRID, gaussian._CHSH_PAIRS.T
+    n = len(consts) * per_state
+    p = np.repeat(np.array(consts).T, 1 if len(consts) == 1 else per_state, axis=1)
+    x = np.zeros((8, n))
+    x[3] = np.tile(np.repeat(grid, grid.size), len(consts))
+    x[7] = np.tile(grid, grid.size * len(consts))
+    e, b = gaussian._chsh_terms(p, p[10] * x[pairs])
+    best_x, best_b = np.empty((8, n)), np.empty(n)
+    mu, live = np.full(n, 1e-3), np.arange(n)
+    for _ in range(gaussian._CHSH_STEPS):
+        step = fresh_eigh_step(p, x, e, mu)
+        trial = x + step
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_new, b_new = gaussian._chsh_terms(p, p[10] * trial[pairs])
+        up = (b_new > b) & (e_new <= p[11]).all(axis=0)
+        done = up & (b_new - b <= 4.0 * np.finfo(float).eps * b_new)
+        x, e, b = np.where(up, trial, x), np.where(up, e_new, e), np.where(up, b_new, b)
+        mu = np.where(up, 0.3 * mu, 10.0 * mu)
+        done |= (np.abs(step).max(axis=0) < 1e-12) | (mu > 1e12)
+        if moves is not None:
+            moves.append(int((up & ~done).sum()))
+            steps.append(live.size)
+        if done.any():
+            best_x[:, live[done]], best_b[live[done]] = x[:, done], b[done]
+            keep = ~done
+            live, x, e, b, mu = live[keep], x[:, keep], e[:, keep], b[keep], mu[keep]
+            p = p[:, keep] if p.shape[1] > 1 else p
+            if not live.size:
+                break
+    best_x[:, live], best_b[live] = x, b
+    wins = np.arange(0, n, per_state) + best_b.reshape(-1, per_state).argmax(axis=1)
+    x = best_x[:, wins] + shift.T[[0, 1, 0, 1, 2, 3, 2, 3]]
+    return [(float(val), tuple(map(complex, xs[0::2], xs[1::2])))
+            for val, xs in zip(best_b[wins], x.T)]
+
+
+def benchmark_direct_states(seed=21):
+    """The 12 states benchmarks/workloads.py passes to optimize_chsh in a
+    gaussian_chsh round of this seed: 8 stratified random separable
+    states of (Q, Q') and the two-mode squeezed vacua of r = 0.3 ... 0.9."""
+    rng = np.random.default_rng([seed, 2])
+    rng.integers(2**31)                      # the round's tomography seed
+    n = 8
+
+    def stratified(lo, hi):
+        return lo + (hi - lo) * (rng.permutation(n) + rng.random(n)) / n
+    draws = {name: [stratified(lo, hi) for _ in range(2)]
+             for name, lo, hi in (("width", 0.6, 0.9), ("chirp", -0.2, 0.2),
+                                  ("mixing", 1.0, 1.5), ("mean", -0.2, 0.2))}
+    states = []
+    for i in range(n):
+        means, cov = np.zeros(6), 0.5 * np.eye(6)
+        for mode in range(2):
+            w, c, nu, mu = (draws[key][mode][i]
+                            for key in ("width", "chirp", "mixing", "mean"))
+            block = np.array([[w * w, c * w * w],
+                              [c * w * w, 0.25 / (w * w) + c * c * w * w]])
+            cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = nu * block
+            means[2 * mode] = mu
+        states.append(PhaseSpaceState(means, cov))
+    for r in (0.3, 0.5, 0.7, 0.9):
+        c, s = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
+        cov = 0.5 * np.eye(6)
+        cov[0:2, 0:2] = cov[2:4, 2:4] = c * np.eye(2)
+        cov[0:2, 2:4] = cov[2:4, 0:2] = s * np.diag([1.0, -1.0])
+        states.append(PhaseSpaceState(np.zeros(6), cov))
+    return states
+
+
+def scenario_stack(text):
+    """The sampled Gaussian states of a scenario config, as one stack."""
+    return _evolved(parse_config(text))[1]
+
+
+# 33 samples, one chunk of _CHSH_CHUNK states and a second of one
+LONG_CHSH = "g2 = 7\nc_width = 0.3\ntotal_time = 4\ndt = 0.125\nsample_every = 1\n"
+
+
+def assert_same_bits(got, want):
+    # repr round-trips a float, so equal reprs are equal bits, signed
+    # zeros included
+    assert got == want and repr(got) == repr(want)
+
+
+class TestKeptEigenpairs:
+    """A refused step leaves its start's x, E and Hessian as they were, so
+    the ascent reuses the start's eigenpairs: every optimum and setting is
+    the one a fresh eigh of each start at each step gives."""
+
+    @staticmethod
+    def fresh(monkeypatch, state, modes):
+        with monkeypatch.context() as m:
+            m.setattr(gaussian, "_chsh_descent", fresh_eigh_descent)
+            return optimize_chsh_many(state, modes)
+
+    @pytest.mark.parametrize("modes", [("Q", "Qprime"), ("Q", "C")])
+    @pytest.mark.parametrize("state", [c.values[0] for c in exactness_cases()],
+                             ids=[c.id for c in exactness_cases()])
+    def test_case_equals_fresh_eigh_ascent(self, monkeypatch, state, modes):
+        assert_same_bits(optimize_chsh(state, modes),
+                         self.fresh(monkeypatch, state, modes)[0])
+
+    def test_benchmark_states_equal_fresh_eigh_ascent(self, monkeypatch):
+        for state in benchmark_direct_states():
+            assert_same_bits(optimize_chsh(state),
+                             self.fresh(monkeypatch, state, ("Q", "Qprime"))[0])
+
+    @pytest.mark.parametrize("modes", [("Q", "Qprime"), ("Q", "C")])
+    def test_two_chunk_stack_equals_fresh_eigh_ascent(self, monkeypatch, modes):
+        states = scenario_stack(LONG_CHSH)
+        assert len(states.means) > _CHSH_CHUNK
+        assert_same_bits(optimize_chsh_many(states, modes),
+                         self.fresh(monkeypatch, states, modes))
+
+    def test_refused_steps_decompose_nothing(self, monkeypatch):
+        # one descent (17 states, one chunk): each start's Hessian is
+        # decomposed at its first point and after each kept step that did
+        # not end it, and never again after a refused one
+        states = scenario_stack(LONG_CHSH.replace("dt = 0.125", "dt = 0.25"))
+        assert len(states.means) <= _CHSH_CHUNK
+        moves, steps = [], []
+        with monkeypatch.context() as m:
+            m.setattr(gaussian, "_chsh_descent",
+                      lambda *a: fresh_eigh_descent(*a, moves, steps))
+            want = optimize_chsh_many(states)
+        matrices, eigh = [], np.linalg.eigh
+
+        def counted(a):
+            matrices.append(len(a))
+            return eigh(a)
+        monkeypatch.setattr(gaussian.np.linalg, "eigh", counted)
+        assert optimize_chsh_many(states) == want
+        assert sum(matrices) == 25 * len(states.means) + sum(moves)
+        # the steps it saves: a fresh eigh per live start and step
+        assert sum(matrices) < 0.8 * sum(steps)
 
 
 @pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 2, 5, 1)],
