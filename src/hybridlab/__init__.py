@@ -29,8 +29,11 @@ from .grid import (
     EnsembleRepresentation,
     GridSpec,
     GridState,
+    gaussian_factors,
     grid_moments,
     init_product_gaussian,
+    product_moments,
+    product_pieces,
     split_step_evolve,
     to_ensemble,
 )

@@ -283,6 +283,15 @@ def _check_modes(sides) -> list[str]:
     return names
 
 
+# eigvals reads the symplectic eigenvalues hbar/2 of a product state's
+# partially transposed blocks up to 2.8 eps of the balanced block's
+# largest entry below hbar/2 (the README state at t = 0: 1.5), over
+# 60000 blocks of random product states, every bipartition, widths
+# 1e-3 to 1e3 times sqrt(hbar/2), hbar 1e-3 to 1e3, each mode unchirped
+# or with |<qp + pq>/2| up to hbar; a nu that far below hbar/2 is hbar/2
+_NU_ROUNDING = 4.0
+
+
 def logarithmic_negativity(state: PhaseSpaceState,
                            bipartition: tuple[list[str], list[str]] = (["Q"], ["Qprime"]),
                            ):
@@ -290,18 +299,22 @@ def logarithmic_negativity(state: PhaseSpaceState,
 
     Modes outside the bipartition are traced out; the partial transpose
     flips the momentum rows/columns of the second side.  The sum over
-    nu < hbar/2 adds 0 for each other nu, and is +0.0 if there is none.
+    nu < hbar/2 adds 0 for each other nu, and for each nu within
+    _NU_ROUNDING eps of the balanced block's largest entry below hbar/2,
+    the rounding of a nu that is hbar/2; it is +0.0 if there is none.
     """
     modes = _check_modes(bipartition)
     state.require_physical()
     flip = np.ones(2 * len(modes))
     flip[2 * len(bipartition[0]) + 1 :: 2] = -1.0
-    nu = _symplectic_eigenvalues(
-        _balanced(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip)))
+    block = _balanced(np.diag(flip) @ state.reduced(modes)[1] @ np.diag(flip))
+    nu = _symplectic_eigenvalues(block)
     half = 0.5 * state.hbar
+    cut = half - _NU_ROUNDING * np.finfo(float).eps * np.abs(block).max(
+        (-2, -1))
     # a zero eigenvalue gives inf, which the caller's finite check refuses
     with np.errstate(divide="ignore"):
-        neg = -sum(np.log(np.where(v < half, v, half) / half)
+        neg = -sum(np.log(np.where(v < cut, v, half) / half)
                    for v in np.moveaxis(nu, -1, 0))
     return _per_state(np.where(neg > 0.0, neg, 0.0))
 

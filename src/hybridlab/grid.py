@@ -6,8 +6,9 @@ an FFT along the q axis, the g2 term after an FFT along the x axis.
 Their commutator [g1 p x, g2 q' k] = i hbar g1 g2 p q' commutes with
 both, so the propagator factors exactly into the two shears and one
 central phase, diagonal after the same FFT along q.  Four FFTs take any
-state to any time, and one takes a product state (`product_pieces`);
-`product_moments` takes a product state's moments at many times.
+state to any time; a product state's pieces need none at full size
+(`product_pieces`), and `grid_moments` takes its moments from them,
+`product_moments` at many times.
 """
 
 from __future__ import annotations
@@ -127,9 +128,11 @@ def gaussian_factors(spec: GridSpec, means=(0.0, 0.0, 0.0),
     exp(i gamma coordinate^2 / (2 hbar)), planting a symmetrized
     position-momentum correlation gamma*width^2.  A non-finite
     parameter raises ValueError; a mean outside the axis range [-L, L)
-    raises DomainTooSmallError, since the periodic box would wrap it,
-    and so does a half-width below 8 widths or a factor too narrow to
-    be nonzero at any grid point.
+    raises DomainTooSmallError, since the periodic box would wrap it, and
+    so do a momentum mean hbar*k0 outside the grid's band
+    [-hbar k_N, hbar k_N) (k_N = pi/h, the Nyquist wavenumber), which the
+    grid would alias, a half-width below 8 widths and a factor too
+    narrow to be nonzero at any grid point.
     """
     factors = []
     for i in range(3):
@@ -143,6 +146,12 @@ def gaussian_factors(spec: GridSpec, means=(0.0, 0.0, 0.0),
             raise DomainTooSmallError(
                 f"axis {AXIS_NAMES[i]}: mean {means[i]} lies outside "
                 f"[-{spec.half_widths[i]}, {spec.half_widths[i]})")
+        nyquist = np.pi / spec.steps()[i]
+        if not -nyquist <= tilts[i] < nyquist:
+            raise DomainTooSmallError(
+                f"axis {AXIS_NAMES[i]}: momentum mean {spec.hbar * tilts[i]} "
+                f"lies outside the grid's band [-{spec.hbar * nyquist}, "
+                f"{spec.hbar * nyquist})")
         if spec.half_widths[i] < 8.0 * w:
             raise DomainTooSmallError(
                 f"axis {AXIS_NAMES[i]}: half-width {spec.half_widths[i]} "
@@ -230,49 +239,27 @@ def product_pieces(spec: GridSpec, factors, g1: float, g2: float,
     return lq, f, np.exp(-1j * g1 * t * kq * x)
 
 
-def assemble_product(spec: GridSpec, pieces,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """psi(t) from `product_pieces`: one inverse FFT along q of their
-    product, built in `out` (allocated if not given), the only full-size
-    array.  Pieces whose L is times i k_q give d_0 psi(t)."""
-    lq, f, s = pieces
-    if out is None:
-        out = np.empty(spec.points_per_axis, dtype=complex)
-    np.copyto(out, f[None])
-    out *= lq[:, :, None]
-    out *= s[:, None, :]
-    return np.fft.ifft(out, axis=0, out=out)
-
-
 def product_moments(spec: GridSpec, factors, g1: float, g2: float,
                     times) -> tuple[np.ndarray, np.ndarray]:
     """`grid_moments` of the product of `factors` at each of `times`, as
-    (n, 6) means and (n, 6, 6) covariances.  Each sample is built from
-    `product_pieces`: this thread assembles psi while one worker thread
-    assembles d_0 psi, then takes the second half of the q slabs of the
-    moments.  psi and d_0 psi are the only full-size arrays, and the
-    moments are the doubles a serial loop gives.  The worker is joined
-    before the call returns or raises."""
+    (n, 6) means and (n, 6, 6) covariances, each sample from its
+    `product_pieces`.  One worker thread takes the second half of the
+    slabs of both phases of every call; chi, the only full-size array,
+    is reused from sample to sample, and the moments are the doubles a
+    serial loop gives.  The worker is joined before the call returns or
+    raises."""
     # imported here: importing the package should not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
     # allocated on this thread: full-size arrays that the worker
     # allocated and freed itself stayed in its own malloc arena, and in
     # some runs raised the peak RSS by 14 MiB
-    state = GridState(spec, np.empty(spec.points_per_axis, complex))
-    d0 = np.empty(spec.points_per_axis, complex)
-    ik = (1j * spec.wavenumbers(0))[:, None]
+    chi = np.empty(spec.points_per_axis, complex)
     means, cov = np.empty((len(times), 6)), np.empty((len(times), 6, 6))
     with ThreadPoolExecutor(max_workers=1) as pool:
         for i, t in enumerate(times):
-            lq, f, s = product_pieces(spec, factors, g1, g2, t)
-            built = pool.submit(assemble_product, spec, (lq * ik, f, s), d0)
-            assemble_product(spec, (lq, f, s), state.amplitudes)
-            built.result()
-            # the moments do not need the pieces: three planes less at
-            # the peak
-            del lq, f, s
-            means[i], cov[i] = grid_moments(state, d0, pool)
+            pieces = product_pieces(spec, factors, g1, g2, t)
+            means[i], cov[i] = grid_moments(spec, pieces, chi, pool)
     return means, cov
 
 
@@ -316,144 +303,201 @@ def to_ensemble(state: GridState, epsilon: float | None = None,
     return EnsembleRepresentation(state, density, density > epsilon)
 
 
-# complex values of one slab of a field: 256 KiB, so that psi's and
-# d_0 psi's slabs and the three scratch slabs of one thread stay in a
-# core's cache
+# complex values of one slab of a field: 256 KiB, so that a slab of chi
+# and the three scratch slabs of one thread stay in a core's cache
 _SLAB_VALUES = 2 ** 14
 
 
-def _q_slabs(spec: GridSpec) -> list[slice]:
-    """The q slabs `grid_moments` walks: whole (q', x) planes, about
-    _SLAB_VALUES points each where the planes allow, and at least two
-    slabs to each half of the q axis, so that a thread's scratch stays
-    below a field's size."""
-    n0, n1, n2 = spec.points_per_axis
-    m = min(n0 // 4, max(1, _SLAB_VALUES // (n1 * n2)))
-    return [slice(a, a + m) for a in range(0, n0, m)]
+def _slabs(n: int, plane: int) -> list[slice]:
+    """The slabs `grid_moments` walks along an axis of n points whose
+    planes hold `plane` values: about _SLAB_VALUES values each where the
+    planes allow, and at least two slabs to each half of the axis, so
+    that a thread's scratch stays below a field's size."""
+    m = min(n // 4, max(1, _SLAB_VALUES // plane))
+    return [slice(a, a + m) for a in range(0, n, m)]
 
 
-# the (i, j) of the six Re<d_i psi|d_j psi>, i <= j
+# values of numpy's buffer for a broadcast operand, while the slabs run
+_BUFFER_VALUES = 2048
+
+# the (i, j) of the six Re<a_i|a_j> of (chi, e_1, e_2), i <= j
 _PAIRS = [(i, j) for j in range(3) for i in range(j + 1)]
 
 
-def grid_moments(state: GridState, d0: np.ndarray | None = None,
+def grid_moments(spec: GridSpec, pieces, chi: np.ndarray | None = None,
                  pool=None) -> tuple[np.ndarray, np.ndarray]:
-    """Means and symmetrized 6x6 covariance in the canonical ordering.
+    """Means and symmetrized 6x6 covariance, in the canonical ordering, of
+    the product state whose `product_pieces` are `pieces`.
 
-    The symmetrized second moment of Hermitian A, B is Re<A psi|B psi>.
-    Each block comes from real sums, with one spectral derivative
-    d_j psi per axis (3 FFTs and 3 inverse FFTs in all):
+    psi is never built.  In the mixed (k_q, q', x) representation the
+    state is Phi = L f S, and the transform along q is unitary up to a
+    factor 1/n_q (Parseval), so each symmetrized second moment
+    Re<A psi|B psi> is a sum over the fields A and B make of Phi: p is
+    hbar k_q, q' and x multiply, p' and k give hbar e_j, with e_j the
+    derivative along q' or x without its factor i (one FFT pair each),
+    and q gives chi = F_q[q F_q^-1 Phi].  So
 
-    - positions: the density P = |psi|^2, summed over x with weights 1,
-      x and x^2 into three (q, q') planes;
-    - momentum means and position-momentum moments: the currents
-      J_j = hbar Im(psi* d_j psi), since Re<x_i psi|p_j psi> is the
-      integral of x_i J_j;
-    - momentum-momentum moments: hbar^2 Re<d_i psi|d_j psi>.
+    - moments of p, q' and x come from |Phi|^2 = |L|^2 |f|^2, which is
+      2-D, summed over x with weights 1, x and x^2;
+    - the currents Re(Phi* e_j) and Re(chi* Phi), summed over x into
+      (k_q, q') planes and with weight x, give the means of q, p' and k
+      and their moments with p, q' and x;
+    - Re<e_i|e_j>, Re<chi|e_j> and <chi|chi> give the rest.
 
-    d_0 psi needs the whole q axis: it is `d0` if given (a complex array
-    of the grid's shape), else built here, and it and psi are the only
-    full-size arrays.  The rest runs one q slab of `_q_slabs` at a time,
-    in three slabs of scratch.  With `pool`, an executor, the second half
-    of the slabs runs on it, in scratch of its own, and the call returns
-    or raises once both halves are done.  Each half sums its slabs in
-    order and the halves are added in a fixed order, so the moments are
-    the same doubles with or without a pool.
+    chi needs the whole q axis and is the only full-size array: `chi` if
+    given (a complex array of the grid's shape, overwritten), else
+    allocated here.  Phase 1 builds it from Phi one q' slab at a time;
+    phase 2 builds Phi again one k_q slab at a time and takes the sums,
+    in three slabs of scratch.  With `pool`, an executor, the second
+    half of each phase's slabs runs on it, in scratch of its own, and
+    the call returns or raises once both halves are done.  Each half
+    sums its slabs in order and the halves are added in a fixed order,
+    so the moments are the same doubles with or without a pool.
     """
-    spec, psi = state.spec, state.amplitudes
-    if d0 is None:
-        d0 = _spectral_derivative(psi, spec, 0)
-    n0, n1, n2 = psi.shape
-    slabs = _q_slabs(spec)
-    # (q, q') planes, each slab writing its own rows: the density summed
-    # over x with weights 1, x and x^2, and the three currents over x
-    planes = np.empty((6, n0, n1))
+    lq, f, _ = pieces
+    n0, n1, n2 = spec.points_per_axis
+    if chi is None:
+        chi = np.empty(spec.points_per_axis, complex)
+    by_qp, by_kq = _slabs(n1, n0 * n2), _slabs(n0, n1 * n2)
+    size = max(n0 * by_qp[0].stop * n2, by_kq[0].stop * n1 * n2)
     # the halves share one scratch, or with a pool have one each, both
-    # allocated on this thread (see product_moments)
-    scratch = [np.empty((3, slabs[0].stop, n1, n2), complex)
+    # allocated on this thread (see product_moments); the phases share it
+    scratch = [np.empty((3, size), complex)
                for _ in range(1 if pool is None else 2)]
-    halves = [(psi, d0, spec, half, planes, buf) for half, buf in
-              zip((slabs[:len(slabs) // 2], slabs[len(slabs) // 2:]),
-                  (scratch[0], scratch[-1]))]
-    if pool is None:
-        parts = [_slab_sums(*half) for half in halves]
-    else:
-        pending = pool.submit(_slab_sums, *halves[1])
-        try:
-            parts = [_slab_sums(*halves[0])]
-        finally:
-            # the worker writes into planes: wait for it, even if this raised
-            pending.exception()
-        parts.append(pending.result())
-    (x_currents, dots), (x_currents_2, dots_2) = parts
-    x_currents, dots = x_currents + x_currents_2, dots + dots_2
+    _in_halves(pool, by_qp, scratch, _chi_slabs, pieces, chi, spec)
+    # (k_q, q') planes, each slab writing its own rows: Re(chi* Phi) and
+    # the currents Re(Phi* e_j), summed over x
+    planes = np.empty((3, n0, n1))
+    (x_sums, dots), (x_sums_2, dots_2) = _in_halves(
+        pool, by_kq, scratch, _moment_slabs, pieces, chi, spec, planes)
+    x_sums, dots = x_sums + x_sums_2, dots + dots_2
+    # the 2-D sums below need no scratch: free it before their
+    # temporaries
+    del scratch
 
-    dv, hbar = spec.cell_volume, spec.hbar
-    q, qp = spec.axis(0), spec.axis(1)
-    density, density_x, density_xx = planes[:3]
+    w, hbar = spec.cell_volume / n0, spec.hbar
+    kq, qp, x = hbar * spec.wavenumbers(0), spec.axis(1), spec.axis(2)
+    ones_k, ones_q = np.ones(n0), np.ones(n1)
+    lines = np.einsum("jk,rk->rj", (f.conj() * f).real,
+                      (np.ones(n2), x, x * x))
+    density, density_x, density_xx = (lq.conj() * lq).real * lines[:, None]
     means = np.empty(6)
     second = np.empty((6, 6))
 
-    def put(i, j, value):
-        second[i, j] = second[j, i] = value * dv
+    def total(plane, wk=ones_k, wq=ones_q):
+        return np.einsum("i,ij,j->", wk, plane, wq)
 
-    # axis a's position has canonical index 2a, its momentum 2a + 1
-    for a, (axis, line) in enumerate(((q, density.sum(axis=1)),
-                                      (qp, density.sum(axis=0)))):
-        means[2 * a] = np.einsum("i,i->", axis, line) * dv
-        put(2 * a, 2 * a, np.einsum("i,i,i->", axis, axis, line))
-    means[4] = density_x.sum() * dv
-    put(4, 4, density_xx.sum())
-    put(0, 2, np.einsum("i,ij,j->", q, density, qp))
-    put(0, 4, np.einsum("i,ij->", q, density_x))
-    put(2, 4, np.einsum("ij,j->", density_x, qp))
-    for n, (i, j) in enumerate(_PAIRS):
-        put(2 * i + 1, 2 * j + 1, hbar * hbar * dots[n])
-    for j in range(3):
-        current = hbar * planes[3 + j]
-        means[2 * j + 1] = current.sum() * dv
-        put(0, 2 * j + 1, np.einsum("i,ij->", q, current))
-        put(2, 2 * j + 1, np.einsum("ij,j->", current, qp))
-        put(4, 2 * j + 1, hbar * x_currents[j])
+    def put(i, j, value):
+        second[i, j] = second[j, i] = value * w
+
+    # p, q' and x (canonical 1, 2 and 4)
+    means[1] = total(density, kq) * w
+    means[2] = total(density, wq=qp) * w
+    means[4] = total(density_x) * w
+    put(1, 1, total(density, kq * kq))
+    put(1, 2, total(density, kq, qp))
+    put(1, 4, total(density_x, kq))
+    put(2, 2, total(density, wq=qp * qp))
+    put(2, 4, total(density_x, wq=qp))
+    put(4, 4, total(density_xx))
+    # q, p' and k (canonical 0, 3 and 5): chi and hbar e_j
+    index, scale = (0, 3, 5), (1.0, hbar, hbar)
+    for a, (i, c) in enumerate(zip(index, scale)):
+        plane = c * planes[a]
+        means[i] = total(plane) * w
+        put(1, i, total(plane, kq))
+        put(2, i, total(plane, wq=qp))
+        put(4, i, c * x_sums[a])
+    for n, (a, b) in enumerate(_PAIRS):
+        put(index[a], index[b], scale[a] * scale[b] * dots[n])
     return means, second - np.outer(means, means)
 
 
-def _slab_sums(psi: np.ndarray, d0: np.ndarray, spec: GridSpec, slabs,
-               planes: np.ndarray, scratch: np.ndarray):
-    """One half's share of `grid_moments`' sums: walks its q `slabs` in
-    order in the three slabs of `scratch`, writes their rows of `planes`
-    and returns the sums of x J_j/hbar and the six Re<d_i psi|d_j psi>.
+def _in_halves(pool, slabs, scratch, fn, *args):
+    """fn(*args, half, buf) for both halves of `slabs`, the second on
+    `pool` if given, each with its own scratch buffer `buf` if there are
+    two; returns both results once both halves are done."""
+    mid = len(slabs) // 2
+    halves = [(*args, half, buf) for half, buf in
+              zip((slabs[:mid], slabs[mid:]), (scratch[0], scratch[-1]))]
 
-    Every sum is of contiguous float views, x interleaved with (re, im).
-    With e_j the derivative along axis j without its factor i, built
-    with the real wavenumbers (d_j psi = i e_j; e_0 = -i d_0 psi),
-    Re<d_i psi|d_j psi> = Re<e_i|e_j> and Im(psi* d_j psi) = Re(psi* e_j),
-    so each is a dot product of (re, im) pairs."""
-    n1, n2 = psi.shape[1:]
+    def run(half):
+        # numpy buffers each broadcast operand of a ufunc, 8192 values by
+        # default: two threads' 128 KiB buffers beside the scratch took
+        # the peak at 64^3 past a field + 2 MiB; 2048 cost no time
+        with np.errstate():
+            np.setbufsize(_BUFFER_VALUES)
+            return fn(*half)
+
+    if pool is None:
+        return [run(half) for half in halves]
+    pending = pool.submit(run, halves[1])
+    try:
+        first = run(halves[0])
+    finally:
+        # the worker writes into shared arrays: wait for it, even if
+        # this raised
+        pending.exception()
+    return [first, pending.result()]
+
+
+def _phi(out: np.ndarray, lq: np.ndarray, f: np.ndarray,
+         s: np.ndarray) -> None:
+    """Phi = L f S on a slab, in `out`, from slices of the pieces that
+    broadcast to its shape: both phases build the same doubles."""
+    np.multiply(lq, f, out=out)
+    out *= s
+
+
+def _chi_slabs(pieces, chi: np.ndarray, spec: GridSpec, slabs,
+               scratch: np.ndarray) -> None:
+    """Phase 1 of `grid_moments`: writes chi = F_q[q F_q^-1 Phi] over the
+    q' `slabs`, each built from the pieces in scratch[0] and transformed
+    along q there."""
+    lq, f, s = pieces
+    n0, n2 = s.shape
+    q = spec.axis(0)[:, None, None]
+    for sl in slabs:
+        phi = scratch[0, :n0 * (sl.stop - sl.start) * n2].reshape(n0, -1, n2)
+        _phi(phi, lq[:, sl, None], f[sl], s[:, None, :])
+        np.fft.ifft(phi, axis=0, out=phi)
+        phi_v = phi.view(np.float64)
+        phi_v *= q
+        np.fft.fft(phi, axis=0, out=chi[:, sl])
+
+
+def _moment_slabs(pieces, chi: np.ndarray, spec: GridSpec,
+                  planes: np.ndarray, slabs, scratch: np.ndarray):
+    """Phase 2 of `grid_moments`: walks the k_q `slabs` in order with Phi,
+    e_1 and e_2 in the three slabs of `scratch`, writes their rows of
+    `planes` and returns the sums of x Re(chi* Phi) and x Re(Phi* e_j)
+    and the six Re<a_i|a_j> of (chi, e_1, e_2).
+
+    e_j is built with the real wavenumbers, and every sum is of
+    contiguous float views, x interleaved with (re, im), so each is a
+    dot product of (re, im) pairs.  A slab of chi is used last here:
+    Re(chi* Phi) is formed in its place."""
+    lq, f, s = pieces
+    n1, n2 = f.shape
     x = np.repeat(spec.axis(2), 2)
-    weights = (np.ones_like(x), x, x * x)
     k = {1: spec.wavenumbers(1)[:, None], 2: np.repeat(spec.wavenumbers(2), 2)}
-    e, ev = scratch, scratch.view(np.float64)
-    rows = ev.reshape(3, -1, 2 * n2)
-    x_currents, dots = np.zeros(3), np.zeros(6)
-    for s in slabs:
-        p = psi[s]
-        pv = p.view(np.float64)
-        # the density's (re^2, im^2) pairs, in e_0's place until e_0
-        np.multiply(pv, pv, out=ev[0])
-        for weight, plane in zip(weights, planes):
-            np.einsum("abk,k->ab", ev[0], weight, out=plane[s])
+    x_sums, dots = np.zeros(3), np.zeros(6)
+    for sl in slabs:
+        e = scratch[:, :(sl.stop - sl.start) * n1 * n2].reshape(3, -1, n1, n2)
+        ev = e.view(np.float64)
+        _phi(e[0], lq[sl, :, None], f, s[sl, None, :])
         for j in (1, 2):
-            np.fft.fft(p, axis=j, out=e[j])
+            np.fft.fft(e[0], axis=j, out=e[j])
             ev[j] *= k[j]
             np.fft.ifft(e[j], axis=j, out=e[j])
-        np.multiply(d0[s], -1j, out=e[0])
+        fields = (chi[sl].view(np.float64), ev[1], ev[2])
+        rows = [v.reshape(-1, 2 * n2) for v in fields]
         # each row's dot, with einsum: BLAS ddot rounds with the thread
         # count, and took 5-8 ms, not 0.2, on 2 loaded cores
-        for n, (i, j) in enumerate(_PAIRS):
-            dots[n] += np.einsum("ij,ij->i", rows[i], rows[j]).sum()
-        for j in range(3):
-            ev[j] *= pv
-            ev[j].sum(axis=2, out=planes[3 + j][s])
-            x_currents[j] += np.einsum("ik,k->i", rows[j], x).sum()
-    return x_currents, dots
+        for n, (a, b) in enumerate(_PAIRS):
+            dots[n] += np.einsum("ij,ij->i", rows[a], rows[b]).sum()
+        for a, v in enumerate(fields):
+            v *= ev[0]
+            v.sum(axis=2, out=planes[a][sl])
+            x_sums[a] += np.einsum("ik,k->i", rows[a], x).sum()
+    return x_sums, dots

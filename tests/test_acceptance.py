@@ -43,7 +43,6 @@ from hybridlab.gaussian import (
 )
 from hybridlab.grid import (
     GridSpec,
-    grid_moments,
     init_product_gaussian,
     split_step_evolve,
     to_ensemble,
@@ -54,6 +53,7 @@ from hybridlab.observables import (
 )
 
 from fock_oracle import evolved_probe_log_negativity
+from grid_oracle import grid_moments
 from conftest import (
     BENCH_CHIRPS,
     BENCH_MEANS,

@@ -32,7 +32,6 @@ from hybridlab.gaussian import (
 from hybridlab.grid import (
     GridSpec,
     GridState,
-    grid_moments,
     init_product_gaussian,
     split_step_evolve,
     to_ensemble,
@@ -47,6 +46,7 @@ from hybridlab.observables import (
 
 from hybridlab.scenario import parse_config
 
+from grid_oracle import grid_moments
 from conftest import (BENCH_BRACKET_PAIRS, BENCH_CHIRPS, BENCH_COUPLINGS,
                       BENCH_MEANS, BENCH_TILTS, BENCH_TIME, BENCH_WIDTHS,
                       classical_poisson, half_resolution_estimates,

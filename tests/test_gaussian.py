@@ -290,6 +290,13 @@ class TestLogarithmicNegativity:
         val = logarithmic_negativity(two_mode_squeezed_state(0.5))
         assert val == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_weak_squeezing_survives_the_rounding_cut(self, hbar):
+        # r = 1e-8 puts one nu hbar r below hbar/2, far above the few eps
+        # of rounding that the sum treats as hbar/2
+        val = logarithmic_negativity(two_mode_squeezed_state(1e-8, hbar))
+        assert val == pytest.approx(2e-8, rel=1e-6)
+
     def test_two_mode_squeezed_vs_fock_oracle(self):
         val = logarithmic_negativity(two_mode_squeezed_state(0.5))
         assert val == pytest.approx(tmsv_log_negativity(0.5, cutoff=40),

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridlab import grid as gr
 
@@ -21,9 +23,7 @@ from hybridlab.grid import (
     GridSpec,
     GridState,
     apply_operator,
-    assemble_product,
     gaussian_factors,
-    grid_moments,
     init_product_gaussian,
     product_moments,
     product_pieces,
@@ -31,6 +31,12 @@ from hybridlab.grid import (
     to_ensemble,
 )
 
+from grid_oracle import (
+    assemble_product,
+    derivative_pieces,
+    grid_moments,
+    oracle_moments,
+)
 from conftest import (
     BENCH_CHIRPS,
     BENCH_COUPLINGS,
@@ -134,6 +140,25 @@ class TestInitProductGaussian:
         spec = GridSpec((32, 32, 32), (14.0, 6.0, 8.0))
         with pytest.raises(DomainTooSmallError):
             init_product_gaussian(spec, means=(0.0, 0.0, mean))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("factor", [1.0, -1.0000000000000002, 3.0,
+                                        1e17, -1e300])
+    def test_rejects_momentum_mean_outside_band(self, axis, factor):
+        # a tilt at or past the Nyquist wavenumber pi/h aliases on the
+        # grid: 1e17 read a residual of 1e17 with exit 0
+        spec = GridSpec((32, 32, 32), (14.0, 8.0, 10.0), hbar=2.0)
+        tilts = [0.0, 0.0, 0.0]
+        tilts[axis] = factor * np.pi / spec.steps()[axis]
+        with pytest.raises(DomainTooSmallError, match="momentum mean"):
+            gaussian_factors(spec, tilts=tilts)
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.9999999999999999])
+    def test_accepts_momentum_mean_in_band(self, factor):
+        # the band is [-hbar k_N, hbar k_N): -k_N is a grid wavenumber
+        spec = GridSpec((32, 32, 32), (14.0, 8.0, 10.0), hbar=2.0)
+        tilts = [factor * np.pi / h for h in spec.steps()]
+        assert len(gaussian_factors(spec, tilts=tilts)) == 3
 
     def test_rejects_factor_that_underflows(self):
         # the narrow factor is 0 at every grid point, so its norm is 0:
@@ -274,12 +299,6 @@ PRODUCT_CASES = {
 }
 
 
-def derivative_pieces(spec, pieces):
-    """The pieces of d_0 psi: L times i k_q."""
-    lq, f, s = pieces
-    return lq * (1j * spec.wavenumbers(0))[:, None], f, s
-
-
 class TestProductBuild:
     @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0])
     @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
@@ -309,34 +328,79 @@ class TestProductBuild:
         assert fft_points == {("ifft", 0): out.size}
         assert peak < out.nbytes // 4
 
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+    def test_moments_match_the_q_oracle(self, case, t):
+        # the mixed-representation sums and the q-representation oracle
+        # on the assembled psi differ by rounding only
+        spec, params, (g1, g2) = PRODUCT_CASES[case]
+        factors = gaussian_factors(spec, **params)
+        means, cov = product_moments(spec, factors, g1, g2, [t])
+        ref_means, ref_cov = oracle_moments(spec, factors, g1, g2, [t])
+        tol = 1e-13 * max(1.0, np.abs(ref_cov).max())
+        assert np.abs(means - ref_means).max() <= tol
+        assert np.abs(cov - ref_cov).max() <= tol
+
     @pytest.mark.parametrize("case", ["uneven_hbar2", "hbar07_negative_g2"])
     def test_threads_give_the_serial_doubles(self, case, short_switch_interval):
-        # the worker builds d_0 psi and takes the second half of the q
-        # slabs (on the uneven grid, q is the shortest axis: 16 planes a
-        # thread, in slabs of 2); a serial loop of the same build and
-        # grid_moments without a pool gives the same doubles
+        # the worker takes the second half of the slabs of both phases (on
+        # the uneven grid, q is the shortest axis: phase 2 has 16 k_q
+        # planes a thread, in slabs of 2); grid_moments without a pool,
+        # on the same pieces, gives the same doubles
         spec, params, (g1, g2) = PRODUCT_CASES[case]
         factors = gaussian_factors(spec, **params)
         times = [0.0, 0.5, 1.0]
         means, cov = product_moments(spec, factors, g1, g2, times)
         for i, t in enumerate(times):
-            pieces = product_pieces(spec, factors, g1, g2, t)
-            state = GridState(spec, assemble_product(spec, pieces))
-            d0 = assemble_product(spec, derivative_pieces(spec, pieces))
-            want_means, want_cov = grid_moments(state, d0)
+            want_means, want_cov = gr.grid_moments(
+                spec, product_pieces(spec, factors, g1, g2, t))
             assert np.array_equal(means[i], want_means)
             assert np.array_equal(cov[i], want_cov)
 
-    def test_peak_is_psi_and_d0(self):
-        # psi and d_0 psi are the only full-size arrays; the two threads'
-        # scratch slabs, the (q, q') planes and numpy's buffers fit in
-        # 2 MiB at 64^3
+    def test_peak_is_chi(self):
+        # chi is the only full-size array; the two threads' scratch slabs,
+        # numpy's buffers, the pieces and the planes fit in 2 MiB at 64^3
         spec, params, (g1, g2) = PRODUCT_CASES["bench_64"]
         factors = gaussian_factors(spec, **params)
         product_moments(spec, factors, g1, g2, [0.0])
         peak = traced_peak(
             lambda: product_moments(spec, factors, g1, g2, [0.0, 1.0]))
-        assert peak <= 2 * 16 * 64 ** 3 + 2 ** 21
+        assert peak <= 16 * 64 ** 3 + 2 ** 21
+
+
+@st.composite
+def product_draws(draw):
+    """A product state at 32^3 that the guards accept, with couplings and
+    a time t <= 1: means within 2 of the centre, widths from half to all
+    of the box's allowance (an eighth of the half-width), tilts within
+    half the Nyquist wavenumber, chirps and couplings of either sign."""
+    spec = GridSpec((32, 32, 32), (10.0, 8.0, 9.0),
+                    hbar=draw(st.floats(0.5, 2.0)))
+    unit = st.floats(-1.0, 1.0)
+    means = tuple(2.0 * draw(unit) for _ in range(3))
+    widths = tuple(draw(st.floats(0.5, 1.0)) * l / 8.0
+                   for l in spec.half_widths)
+    tilts = tuple(0.5 * np.pi / h * draw(unit) for h in spec.steps())
+    chirps = tuple(draw(unit) for _ in range(3))
+    g1, g2 = 2.0 * draw(unit), 2.0 * draw(unit)
+    t = draw(st.floats(0.0, 1.0))
+    params = dict(means=means, widths=widths, tilts=tilts, chirps=chirps)
+    return spec, params, g1, g2, t
+
+
+@settings(max_examples=50, deadline=None)
+@given(product_draws())
+def test_product_moments_match_the_q_oracle(draw):
+    # whatever the state, couplings and time, the mixed-representation
+    # moments are the q-representation oracle's on the assembled psi, to
+    # rounding
+    spec, params, g1, g2, t = draw
+    factors = gaussian_factors(spec, **params)
+    means, cov = product_moments(spec, factors, g1, g2, [t])
+    ref_means, ref_cov = oracle_moments(spec, factors, g1, g2, [t])
+    tol = 1e-12 * max(1.0, np.abs(ref_cov).max())
+    assert np.abs(means - ref_means).max() <= tol
+    assert np.abs(cov - ref_cov).max() <= tol
 
 
 def out_of_place_evolve(state, g1, g2, t):
@@ -387,6 +451,15 @@ def chirped_32_state():
     return split_step_evolve(state, 1.0, 1.0, 1.0 / 8, 4)
 
 
+@pytest.fixture(scope="module")
+def bench_pieces():
+    """The grid spec and `product_pieces` of the bench product at
+    BENCH_TIME."""
+    spec, params, (g1, g2) = PRODUCT_CASES["bench_64"]
+    factors = gaussian_factors(spec, **params)
+    return spec, product_pieces(spec, factors, g1, g2, BENCH_TIME)
+
+
 HBAR2_WIDTHS = (1.2, 0.9, 1.1)
 
 
@@ -424,20 +497,26 @@ class TestGridMoments:
         np.testing.assert_array_equal(means, ref_means)
         np.testing.assert_array_equal(cov, ref_cov)
 
-    def test_hbar2_matches_phase_space_backend(self, hbar2_evolved_state):
+    def test_hbar2_matches_phase_space_backend(self, hbar2_product_state):
         st = product_state(widths=HBAR2_WIDTHS, means=BENCH_MEANS,
                            tilts=BENCH_TILTS, chirps=BENCH_CHIRPS, hbar=2.0)
         ref = evolve_gaussian(st, QuadraticHamiltonian(*BENCH_COUPLINGS),
                               BENCH_TIME)
-        means, cov = grid_moments(hbar2_evolved_state)
+        spec = hbar2_product_state.spec
+        factors = gaussian_factors(spec, means=BENCH_MEANS, widths=HBAR2_WIDTHS,
+                                   tilts=BENCH_TILTS, chirps=BENCH_CHIRPS)
+        (means,), (cov,) = product_moments(spec, factors, *BENCH_COUPLINGS,
+                                           [BENCH_TIME])
         assert np.abs(means - ref.means).max() < 1e-6
         assert np.abs(cov - ref.covariance).max() < 1e-6
 
-    def test_three_fft_pairs(self, evolved_grid_state, fft_points):
+    def test_three_fft_pairs(self, bench_pieces, fft_points):
         # one forward and one inverse transform of every point along each
-        # axis; along q' and x each q slab is transformed apart
-        grid_moments(evolved_grid_state)
-        size = evolved_grid_state.amplitudes.size
+        # axis: along q for chi, one q' slab at a time, and along q' and x
+        # for e_1 and e_2, one k_q slab at a time
+        spec, pieces = bench_pieces
+        gr.grid_moments(spec, pieces)
+        size = np.prod(spec.points_per_axis)
         assert fft_points == {(name, axis): size for name in ("fft", "ifft")
                               for axis in range(3)}
 
@@ -477,43 +556,51 @@ class TestGridMoments:
         means, cov = grid_moments(evolved_grid_state, d0)
         assert np.isnan(means[1]) and not np.isnan(means[0])
 
-    def test_pool_gives_the_same_doubles(self, evolved_grid_state,
+    def test_pool_gives_the_same_doubles(self, bench_pieces,
                                          short_switch_interval):
-        psi, spec = evolved_grid_state.amplitudes, evolved_grid_state.spec
-        d0 = _spectral_derivative(psi, spec, 0)
-        want = grid_moments(evolved_grid_state, d0)
+        # the worker takes the second half of each phase's slabs; the
+        # moments, and chi, are the doubles of the serial call
+        spec, pieces = bench_pieces
+        chi = np.empty(spec.points_per_axis, complex)
+        want = gr.grid_moments(spec, pieces, chi)
+        want_chi = chi.copy()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            got = [grid_moments(evolved_grid_state, d0, pool)
+            got = [gr.grid_moments(spec, pieces, chi, pool)
                    for _ in range(3)]
         for means, cov in got:
             np.testing.assert_array_equal(means, want[0])
             np.testing.assert_array_equal(cov, want[1])
+        np.testing.assert_array_equal(chi, want_chi)
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_half_error_raised_after_both_halves(self, evolved_grid_state,
+    def test_half_error_raised_after_both_halves(self, bench_pieces,
                                                  monkeypatch, failing):
-        # an error in either half leaves the call as itself, and only
-        # once the worker's half is done, so it writes into no buffer
-        # that the caller has taken back
-        error = MemoryError(f"{failing} half")
-        slab_sums, caller = gr._slab_sums, threading.current_thread()
-        finished = []
+        # an error in either half of either phase leaves the call as
+        # itself, and only once the worker's half is done, so it writes
+        # into no buffer that the caller has taken back
+        spec, pieces = bench_pieces
+        caller = threading.current_thread()
+        for phase in ("_chi_slabs", "_moment_slabs"):
+            error = MemoryError(f"{failing} half of {phase}")
+            original = getattr(gr, phase)
+            finished = []
 
-        def half(*args):
-            on_caller = threading.current_thread() is caller
-            if on_caller == (failing == "caller"):
-                raise error
-            time.sleep(0.05)
-            result = slab_sums(*args)
-            finished.append(on_caller)
-            return result
+            def half(*args):
+                on_caller = threading.current_thread() is caller
+                if on_caller == (failing == "caller"):
+                    raise error
+                time.sleep(0.05)
+                result = original(*args)
+                finished.append(on_caller)
+                return result
 
-        monkeypatch.setattr(gr, "_slab_sums", half)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(MemoryError) as info:
-                grid_moments(evolved_grid_state, pool=pool)
-            assert info.value is error
-            assert finished == [failing == "worker"]
+            with monkeypatch.context() as patch:
+                patch.setattr(gr, phase, half)
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    with pytest.raises(MemoryError) as info:
+                        gr.grid_moments(spec, pieces, pool=pool)
+                    assert info.value is error
+                    assert finished == [failing == "worker"]
 
 
 class TestEnsembleRepresentation:

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridlab.grid import (GridSpec, apply_operator, grid_moments,
-                            init_product_gaussian)
+from hybridlab.grid import GridSpec, apply_operator, init_product_gaussian
 from hybridlab.observables import (
     CLASSICAL_PRIMITIVES,
     MAX_FACTORS_PER_MODE,
@@ -31,6 +30,7 @@ from hybridlab.observables import (
     quantum,
 )
 
+from grid_oracle import grid_moments
 from conftest import (BENCH_BRACKET_PAIRS, classical_poisson,
                       quantum_commutator_over_ihbar)
 

@@ -34,6 +34,7 @@ from hybridlab.scenario import (
 )
 
 from conftest import BENCH_BRACKET_PAIRS, initial_grid
+from grid_oracle import grid_moments as q_grid_moments
 
 FAST_GRID = "grid_points = 32,32,32\ngrid_half_widths = 10,6,8\n"
 # 21 factors on mode Q: enumerating their 21! orders never finished
@@ -481,26 +482,20 @@ REPLAY_CONFIGS = {
 
 def serial_moments(config):
     """The grid moments at the sample times from a serial loop of the same
-    per-sample build and `grid_moments` without a pool: the oracle for
+    per-sample pieces and `grid_moments` without a pool: the oracle for
     `gr.product_moments`, which splits each sample across two threads."""
     spec = GridSpec(config.grid_points, config.grid_half_widths, config.hbar)
     means, widths, tilts, chirps = config.mode_params()
     factors = gr.gaussian_factors(spec, means, widths, tilts, chirps)
-    out = []
-    for step in config.sample_steps():
-        lq, f, s = gr.product_pieces(spec, factors, config.g1, config.g2,
-                                     step * config.dt)
-        d0 = gr.assemble_product(
-            spec, (lq * (1j * spec.wavenumbers(0))[:, None], f, s))
-        state = gr.GridState(spec, gr.assemble_product(spec, (lq, f, s)))
-        out.append(gr.grid_moments(state, d0))
-    return out
+    return [gr.grid_moments(spec, gr.product_pieces(
+        spec, factors, config.g1, config.g2, step * config.dt))
+        for step in config.sample_steps()]
 
 
 def chained_moments(config):
     """The grid moments at the sample times from propagating the initial
     grid state from sample to sample, and taking each sample's moments
-    with `grid_moments` alone."""
+    with the q-representation oracle."""
     samples = config.sample_steps()
     grid_state, prev, out = initial_grid(config), 0, []
     for step in samples:
@@ -508,7 +503,7 @@ def chained_moments(config):
             grid_state = gr.split_step_evolve(grid_state, config.g1, config.g2,
                                               config.dt, step - prev)
             prev = step
-        out.append(gr.grid_moments(grid_state))
+        out.append(q_grid_moments(grid_state))
     return out
 
 
@@ -542,50 +537,51 @@ class TestGridMoments:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
 
     def test_one_buffer_for_the_trajectory(self, monkeypatch):
-        # every sample is built in the one psi buffer and the one d_0 psi
-        # buffer that the calling thread allocated, so the worker
-        # allocates no full-size field: it assembles d_0 psi and takes the
-        # second half of every call's q slabs, while each grid_moments
-        # call is made on the calling thread
-        calls, assembled = [], []
-        grid_moments, assemble = gr.grid_moments, gr.assemble_product
+        # every sample's chi is built in the one buffer that the calling
+        # thread allocated, so the worker allocates no full-size field: it
+        # takes the second half of both phases' slabs, while each
+        # grid_moments call is made on the calling thread
+        calls, phases = [], []
+        grid_moments = gr.grid_moments
 
-        def recorded(state, d0, pool):
-            calls.append((state.amplitudes, d0, pool,
-                          threading.current_thread()))
-            return grid_moments(state, d0, pool)
+        def recorded(spec, pieces, chi, pool):
+            calls.append((chi, pool, threading.current_thread()))
+            return grid_moments(spec, pieces, chi, pool)
 
-        def recorded_assemble(spec, pieces, out):
-            assembled.append((out, threading.current_thread()))
-            return assemble(spec, pieces, out)
+        def recorded_phase(name, fn):
+            def wrapper(*args):
+                phases.append((name, args[1], threading.current_thread()))
+                return fn(*args)
+            return wrapper
 
         monkeypatch.setattr(gr, "grid_moments", recorded)
-        monkeypatch.setattr(gr, "assemble_product", recorded_assemble)
+        for name in ("_chi_slabs", "_moment_slabs"):
+            monkeypatch.setattr(gr, name, recorded_phase(name, getattr(gr, name)))
         config = parse_config(config_text(ORACLE_CONFIGS["every_step"]))
         assert len(sampled_grid_moments(config)) == len(calls) == 9
-        psi, d0, pool = calls[0][:3]
-        for field in (psi, d0):
-            assert field.shape == (32, 32, 32) and field.dtype == complex
+        chi, pool = calls[0][:2]
+        assert chi.shape == (32, 32, 32) and chi.dtype == complex
         caller = threading.current_thread()
-        assert all(a is psi and d is d0 and p is pool and t is caller
-                   for a, d, p, t in calls)
-        own = [out for out, thread in assembled if thread is caller]
-        worker = [(out, thread) for out, thread in assembled
-                  if thread is not caller]
-        assert len(own) == len(worker) == 9
-        assert all(out is psi for out in own)
-        assert all(out is d0 for out, _ in worker)
-        assert len({thread for _, thread in worker}) == 1
+        assert all(c is chi and p is pool and t is caller
+                   for c, p, t in calls)
+        assert len(phases) == 4 * 9
+        assert all(c is chi for _, c, _ in phases)
+        worker = {t for _, _, t in phases if t is not caller}
+        assert len(worker) == 1
+        for name in ("_chi_slabs", "_moment_slabs"):
+            threads = [t for n, _, t in phases if n == name]
+            assert threads.count(caller) == threads.count(*worker) == 9
 
     @pytest.mark.parametrize("thread", ["caller", "worker"])
     @pytest.mark.parametrize("stage", ["build", "half"])
     def test_error_in_either_thread(self, monkeypatch, stage, thread):
-        # one thread fails at the second sample, in its build of psi or
-        # d_0 psi, or in its q half of the moments, while the other is
-        # still at work: the call raises that error as itself, after the
-        # other thread is done, leaves no thread and does not hang
+        # one thread fails at the second sample, in its half of phase 1
+        # (the build of chi) or of phase 2 (the moment sums), while the
+        # other is still at work: the call raises that error as itself,
+        # after the other thread is done, leaves no thread and does not
+        # hang
         error = MemoryError(f"{thread} {stage} at the second sample")
-        target = {"build": "assemble_product", "half": "_slab_sums"}[stage]
+        target = {"build": "_chi_slabs", "half": "_moment_slabs"}[stage]
         original = getattr(gr, target)
         calls, finished = [], []
 
@@ -646,11 +642,11 @@ class TestGridMoments:
         assert len(residuals(config)[1]) == 1
 
     def test_peak_memory(self):
-        # the split allocates no full-size field: the peak is psi, d_0 psi
-        # and an allowance for each thread's three scratch slabs (8 planes
-        # each, 384 KiB at 32^3), the (q, q') planes and numpy's buffers;
-        # a further full-size field, 256 KiB real or 512 KiB complex at
-        # 32^3, would not fit in it beside them
+        # the split allocates no full-size field: the peak is chi and an
+        # allowance for each thread's three scratch slabs (8 planes each,
+        # 384 KiB at 32^3), the pieces, the (k_q, q') planes and numpy's
+        # buffers; a further full-size field, 256 KiB real or 512 KiB
+        # complex at 32^3, would not fit in it beside them
         config = parse_config(config_text(REPLAY_CONFIGS["readme_short"]))
         sampled_grid_moments(config)
         tracemalloc.start()
@@ -660,59 +656,79 @@ class TestGridMoments:
         finally:
             tracemalloc.stop()
         state = 16 * 32 ** 3
-        assert peak <= 2 * state + 2 ** 20
+        assert peak <= state + 2 ** 20
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_run_leaves_no_thread(self, tmp_path, command):
+    def test_run_leaves_no_thread(self, tmp_path, monkeypatch, command):
+        # both phases of every sample run on the calling thread and on the
+        # worker, and the worker is gone when the run ends
+        threads = {"_chi_slabs": set(), "_moment_slabs": set()}
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                threads[name].add(threading.current_thread())
+                return fn(*args)
+            return wrapper
+
+        for name in threads:
+            monkeypatch.setattr(gr, name, recorded(name, getattr(gr, name)))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
         start = threading.active_count()
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 0
         assert threading.active_count() == start
+        assert all(len(used) == 2 and threading.current_thread() in used
+                   for used in threads.values())
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_worker_error_reaches_cli(self, tmp_path, capsys, monkeypatch,
                                       command):
-        # a guard raised while the worker takes its half of the second
-        # sample's moments reaches cli.main as itself: exit 3, as on the
+        # a guard raised while the worker takes its half of either phase of
+        # the second sample reaches cli.main as itself: exit 3, as on the
         # calling thread
-        threads = []
-        slab_sums = gr._slab_sums
-
-        def failing(*args):
-            threads.append(threading.current_thread())
-            if len(threads) > 2 and threads[-1] is not threading.main_thread():
-                raise gr.ConfigurationError("second sample")
-            return slab_sums(*args)
-
-        monkeypatch.setattr(gr, "_slab_sums", failing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
-        start = threading.active_count()
-        assert main([command, "--config", str(cfg),
-                     "--out", str(tmp_path / "out.csv")]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "numerical guard violation: second sample"
-        assert len(threads) == 4
-        assert threads[0] is threads[2] is threading.current_thread()
-        assert threads[1] is threads[3] is not threading.current_thread()
-        assert threading.active_count() == start
+        for phase in ("_chi_slabs", "_moment_slabs"):
+            threads = []
+            original = getattr(gr, phase)
+
+            def failing(*args):
+                threads.append(threading.current_thread())
+                if len(threads) > 2 and \
+                        threads[-1] is not threading.main_thread():
+                    raise gr.ConfigurationError(f"second sample, {phase}")
+                return original(*args)
+
+            start = threading.active_count()
+            with monkeypatch.context() as patch:
+                patch.setattr(gr, phase, failing)
+                assert main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / "out.csv")]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == ("numerical guard violation: second sample, "
+                               f"{phase}")
+            # each sample's halves, on this thread and on the one worker
+            main_thread = threading.current_thread()
+            assert len(threads) == 4
+            assert [t is main_thread for t in threads].count(True) == 2
+            assert len({t for t in threads if t is not main_thread}) == 1
+            assert threading.active_count() == start
 
     def test_unexpected_worker_error_propagates(self, tmp_path, monkeypatch):
-        # an error of the worker's build of d_0 psi reaches cli.main as
-        # itself
+        # an error of the worker's half of the build of chi reaches
+        # cli.main as itself
         calls = []
-        assemble = gr.assemble_product
+        chi_slabs = gr._chi_slabs
 
-        def failing(spec, pieces, out):
+        def failing(*args):
             worker = threading.current_thread() is not threading.main_thread()
             calls.append(worker)
             if worker and len(calls) > 2:
                 raise RuntimeError("second sample")
-            return assemble(spec, pieces, out)
+            return chi_slabs(*args)
 
-        monkeypatch.setattr(gr, "assemble_product", failing)
+        monkeypatch.setattr(gr, "_chi_slabs", failing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text(REPLAY_CONFIGS["readme_short"]))
         start = threading.active_count()
@@ -795,7 +811,7 @@ class TestValidateBackends:
         samples = config.sample_steps()
         assert samples == [0, 3, 6, 8]
         calls = {"gaussian_factors": 0, "product_pieces": 0,
-                 "assemble_product": 0, "grid_moments": 0,
+                 "grid_moments": 0, "_chi_slabs": 0, "_moment_slabs": 0,
                  "split_step_evolve": 0}
 
         def counted(name, fn):
@@ -807,12 +823,14 @@ class TestValidateBackends:
         for name in calls:
             monkeypatch.setattr(gr, name, counted(name, getattr(gr, name)))
         validate_backends(config)
-        # each sample is built once from the one set of initial factors,
-        # psi and d_0 psi from the same pieces, and never propagated
+        # each sample's pieces are built once from the one set of initial
+        # factors, both phases read them on two threads, and nothing is
+        # propagated
         assert calls == {"gaussian_factors": 1,
                          "product_pieces": len(samples),
-                         "assemble_product": 2 * len(samples),
                          "grid_moments": len(samples),
+                         "_chi_slabs": 2 * len(samples),
+                         "_moment_slabs": 2 * len(samples),
                          "split_step_evolve": 0}
 
     def test_cli_prints_replayed_lines(self, tmp_path, capsys):

@@ -14,8 +14,8 @@ import pytest
 
 from hybridlab.brackets import gaussian_brackets
 from hybridlab.gaussian import (
-    IDX_P, IDX_PP, IDX_Q, IDX_QP, MODE_SLICES, OMEGA, HamiltonianVariant,
-    PhaseSpaceState, QuadraticHamiltonian, _chsh_constants, _sinhc,
+    IDX_P, IDX_PP, IDX_Q, IDX_QP, MODE_SLICES, OMEGA, _NU_ROUNDING,
+    HamiltonianVariant, PhaseSpaceState, QuadraticHamiltonian, _chsh_constants, _sinhc,
     evolve_gaussian, logarithmic_negativity, mediator_moment_inversion,
     optimize_chsh_many, product_state, symplectic_form, symplectic_propagator,
     witness_expectation,
@@ -69,7 +69,9 @@ def reference_log_negativity(cov, hbar, bipartition):
     ev = np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ cov_pt))
     nu = np.sort(ev).reshape(n, 2).mean(axis=1)
     half = 0.5 * hbar
-    return max(0.0, float(-sum(np.log(v / half) for v in nu if v < half)))
+    # a nu within its rounding of hbar/2 is hbar/2
+    cut = half - _NU_ROUNDING * np.finfo(float).eps * np.abs(cov_pt).max()
+    return max(0.0, float(-sum(np.log(v / half) for v in nu if v < cut)))
 
 
 def reference_witness(m, v):
@@ -175,6 +177,16 @@ def test_negativity_cell_without_terms_is_zero_not_minus_zero():
              if not l.startswith("#")]
     assert lines[0] == "t,logneg_q_qprime"
     assert [l.split(",")[1] for l in lines[1:]] == ["0"] * 5
+
+
+def test_product_state_cell_is_exact_zero():
+    # the README state at t = 0 is a product: its probe block's nu read
+    # 0.49999999999999983 and 0.49999999999999994, below hbar/2 by
+    # rounding alone, and the cell read 4.4408920985006262e-16
+    config = parse_config(config_text(**dict(README, diagnostics="negativity")))
+    lines = [l for l in run_scenario(config).to_csv().splitlines()
+             if not l.startswith("#")]
+    assert lines[:2] == ["t,logneg_q_qprime", "0,0"]
 
 
 ACCEPTANCE_STATES = {

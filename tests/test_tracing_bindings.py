@@ -41,7 +41,7 @@ def test_install_restores_originals():
 
 
 def test_traced_validate_counts_repeat(tmp_path):
-    # validate builds d_0 psi and half of every sample's moments on a
+    # validate takes half of both phases of every sample's moments on a
     # worker thread, so the tracer counts FFTs from two threads; the
     # traced benchmark flags any count that differs between rounds
     cfg = tmp_path / "validate.cfg"
@@ -59,12 +59,13 @@ def test_traced_validate_counts_repeat(tmp_path):
                        and k.rsplit(".", 1)[1] not in ("s", "self_s")})
     # samples at steps 0, 8 and 16, each built directly at its time: no
     # split_step_evolve span and no Strang step.  A sample's pieces take
-    # two 1-D FFTs of 32 points and one 2-D inverse FFT of 32^2; psi and
-    # d_0 psi one inverse FFT of 32^3 each; the moments one FFT pair
-    # along q' and one along x for each of 4 q slabs of 8 planes, 16
-    # transforms of 32^3 / 4
-    per_sample = 3 + 2 + 16
-    points = 2 * 32 + 32 ** 2 + 2 * 32 ** 3 + 16 * 32 ** 3 // 4
+    # two 1-D FFTs of 32 points and one 2-D inverse FFT of 32^2; chi one
+    # FFT pair along q for each of 4 q' slabs of 8 planes, 8 transforms
+    # of 32^3 / 4; the sums one FFT pair along q' and one along x for
+    # each of 4 k_q slabs of 8 planes, 16 transforms of 32^3 / 4: six
+    # full-size passes in all, as when psi and d_0 psi were assembled
+    per_sample = 3 + 8 + 16
+    points = 2 * 32 + 32 ** 2 + 24 * 32 ** 3 // 4
     assert counts[0] == counts[1] == {
         "grid.grid_moments.calls": 3, "grid.fft_calls": 3 * per_sample,
         "grid.fft_points": 3 * points}
